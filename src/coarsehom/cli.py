@@ -32,8 +32,7 @@ from .complexes import Chain, bar_boundary, boundary, homotopy_k, \
     homotopy_l, induced_chain_map, random_chain
 from .errors import GroupMismatchError, InvalidElementError, \
     NotACycleError, ResourceLimitError
-from .gallery import get_group, get_map, get_scenario, group_names, \
-    map_names, scenario_names
+from .gallery import catalog_entries, get_group, get_map, get_scenario
 from .homology import h0_coinvariants, homology_finite, \
     is_boundary_window
 from .rings import ring_from_name
@@ -261,8 +260,9 @@ def _exp_morita_check(config):
         dy.action_groupoid(dy.translation_action(gb)), max_degree)
     verdicts = [{"name": "translation-systems-same-homology",
                  "pass": ha == hb, "result": {"first": ha, "second": hb}}]
-    scenario = config.get("scenario", "z4-z2-kakutani")
-    couple = get_scenario(scenario)
+    couple = get_scenario(config.get("scenario", "z4-z2-kakutani"))
+    if isinstance(couple, dy.Coupling):
+        couple = dy.coupling_to_couple(couple)
     kak = dy.couple_to_kakutani(couple)
     gx = dy.restrict_groupoid(
         dy.action_groupoid(couple.actX), kak.A)
@@ -342,63 +342,10 @@ def run_experiment(config: dict) -> dict:
     return {"body": body, "timing": {"seconds": round(elapsed, 6)}}
 
 
-_GROUP_DESC = {
-    "Z": "infinite cyclic group, generators +1/-1",
-    "Z2": "rank-two integer lattice",
-    "F2": "free group on two letters",
-    "Dinf": "infinite dihedral group (translations and a flip)",
-    "triv": "one-element group",
-    "Z/2": "cyclic group of order 2",
-    "Z/3": "cyclic group of order 3",
-    "Z/4": "cyclic group of order 4",
-    "Z/6": "cyclic group of order 6",
-    "D3": "dihedral group of order 6 (triangle symmetries)",
-    "Z/2xZ/2": "Klein four-group",
-}
-
-_MAP_DESC = {
-    "z-double": ("Z", "Z", "x maps to 2x; embedding with index-2 image"),
-    "z-double-floor": ("Z", "Z", "x maps to 2(x//2); close to doubling"),
-    "z-double-shift": ("Z", "Z", "x maps to 2x+1; close to doubling"),
-    "z-abs": ("Z", "Z", "absolute value; coarse but not an embedding"),
-    "z-parity-shift": ("Z", "Z", "adds 1 to odd inputs; close to the "
-                                 "identity"),
-    "z-into-z2": ("Z", "Z2", "inclusion onto the first axis"),
-    "f2-abelianize": ("F2", "Z2", "exponent sums; fibers grow, not "
-                                  "coarse"),
-    "z-to-dihedral": ("Z", "Dinf", "onto the translation subgroup"),
-    "z-identity": ("Z", "Z", "identity map"),
-    "triv-into-z2": ("triv", "Z/2", "inclusion of the trivial group"),
-    "z2-to-z3-const": ("Z/2", "Z/3", "constant map between finite "
-                                     "groups"),
-    "z4-mod-z2": ("Z/4", "Z/2", "reduction mod 2"),
-}
-
-_SCENARIO_DESC = {
-    "product-coupling": "order-4 and order-2 cyclic groups on their "
-                        "product, coordinate actions",
-    "z4-z2-twist": "product space with the right action twisted by a "
-                   "pointer map",
-    "dihedral-flip": "triangle group coupled to order 2 through the "
-                     "flip",
-    "z4-z2-kakutani": "orbit couple extracted from the product "
-                      "coupling",
-}
-
-
 def catalog() -> dict:
     """Deterministic listing of everything addressable by name."""
     return {
-        "groups": [{"name": n, "description": _GROUP_DESC.get(n, "")}
-                   for n in group_names()],
-        "maps": [{"name": n,
-                  "source": _MAP_DESC.get(n, ("?", "?", ""))[0],
-                  "target": _MAP_DESC.get(n, ("?", "?", ""))[1],
-                  "description": _MAP_DESC.get(n, ("?", "?", ""))[2]}
-                 for n in map_names()],
-        "scenarios": [{"name": n,
-                       "description": _SCENARIO_DESC.get(n, "")}
-                      for n in scenario_names()],
+        **catalog_entries(),
         "experiments": [
             {"name": "coarse-check",
              "description": "certify or falsify a map as coarse and as "

@@ -48,9 +48,6 @@ class CoarseMap:
     def __repr__(self):
         return f"CoarseMap({self.name}: {self.source.family} -> {self.target.family})"
 
-    def image_on_ball(self, r):
-        return {self(x) for x in self.source.ball(r)}
-
     def fibers_on_ball(self, r):
         """Map y -> sorted list of preimages inside ball(r)."""
         fib = {}
@@ -363,25 +360,6 @@ def decompose_domain(phi: CoarseMap, r: int,
             xs = sorted(by_h[h], key=lambda x: (wl(x), sk(x)))
             pieces.append((xs, finv, h))
     return DomainDecomposition(pieces, r)
-
-
-def bounded_fiber_translates(phi: CoarseMap, h, r: int):
-    """F(h) = {s t^-1 : phi(s) = h^-1 phi(t), s, t in ball(r)}, sorted.
-
-    For a coarse embedding this set is finite and exhausts the possible
-    shifts between points whose images differ by h.
-    """
-    G, T = phi.source, phi.target
-    hinv = T.inv(h)
-    by_img = {}
-    for x in G.ball(r):
-        by_img.setdefault(phi(x), []).append(x)
-    out = set()
-    for t in G.ball(r):
-        want = T.mul(hinv, phi(t))
-        for s in by_img.get(want, ()):
-            out.add(G.mul(s, G.inv(t)))
-    return sorted(out, key=lambda g: (G.word_length(g), G.sort_key(g)))
 
 
 class TargetPartition:

@@ -149,13 +149,16 @@ class Chain:
     def to_json(self):
         sl = self.slices()
         order = sorted(sl, key=self._tuple_key)
-        return {"degree": self.degree,
+        return {"degree": self.degree, "ring": self.ring.name,
+                "rank": self.rank,
                 "slices": [[[self.group.element_to_json(g) for g in gvec],
                             sl[gvec].to_json()] for gvec in order]}
 
     @classmethod
     def from_json(cls, group: Group, obj) -> "Chain":
         degree = obj["degree"]
+        ring = ring_from_name(obj["ring"])
+        rank = obj["rank"]
         slices = {}
         for gvec_json, fun_json in obj["slices"]:
             gvec = tuple(group.element_from_json(g) for g in gvec_json)
@@ -163,11 +166,7 @@ class Chain:
                 raise InvalidElementError(
                     f"duplicate slice {gvec_json!r} in chain JSON")
             slices[gvec] = FinSupFun.from_json(group, fun_json)
-        if not slices:
-            raise InvalidElementError(
-                "chain JSON needs at least one slice to fix ring and rank")
-        some = next(iter(slices.values()))
-        return chi(group, some.ring, some.rank, degree, slices)
+        return chi(group, ring, rank, degree, slices)
 
 
 def chi(group: Group, ring: Ring, rank: int, degree: int, slices) -> Chain:
@@ -372,16 +371,6 @@ def induced_cochain_map(phi: CoarseMap, f: Cochain) -> Cochain:
 
     return Cochain(phi.source, f.ring, f.rank, f.degree, rule,
                    name=f"{phi.name}^*({f.name})")
-
-
-def omega_chain_map(om: CoarseMap, chain: Chain) -> Chain:
-    """Chain map induced by a coarse inverse; the lazy block resolution
-    of omega happens pointwise inside the generic pushforward."""
-    return induced_chain_map(om, chain)
-
-
-def omega_cochain_map(om: CoarseMap, f: Cochain) -> Cochain:
-    return induced_cochain_map(om, f)
 
 
 # -- homotopies ----------------------------------------------------------------

@@ -17,10 +17,9 @@ full subset must not change it, and morita_invariance_check tests that.
 
 from __future__ import annotations
 
-from .errors import GroupMismatchError, InvalidElementError
+from .errors import InvalidElementError
 from .groups import Group, ProductGroup
-from .homology import SNFResult, smith_normal_form, _check_homology_ring, \
-    _rank_over
+from .homology import _check_homology_ring, _face_sum_matrix, _homology_table
 import numpy as np
 
 
@@ -597,77 +596,44 @@ def restrict_groupoid(gpd: FiniteGroupoid, subset) -> FiniteGroupoid:
 def _groupoid_boundary_matrix(gpd: FiniteGroupoid, n: int):
     """Rows: (n-1)-tuples (units for n = 1); columns: n-tuples; entries
     by the alternating face sum with constant coefficients."""
-    cols = gpd.composable_tuples(n)
     rows = gpd.composable_tuples(n - 1)
-    ridx = {t: i for i, t in enumerate(rows)}
-    M = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, t in enumerate(cols):
+
+    def faces(t):
         if n == 1:
-            faces = [(gpd.s(t[0]),), (gpd.r(t[0]),)]
-        else:
-            faces = [t[1:]]
-            for i in range(n - 1):
-                faces.append(t[:i] + (gpd.compose(t[i], t[i + 1]),)
-                             + t[i + 2:])
-            faces.append(t[:-1])
-        for i, f in enumerate(faces):
-            M[ridx[f], j] += 1 if i % 2 == 0 else -1
-    return M, rows, cols
+            return [(gpd.s(t[0]),), (gpd.r(t[0]),)]
+        return ([t[1:]]
+                + [t[:i] + (gpd.compose(t[i], t[i + 1]),) + t[i + 2:]
+                   for i in range(n - 1)]
+                + [t[:-1]])
+
+    return _face_sum_matrix(gpd.composable_tuples(n),
+                            {t: i for i, t in enumerate(rows)}, faces)
 
 
 def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
                              ring_name: str = "Z"):
-    """Homology of the finite groupoid with constant coefficients, via
-    one integer Smith form per boundary matrix.
+    """Homology of the finite groupoid with constant coefficients, read
+    by the same verified Smith reader as the group tables.
 
     For the groupoid of a free action this is the homology of a point
     per orbit: betti_0 = number of orbits, all higher groups zero; the
     tests lean on that oracle.
     """
     _check_homology_ring(ring_name)
-    snfs, dims = {}, {}
-    for n in range(max_degree + 2):
-        M, rows, cols = _groupoid_boundary_matrix(gpd, n) if n >= 1 else \
-            (np.zeros((0, len(gpd.composable_tuples(0))), dtype=np.int64),
-             [], gpd.composable_tuples(0))
-        dims[n] = M.shape[1]
-        snfs[n] = smith_normal_form(M)
-    out = []
-    for n in range(max_degree + 1):
-        r_n = _rank_over(ring_name, snfs[n])
-        r_next = _rank_over(ring_name, snfs[n + 1])
-        betti = (dims[n] - r_n) - r_next
-        torsion = ([d for d in snfs[n + 1].elementary_divisors() if d > 1]
-                   if ring_name == "Z" else [])
-        out.append({"degree": n, "ring": ring_name, "betti": int(betti),
-                    "torsion": torsion})
-    return out
+    d0 = np.zeros((0, len(gpd.units)), dtype=np.int64)
+    return _homology_table(ring_name, [d0] + [
+        _groupoid_boundary_matrix(gpd, n) for n in range(1, max_degree + 2)])
 
 
 def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
                                ring_name: str = "Z"):
     """Cohomology with constant coefficients: the degree-n coboundary
     evaluates functions on n-tuples against the faces of (n+1)-tuples,
-    so its matrix is the transpose pattern of the boundary one degree
-    up."""
+    so its matrix is the transpose of the boundary one degree up."""
     _check_homology_ring(ring_name)
-    snfs, dims = {}, {}
-    for n in range(max_degree + 1):
-        M, rows, cols = _groupoid_boundary_matrix(gpd, n + 1)
-        # coboundary d^n: functions on n-tuples -> functions on
-        # (n+1)-tuples; matrix is the transpose of the face pattern
-        snfs[n] = smith_normal_form(M.T)
-        dims[n] = len(rows)
-    out = []
-    for n in range(max_degree + 1):
-        r_n = _rank_over(ring_name, snfs[n])
-        r_prev = _rank_over(ring_name, snfs[n - 1]) if n >= 1 else 0
-        betti = (dims[n] - r_n) - r_prev
-        torsion = ([d for d in snfs[n - 1].elementary_divisors() if d > 1]
-                   if ring_name == "Z" and n >= 1 else [])
-        out.append({"degree": n, "ring": ring_name, "betti": int(betti),
-                    "torsion": torsion})
-    return out
+    return _homology_table(ring_name, [None] + [
+        _groupoid_boundary_matrix(gpd, n) for n in range(1, max_degree + 2)],
+        cohomology=True)
 
 
 def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,

@@ -23,7 +23,3 @@ class ResourceLimitError(RuntimeError):
 
 class NotACycleError(ValueError):
     """A chain handed to a cycle-only operation has nonzero boundary."""
-
-
-class PropernessError(ValueError):
-    """An operation requiring a proper map was given one falsified as proper."""

@@ -6,26 +6,29 @@ here.  Names are stable strings; look-ups are case-sensitive.
 
 from __future__ import annotations
 
-from .coarsemaps import CoarseMap, identity_map
+from .coarsemaps import CoarseMap
 from .errors import InvalidElementError
-from .groups import (FiniteGroup, FreeGroup, InfiniteDihedral, IntLattice,
-                     ProductGroup, cyclic_group, finite_dihedral,
-                     trivial_group)
+from .groups import (FreeGroup, InfiniteDihedral, IntLattice, ProductGroup,
+                     cyclic_group, finite_dihedral, trivial_group)
 
 # -- groups ----------------------------------------------------------------
 
+# name -> (maker, description)
 _GROUP_MAKERS = {
-    "Z": lambda: IntLattice(1),
-    "Z2": lambda: IntLattice(2),
-    "F2": lambda: FreeGroup(2),
-    "Dinf": lambda: InfiniteDihedral(),
-    "triv": lambda: trivial_group(),
-    "Z/2": lambda: cyclic_group(2),
-    "Z/3": lambda: cyclic_group(3),
-    "Z/4": lambda: cyclic_group(4),
-    "Z/6": lambda: cyclic_group(6),
-    "D3": lambda: finite_dihedral(3),
-    "Z/2xZ/2": lambda: ProductGroup(cyclic_group(2), cyclic_group(2)),
+    "Z": (lambda: IntLattice(1), "infinite cyclic group, generators +1/-1"),
+    "Z2": (lambda: IntLattice(2), "rank-two integer lattice"),
+    "F2": (lambda: FreeGroup(2), "free group on two letters"),
+    "Dinf": (lambda: InfiniteDihedral(),
+             "infinite dihedral group (translations and a flip)"),
+    "triv": (lambda: trivial_group(), "one-element group"),
+    "Z/2": (lambda: cyclic_group(2), "cyclic group of order 2"),
+    "Z/3": (lambda: cyclic_group(3), "cyclic group of order 3"),
+    "Z/4": (lambda: cyclic_group(4), "cyclic group of order 4"),
+    "Z/6": (lambda: cyclic_group(6), "cyclic group of order 6"),
+    "D3": (lambda: finite_dihedral(3),
+           "dihedral group of order 6 (triangle symmetries)"),
+    "Z/2xZ/2": (lambda: ProductGroup(cyclic_group(2), cyclic_group(2)),
+                "Klein four-group"),
 }
 
 
@@ -41,7 +44,7 @@ def get_group(name: str):
     if name not in _GROUP_MAKERS:
         raise InvalidElementError(
             f"unknown group name {name!r}; known: {', '.join(group_names())}")
-    return _GROUP_MAKERS[name]()
+    return _GROUP_MAKERS[name][0]()
 
 
 # -- coarse maps -------------------------------------------------------------
@@ -107,20 +110,31 @@ def _z4_mod_z2():
     return CoarseMap(C4, C2, lambda g: g % 2, name="z4-mod-z2")
 
 
+# name -> (maker, source group name, target group name, description)
 _MAP_MAKERS = {
-    "z-double": _z_double,
-    "z-double-floor": _z_double_floor,
-    "z-double-shift": _z_double_shift,
-    "z-abs": _z_abs,
-    "z-parity-shift": _z_parity_shift,
-    "z-into-z2": _z_into_z2,
-    "f2-abelianize": _f2_abelianize,
-    "z-to-dihedral": _z_to_dihedral,
-    "z-identity": lambda: CoarseMap(IntLattice(1), IntLattice(1),
-                                lambda x: x, name="z-identity"),
-    "triv-into-z2": _triv_into_z2,
-    "z2-to-z3-const": _z2_to_z3_const,
-    "z4-mod-z2": _z4_mod_z2,
+    "z-double": (_z_double, "Z", "Z",
+                 "x maps to 2x; embedding with index-2 image"),
+    "z-double-floor": (_z_double_floor, "Z", "Z",
+                       "x maps to 2(x//2); close to doubling"),
+    "z-double-shift": (_z_double_shift, "Z", "Z",
+                       "x maps to 2x+1; close to doubling"),
+    "z-abs": (_z_abs, "Z", "Z",
+              "absolute value; coarse but not an embedding"),
+    "z-parity-shift": (_z_parity_shift, "Z", "Z",
+                       "adds 1 to odd inputs; close to the identity"),
+    "z-into-z2": (_z_into_z2, "Z", "Z2", "inclusion onto the first axis"),
+    "f2-abelianize": (_f2_abelianize, "F2", "Z2",
+                      "exponent sums; fibers grow, not coarse"),
+    "z-to-dihedral": (_z_to_dihedral, "Z", "Dinf",
+                      "onto the translation subgroup"),
+    "z-identity": (lambda: CoarseMap(IntLattice(1), IntLattice(1),
+                                     lambda x: x, name="z-identity"),
+                   "Z", "Z", "identity map"),
+    "triv-into-z2": (_triv_into_z2, "triv", "Z/2",
+                     "inclusion of the trivial group"),
+    "z2-to-z3-const": (_z2_to_z3_const, "Z/2", "Z/3",
+                       "constant map between finite groups"),
+    "z4-mod-z2": (_z4_mod_z2, "Z/4", "Z/2", "reduction mod 2"),
 }
 
 
@@ -138,34 +152,59 @@ def get_map(name: str) -> CoarseMap:
     if name not in _MAP_MAKERS:
         raise InvalidElementError(
             f"unknown map name {name!r}; known: {', '.join(map_names())}")
-    return _MAP_MAKERS[name]()
+    return _MAP_MAKERS[name][0]()
 
 
 # -- dynamics scenarios ------------------------------------------------------
 
+# name -> (maker taking the dynamics module, description); dynamics is
+# imported on first use to keep the group/map part of the gallery free
+# of dynamics dependencies
+_SCENARIO_MAKERS = {
+    "product-coupling": (
+        lambda dy: dy.product_coupling(cyclic_group(4), cyclic_group(2)),
+        "order-4 and order-2 cyclic groups on their product, coordinate "
+        "actions"),
+    "z4-z2-twist": (
+        lambda dy: dy.twisted_coupling(cyclic_group(4), cyclic_group(2),
+                                       rho={0: 0, 1: 1}),
+        "product space with the right action twisted by a pointer map"),
+    # right factor acts through the flip of the triangle group
+    "dihedral-flip": (
+        lambda dy: dy.twisted_coupling(finite_dihedral(3), cyclic_group(2),
+                                       rho={0: 0, 1: 3}),
+        "triangle group coupled to order 2 through the flip"),
+    "z4-z2-kakutani": (
+        lambda dy: dy.coupling_to_couple(
+            dy.product_coupling(cyclic_group(4), cyclic_group(2))),
+        "orbit couple extracted from the product coupling"),
+}
+
+
 def scenario_names():
-    return ["dihedral-flip", "product-coupling", "z4-z2-kakutani",
-            "z4-z2-twist"]
+    return sorted(_SCENARIO_MAKERS)
 
 
 def get_scenario(name: str):
-    """Named finite coupling scenarios; imported lazily to keep the
-    group/map part of the gallery free of dynamics dependencies."""
+    """Named finite coupling scenarios."""
+    if name not in _SCENARIO_MAKERS:
+        raise InvalidElementError(
+            f"unknown scenario {name!r}; known: "
+            f"{', '.join(scenario_names())}")
     from . import dynamics
+    return _SCENARIO_MAKERS[name][0](dynamics)
 
-    if name == "product-coupling":
-        return dynamics.product_coupling(cyclic_group(4), cyclic_group(2))
-    if name == "z4-z2-twist":
-        return dynamics.twisted_coupling(
-            cyclic_group(4), cyclic_group(2),
-            rho={0: 0, 1: 1})
-    if name == "dihedral-flip":
-        # right factor acts through the flip of the triangle group
-        return dynamics.twisted_coupling(
-            finite_dihedral(3), cyclic_group(2),
-            rho={0: 0, 1: 3})
-    if name == "z4-z2-kakutani":
-        coup = dynamics.product_coupling(cyclic_group(4), cyclic_group(2))
-        return dynamics.coupling_to_couple(coup)
-    raise InvalidElementError(
-        f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
+
+def catalog_entries() -> dict:
+    """Name and description of every gallery group, map and scenario,
+    sorted by name."""
+    return {
+        "groups": [{"name": n, "description": _GROUP_MAKERS[n][1]}
+                   for n in group_names()],
+        "maps": [{"name": n, "source": _MAP_MAKERS[n][1],
+                  "target": _MAP_MAKERS[n][2],
+                  "description": _MAP_MAKERS[n][3]}
+                 for n in map_names()],
+        "scenarios": [{"name": n, "description": _SCENARIO_MAKERS[n][1]}
+                      for n in scenario_names()],
+    }

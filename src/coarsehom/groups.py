@@ -167,9 +167,6 @@ class Group:
     def order(self):
         return len(self.elements())
 
-    def conjugate(self, g, a):
-        return self.mul(self.mul(g, a), self.inv(g))
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:

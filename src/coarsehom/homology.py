@@ -18,16 +18,16 @@ group.  All matrices and reports refer to this order.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from .coarsemaps import CoarseMap
 from .complexes import Chain, _faces, _image_point, boundary
-from .errors import (GroupMismatchError, InvalidElementError, NotACycleError,
-                     ResourceLimitError)
+from .errors import InvalidElementError, NotACycleError, ResourceLimitError
 from .groups import Group
-from .rings import Integers, Rationals, ring_from_name
+from .rings import ring_from_name
 
 _PROMOTE_LIMIT = 2 ** 31
 
@@ -83,7 +83,10 @@ class SNFResult:
         U A V = D."""
         r, c = self.shape
         UA = [[0] * c for _ in range(r)]
-        Ucols = [[int(self.U[i, k]) for i in range(r)] for k in range(r)]
+        # nested lists of Python ints: exact, and cheaper to index than
+        # array elements
+        Ucols = self.U.T.tolist()
+        Vinv = self.Vinv[:r].tolist()
         Arr = np.asarray(A)
         nz = np.argwhere(Arr != 0)
         for k, j in nz:
@@ -95,7 +98,7 @@ class SNFResult:
         for i in range(r):
             d = int(self.divisors[i]) if i < len(self.divisors) else 0
             for j in range(c):
-                want = d * int(self.Vinv[i, j]) if i < c else 0
+                want = d * Vinv[i][j] if i < c else 0
                 if UA[i][j] != want:
                     return False
         return self._verify_v_inverse()
@@ -106,10 +109,12 @@ class SNFResult:
             prod = _matmul_obj(self.V, self.Vinv)
             return all(prod[i][j] == (1 if i == j else 0)
                        for i in range(c) for j in range(c))
-        rng = np.random.default_rng(0)
+        # stdlib random: loading numpy.random adds about 6 MB of
+        # resident memory to a process that has no other use for it
+        rng = random.Random(0)
         for _ in range(3):
-            w = rng.integers(-9, 10, size=c).tolist()
-            if _matvec(self.V, _matvec(self.Vinv, w)) != [int(t) for t in w]:
+            w = rng.choices(range(-9, 10), k=c)
+            if _matvec(self.V, _matvec(self.Vinv, w)) != w:
                 return False
         return True
 
@@ -129,19 +134,18 @@ def _matvec(M, w):
 
 
 def _matmul_obj(A, B):
-    r, k = A.shape
-    k2, c = B.shape
-    out = [[0] * c for _ in range(r)]
-    for i in range(r):
-        Ai = [int(A[i, t]) for t in range(k)]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
+    c = B.shape[1]
+    Bl = B.tolist()
+    out = []
+    for Ai in A.tolist():
+        row = [0] * c
+        for t, a in enumerate(Ai):
             if a:
+                Bt = Bl[t]
                 for j in range(c):
-                    b = int(B[t, j])
-                    if b:
-                        row[j] += a * b
+                    if Bt[j]:
+                        row[j] += a * Bt[j]
+        out.append(row)
     return out
 
 
@@ -303,38 +307,19 @@ class ChainBasis:
     def __len__(self):
         return len(self.points) * self.rank
 
-    def vector_of_chain(self, chain: Chain):
-        if self.module != "group-ring":
-            raise InvalidElementError(
-                "only group-ring chains convert to basis vectors")
-        out = [0] * len(self)
-        for (x, gvec), v in chain.data.items():
-            base = self.index[(x, gvec)] * self.rank
-            for j, comp in enumerate(v):
-                out[base + j] = comp
-        return out
 
-    def chain_of_vector(self, vec, ring) -> Chain:
-        if self.module != "group-ring":
-            raise InvalidElementError(
-                "only group-ring vectors convert back to chains")
-        out = Chain(self.group, ring, self.rank, self.degree)
-        for i, p in enumerate(self.points):
-            v = tuple(ring.normalize(vec[i * self.rank + j])
-                      for j in range(self.rank))
-            if any(c != ring.zero() for c in v):
-                out.add_at(p[0], p[1], v)
-        return out
-
-
-def _trivial_faces(group: Group, gvec):
-    n = len(gvec)
-    out = [gvec[1:]]
-    for i in range(n - 1):
-        out.append(gvec[:i] + (group.mul(gvec[i], gvec[i + 1]),)
-                   + gvec[i + 2:])
-    out.append(gvec[:-1])
-    return out
+def _face_sum_matrix(cols, row_index, faces, rank=1):
+    """Alternating face sums over ordered bases: column key k gets sign
+    (-1)^i at row_index[f] for the i-th face f in faces(k), written as
+    a rank x rank identity block."""
+    M = np.zeros((len(row_index) * rank, len(cols) * rank), dtype=np.int64)
+    for ci, key in enumerate(cols):
+        for i, f in enumerate(faces(key)):
+            s = 1 if i % 2 == 0 else -1
+            ri = row_index[f]
+            for j in range(rank):
+                M[ri * rank + j, ci * rank + j] += s
+    return M
 
 
 def assemble_boundary_matrix(group: Group, degree: int,
@@ -351,18 +336,16 @@ def assemble_boundary_matrix(group: Group, degree: int,
                 "row_basis": None, "col_basis": col,
                 "degree": degree, "module": module}
     row = ChainBasis(group, degree - 1, module, rank)
-    M = np.zeros((len(row), len(col)), dtype=np.int64)
-    G = group
-    for ci, p in enumerate(col.points):
-        if module == "group-ring":
-            faces = _faces(G, p[0], p[1])
-        else:
-            faces = _trivial_faces(G, p)
-        for i, fp in enumerate(faces):
-            s = 1 if i % 2 == 0 else -1
-            ri = row.index[fp]
-            for j in range(rank):
-                M[ri * rank + j, ci * rank + j] += s
+    if module == "group-ring":
+        def faces(p):
+            return _faces(group, p[0], p[1])
+    else:
+        # the trivial module keeps only the tuple part of each face
+        e = group.identity()
+
+        def faces(gvec):
+            return [fg for _, fg in _faces(group, e, gvec)]
+    M = _face_sum_matrix(col.points, row.index, faces, rank)
     return {"matrix": M, "row_basis": row, "col_basis": col,
             "degree": degree, "module": module}
 
@@ -407,21 +390,51 @@ def _check_homology_ring(ring_name: str):
     raise InvalidElementError(f"unsupported homology ring {ring_name!r}")
 
 
-def _rank_over(ring_name: str, snf: SNFResult) -> int:
+def _rank_over(ring_name: str, divisors) -> int:
     if ring_name in ("Z", "Q"):
-        return snf.rank
+        return len(divisors)
     p = int(ring_name[2:])
-    return sum(1 for d in snf.elementary_divisors() if d % p != 0)
+    return sum(1 for d in divisors if d % p != 0)
+
+
+def _homology_table(ring_name: str, boundaries, cohomology: bool = False):
+    """Betti number and torsion in degrees 0..N of a finite free complex
+    with boundaries [d_0, ..., d_{N+1}], d_n : C_n -> C_{n-1}; d_0 is
+    zero and may be given as None, which needs no Smith form.
+
+    One verified integer Smith form per boundary serves every ring:
+    over Z the divisors give betti and torsion, over Q only ranks
+    matter, over a prime field Z/p ranks count divisors prime to p.
+    Cohomology reads the transposes d_n^T : C^{n-1} -> C^n, so in
+    degree n the map leaving is d_{n+1}^T and the one entering d_n^T.
+    """
+    divisors = []         # nonzero Smith divisors of each boundary
+    for n, dn in enumerate(boundaries):
+        if dn is None:
+            divisors.append([])
+            continue
+        A = dn.T if cohomology else dn
+        snf = smith_normal_form(A)
+        if not snf.verify(A):
+            raise RuntimeError(
+                f"Smith normal form certificate failed for boundary {n}")
+        divisors.append(snf.elementary_divisors())
+    table = []
+    for n in range(len(boundaries) - 1):
+        leaving, entering = divisors[n], divisors[n + 1]
+        if cohomology:
+            leaving, entering = entering, leaving
+        betti = (boundaries[n + 1].shape[0] - _rank_over(ring_name, leaving)
+                 - _rank_over(ring_name, entering))
+        torsion = [d for d in entering if d > 1] if ring_name == "Z" else []
+        table.append({"degree": n, "ring": ring_name, "betti": int(betti),
+                      "torsion": torsion})
+    return table
 
 
 def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
-                    module: str = "group-ring", rank: int = 1,
-                    verify_certificates: bool = True):
+                    module: str = "group-ring", rank: int = 1):
     """Homology of the finite complex in degrees 0..max_degree.
-
-    One integer Smith normal form per boundary matrix serves every ring:
-    over Z the divisors give betti and torsion, over Q only ranks
-    matter, over a prime field Z/p ranks count divisors prime to p.
 
     >>> from .groups import cyclic_group
     >>> [h["betti"] for h in homology_finite(cyclic_group(3), 1,
@@ -429,51 +442,45 @@ def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
     [1, 0]
     """
     _check_homology_ring(ring_name)
-    snfs = {}
-    dims = {}
-    for n in range(max_degree + 2):
-        asm = assemble_boundary_matrix(group, n, module=module, rank=rank)
-        dims[n] = asm["matrix"].shape[1]
-        snf = smith_normal_form(asm["matrix"])
-        if verify_certificates and not snf.verify(asm["matrix"]):
-            raise RuntimeError(
-                f"Smith normal form certificate failed for boundary {n}")
-        snfs[n] = snf
-    out = []
-    for n in range(max_degree + 1):
-        r_n = _rank_over(ring_name, snfs[n])
-        r_next = _rank_over(ring_name, snfs[n + 1])
-        betti = (dims[n] - r_n) - r_next
-        if ring_name == "Z":
-            torsion = [d for d in snfs[n + 1].elementary_divisors() if d > 1]
-        else:
-            torsion = []
-        out.append({"degree": n, "ring": ring_name,
-                    "betti": int(betti), "torsion": torsion})
-    return out
+    return _homology_table(ring_name, [
+        assemble_boundary_matrix(group, n, module=module, rank=rank)["matrix"]
+        for n in range(max_degree + 2)])
+
+
+def _component_count(d1) -> int:
+    """Connected components of the degree-0 basis (the rows of d_1),
+    two basis elements joined when they are the faces of one degree-1
+    basis element (the nonzero rows of one column)."""
+    parent = list(range(d1.shape[0]))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for col in np.asarray(d1).T:
+        rows = np.flatnonzero(col)
+        for i in rows[1:]:
+            parent[find(int(i))] = find(int(rows[0]))
+    return sum(1 for i in range(len(parent)) if find(i) == i)
 
 
 def h0_coinvariants(group: Group, ring_name: str = "Z",
                     module: str = "group-ring", rank: int = 1) -> dict:
     """H_0 as coinvariants, two ways: cokernel of the first boundary by
     Smith reduction, against the orbit count of the group acting on the
-    degree-0 basis (one orbit per coefficient for group-ring, the basis
-    itself for trivial).  Reports both and whether they agree."""
+    degree-0 basis, counted as connected components under the faces of
+    the degree-1 basis elements.  Every column of d_1 is a difference
+    of two basis elements or zero, so H_0 is free on the components:
+    reports both and whether they agree."""
     _check_homology_ring(ring_name)
-    asm = assemble_boundary_matrix(group, 1, module=module, rank=rank)
-    snf = smith_normal_form(asm["matrix"])
-    dim0 = asm["matrix"].shape[0]
-    r = _rank_over(ring_name, snf)
-    betti = dim0 - r
-    torsion = ([d for d in snf.elementary_divisors() if d > 1]
-               if ring_name == "Z" else [])
-    # orbit route: group-ring degree-0 basis is G x coeffs, one orbit
-    # per coefficient; trivial degree-0 basis is the coefficients alone
-    expected = rank
-    agrees = (betti == expected and not torsion)
-    return {"degree": 0, "ring": ring_name, "betti": int(betti),
-            "torsion": torsion, "orbit_count": expected,
-            "agrees": agrees}
+    d1 = assemble_boundary_matrix(group, 1, module=module, rank=rank)["matrix"]
+    row = _homology_table(ring_name, [None, d1])[0]
+    orbits = _component_count(d1)
+    row.update(orbit_count=orbits,
+               agrees=row["betti"] == orbits and not row["torsion"])
+    return row
 
 
 # -- boundary solving ----------------------------------------------------------

@@ -15,7 +15,7 @@ on which the composite acts by a finite sum of translates.
 
 from __future__ import annotations
 
-from .coarsemaps import CoarseMap, OmegaMap, SectionData, section
+from .coarsemaps import CoarseMap, SectionData, section
 from .errors import GroupMismatchError, InvalidElementError, ResourceLimitError
 from .groups import Group
 from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, vec_zero
@@ -220,11 +220,6 @@ def pullback(phi: CoarseMap, f: FinSupFun, radius: int) -> FinSupFun:
     return out
 
 
-def _fiber_index(phi: CoarseMap, fiber_radius: int):
-    """Map y -> list of preimages in ball(fiber_radius)."""
-    return phi.fibers_on_ball(fiber_radius)
-
-
 def pull_push_identity(phi: CoarseMap, f: FinSupFun, radius: int,
                        fiber_radius: int | None = None) -> dict:
     """Check phi^* phi_* f = sum over pieces X_i of 1_{X_i} * (sum of
@@ -239,7 +234,7 @@ def pull_push_identity(phi: CoarseMap, f: FinSupFun, radius: int,
     G = phi.source
     if fiber_radius is None:
         fiber_radius = 2 * radius + 2
-    fib = _fiber_index(phi, fiber_radius)
+    fib = phi.fibers_on_ball(fiber_radius)
     lhs = {}          # x -> value of phi^*(phi_* f)(x)
     push = pushforward(phi, f)
     groups = {}       # frozenset F_i -> list of x
@@ -311,16 +306,6 @@ def translate_push_identity(phi: CoarseMap, h, f: FinSupFun, radius: int,
     pieces.sort(key=lambda p: (len(p[0]), [(wl(g), sk(g)) for g in p[0]]))
     return {"holds": holds, "radius": radius, "translate": h,
             "pieces": pieces}
-
-
-def omega_pushforward(om: OmegaMap, f: FinSupFun) -> FinSupFun:
-    """omega_*(f)(x) = sum of f over omega^-1(x); exact on finite support.
-
-    Blockwise this is 1_X * phi^*(h_j^-1 . f) summed over the partition
-    blocks, which the tests verify; here each support point is resolved
-    through the lazy partition directly.
-    """
-    return pushforward(om, f)
 
 
 # -- coefficient families -----------------------------------------------------

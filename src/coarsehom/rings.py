@@ -209,10 +209,3 @@ def vec_scale(ring: Ring, c, a):
 
 def vec_is_zero(ring: Ring, a):
     return all(ring.is_zero(x) for x in a)
-
-
-def vec_normalize(ring: Ring, a, k: int):
-    a = tuple(ring.normalize(x) for x in a)
-    if len(a) != k:
-        raise ValueError(f"expected vector of rank {k}, got {a!r}")
-    return a

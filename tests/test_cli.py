@@ -61,9 +61,17 @@ CHEAP_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", EXPERIMENTS)
-def test_each_experiment_passes(name, tmp_path):
-    cfg = dict(CHEAP_CONFIGS[name])
+COUPLING_SCENARIOS = ["product-coupling", "z4-z2-twist", "dihedral-flip"]
+RUN_CASES = [(name, CHEAP_CONFIGS[name]) for name in EXPERIMENTS] + [
+    ("morita-check", dict(CHEAP_CONFIGS["morita-check"], scenario=s))
+    for s in COUPLING_SCENARIOS]
+
+
+@pytest.mark.parametrize(
+    "name,config", RUN_CASES,
+    ids=EXPERIMENTS + [f"morita-check-{s}" for s in COUPLING_SCENARIOS])
+def test_each_experiment_passes(name, config, tmp_path):
+    cfg = dict(config)
     cfg["experiment"] = name
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

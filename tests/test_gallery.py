@@ -6,8 +6,9 @@ import pytest
 from coarsehom import dynamics as dy
 from coarsehom.coarsemaps import CoarseMap
 from coarsehom.errors import InvalidElementError
-from coarsehom.gallery import (get_group, get_map, get_scenario,
-                               group_names, map_names, scenario_names)
+from coarsehom.gallery import (catalog_entries, get_group, get_map,
+                               get_scenario, group_names, map_names,
+                               scenario_names)
 
 
 def test_every_group_name_resolves():
@@ -28,10 +29,14 @@ def test_group_orders_frozen():
 
 
 def test_every_map_name_resolves():
+    listed = {e["name"]: e for e in catalog_entries()["maps"]}
     for name in map_names():
         phi = get_map(name)
         assert isinstance(phi, CoarseMap)
         assert phi.name == name
+        # the catalog names the map's own source and target
+        assert get_group(listed[name]["source"]) == phi.source
+        assert get_group(listed[name]["target"]) == phi.target
         # the rule is defined at the identity
         assert phi.target.is_element(phi(phi.source.identity()))
 

@@ -10,8 +10,8 @@ from coarsehom.errors import (InvalidElementError, NotACycleError,
                               ResourceLimitError)
 from coarsehom.gallery import get_map
 from coarsehom.groups import IntLattice, cyclic_group, trivial_group
-from coarsehom.homology import (assemble_boundary_matrix, bareiss_det,
-                                h0_coinvariants, homology_finite,
+from coarsehom.homology import (_component_count, assemble_boundary_matrix,
+                                bareiss_det, h0_coinvariants, homology_finite,
                                 induced_map_on_homology, is_boundary_window,
                                 matrix_from_json, matrix_to_json,
                                 smith_normal_form)
@@ -60,6 +60,21 @@ def test_snf_certificates_and_chain(A):
         assert b % a == 0
     # all diagonal entries past the rank are zero
     assert all(d == 0 for d in s.divisors[s.rank:])
+
+
+@pytest.mark.parametrize("shape,big", [((3, 5), False), ((3, 5), True),
+                                       ((4, 70), False)])
+def test_snf_verify_rejects_a_changed_certificate(shape, big):
+    # 70 columns take the random-probe check of V V^-1; big entries
+    # take the object-dtype path
+    A = np.random.default_rng(7).integers(-9, 10, size=shape).astype(object)
+    if big:
+        A = A * 2 ** 40
+    for name in ("U", "V", "Vinv"):
+        s = smith_normal_form(A)
+        assert s.verify(A)
+        getattr(s, name)[0, 0] += 1
+        assert not s.verify(A), name
 
 
 @given(int_matrices())
@@ -155,6 +170,13 @@ def test_h0_coinvariants_agrees():
     assert rep2["betti"] == 2 and rep2["orbit_count"] == 2 and rep2["agrees"]
     rep3 = h0_coinvariants(trivial_group(), module="trivial")
     assert rep3["betti"] == 1 and rep3["agrees"]
+
+
+def test_component_count_joins_faces_of_each_column():
+    # columns join rows 0-1 and 2-3; the zero column joins nothing
+    d1 = np.array([[1, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 1, 0]])
+    assert _component_count(d1) == 2
+    assert _component_count(np.zeros((3, 2), dtype=np.int64)) == 3
 
 
 def test_boundary_matrix_squares_to_zero():
