@@ -191,7 +191,7 @@ def _exp_homology_finite(config):
     max_degree = int(config.get("max_degree", 2))
     table = homology_finite(group, max_degree, ring_name=ring,
                             module=module, rank=rank)
-    coin = h0_coinvariants(group, module=module, rank=rank)
+    coin = h0_coinvariants(group, ring_name=ring, module=module, rank=rank)
     verdicts = [
         {"name": "homology-table", "pass": True, "result": table},
         {"name": "degree-zero-coinvariants", "pass": coin["agrees"],
@@ -226,9 +226,9 @@ def _exp_dynamics_roundtrip(config):
     obj = get_scenario(scenario)
     verdicts = []
     if isinstance(obj, dy.Coupling):
-        verdicts.append({"name": "coupling-valid",
-                         "pass": obj.validate()["ok"],
-                         "result": obj.validate()})
+        ov = obj.validate()
+        verdicts.append({"name": "coupling-valid", "pass": ov["ok"],
+                         "result": ov})
         rt = dy.roundtrip_iso_check(obj)
         verdicts.append({"name": "roundtrip-isomorphism",
                          "pass": rt["ok"], "result": rt})

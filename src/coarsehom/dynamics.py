@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from .errors import InvalidElementError
 from .groups import Group, ProductGroup
-from .homology import _check_homology_ring, _face_sum_matrix, _homology_table
-import numpy as np
+from .homology import (_certified_smith, _check_homology_ring,
+                       _face_sum_matrix, _homology_table)
 
 
 class FiniteAction:
@@ -620,9 +620,9 @@ def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
     tests lean on that oracle.
     """
     _check_homology_ring(ring_name)
-    d0 = np.zeros((0, len(gpd.units)), dtype=np.int64)
-    return _homology_table(ring_name, [d0] + [
-        _groupoid_boundary_matrix(gpd, n) for n in range(1, max_degree + 2)])
+    return _homology_table(ring_name, (
+        _certified_smith(_groupoid_boundary_matrix(gpd, n))
+        for n in range(1, max_degree + 2)))
 
 
 def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
@@ -631,9 +631,9 @@ def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
     evaluates functions on n-tuples against the faces of (n+1)-tuples,
     so its matrix is the transpose of the boundary one degree up."""
     _check_homology_ring(ring_name)
-    return _homology_table(ring_name, [None] + [
-        _groupoid_boundary_matrix(gpd, n) for n in range(1, max_degree + 2)],
-        cohomology=True)
+    return _homology_table(ring_name, (
+        _certified_smith(_groupoid_boundary_matrix(gpd, n).T)
+        for n in range(1, max_degree + 2)), cohomology=True)
 
 
 def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,

@@ -76,6 +76,43 @@ class SNFResult:
                     f"pivot column {i}: not in the kernel")
         return coords[self.rank:]
 
+    def solve(self, b, ring_name):
+        """Solve A x = m b over ring "Z" or "Q"; returns (x, m, None)
+        with integer x and m >= 1, or (None, None, obstruction).
+
+        With w = U b, pivot i needs d_i | w_i over Z ("divisibility"),
+        and every w_i past the rank must vanish ("out-of-image").  Over Z
+        m is 1; over Q it is the last nonzero divisor, a multiple of
+        every other, so y_i = w_i m / d_i is integral and x = V y.
+
+        >>> snf = smith_normal_form([[2]])
+        >>> snf.solve([4], "Z")
+        ([2], 1, None)
+        >>> snf.solve([1], "Z")[2]
+        {'kind': 'divisibility', 'position': 0, 'divisor': 2, 'value': 1}
+        >>> snf.solve([1], "Q")
+        ([1], 2, None)
+        >>> smith_normal_form([[1], [1]]).solve([1, 0], "Q")[2]
+        {'kind': 'out-of-image', 'position': 1, 'value': -1}
+        """
+        w = _matvec(self.U, b)
+        m = 1
+        if ring_name == "Q" and self.rank:
+            m = int(self.divisors[self.rank - 1])
+        y = [0] * self.shape[1]
+        for i, wi in enumerate(w):
+            if i >= self.rank:
+                if wi != 0:
+                    return None, None, {"kind": "out-of-image",
+                                        "position": i, "value": int(wi)}
+                continue
+            d = int(self.divisors[i])
+            if ring_name == "Z" and wi % d != 0:
+                return None, None, {"kind": "divisibility", "position": i,
+                                    "divisor": d, "value": int(wi)}
+            y[i] = wi * m // d
+        return _matvec(self.V, y), m, None
+
     def verify(self, A) -> bool:
         """Certificate check: U A == diag(divisors) V^-1, computed by
         sparse accumulation, plus V V^-1 == identity (exact for small
@@ -397,34 +434,37 @@ def _rank_over(ring_name: str, divisors) -> int:
     return sum(1 for d in divisors if d % p != 0)
 
 
-def _homology_table(ring_name: str, boundaries, cohomology: bool = False):
-    """Betti number and torsion in degrees 0..N of a finite free complex
-    with boundaries [d_0, ..., d_{N+1}], d_n : C_n -> C_{n-1}; d_0 is
-    zero and may be given as None, which needs no Smith form.
+def _certified_smith(A) -> SNFResult:
+    """smith_normal_form(A) with its certificate checked against A."""
+    snf = smith_normal_form(A)
+    if not snf.verify(A):
+        raise RuntimeError(f"Smith normal form certificate failed for a "
+                           f"{snf.shape[0]} x {snf.shape[1]} matrix")
+    return snf
 
-    One verified integer Smith form per boundary serves every ring:
-    over Z the divisors give betti and torsion, over Q only ranks
-    matter, over a prime field Z/p ranks count divisors prime to p.
-    Cohomology reads the transposes d_n^T : C^{n-1} -> C^n, so in
-    degree n the map leaving is d_{n+1}^T and the one entering d_n^T.
+
+def _homology_table(ring_name: str, smiths, cohomology: bool = False):
+    """Betti number and torsion in degrees 0..N of a finite free complex,
+    read off the certified Smith forms of its boundaries d_1, ...,
+    d_{N+1} (an iterable, consumed once), d_n : C_n -> C_{n-1}; d_0 is
+    zero.
+
+    One integer Smith form per boundary serves every ring: over Z the
+    divisors give betti and torsion, over Q only ranks matter, over a
+    prime field Z/p ranks count divisors prime to p.  Cohomology reads
+    the forms of the transposes d_n^T : C^{n-1} -> C^n, so in degree n
+    the map leaving is d_{n+1}^T and the one entering d_n^T.
     """
-    divisors = []         # nonzero Smith divisors of each boundary
-    for n, dn in enumerate(boundaries):
-        if dn is None:
-            divisors.append([])
-            continue
-        A = dn.T if cohomology else dn
-        snf = smith_normal_form(A)
-        if not snf.verify(A):
-            raise RuntimeError(
-                f"Smith normal form certificate failed for boundary {n}")
+    divisors, dims = [[]], []     # nonzero divisors of d_n; dim C_{n-1}
+    for snf in smiths:
         divisors.append(snf.elementary_divisors())
+        dims.append(snf.shape[1 if cohomology else 0])
     table = []
-    for n in range(len(boundaries) - 1):
+    for n, dim in enumerate(dims):
         leaving, entering = divisors[n], divisors[n + 1]
         if cohomology:
             leaving, entering = entering, leaving
-        betti = (boundaries[n + 1].shape[0] - _rank_over(ring_name, leaving)
+        betti = (dim - _rank_over(ring_name, leaving)
                  - _rank_over(ring_name, entering))
         torsion = [d for d in entering if d > 1] if ring_name == "Z" else []
         table.append({"degree": n, "ring": ring_name, "betti": int(betti),
@@ -442,9 +482,9 @@ def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
     [1, 0]
     """
     _check_homology_ring(ring_name)
-    return _homology_table(ring_name, [
-        assemble_boundary_matrix(group, n, module=module, rank=rank)["matrix"]
-        for n in range(max_degree + 2)])
+    return _homology_table(ring_name, (_certified_smith(
+        assemble_boundary_matrix(group, n, module=module, rank=rank)["matrix"])
+        for n in range(1, max_degree + 2)))
 
 
 def _component_count(d1) -> int:
@@ -476,7 +516,7 @@ def h0_coinvariants(group: Group, ring_name: str = "Z",
     reports both and whether they agree."""
     _check_homology_ring(ring_name)
     d1 = assemble_boundary_matrix(group, 1, module=module, rank=rank)["matrix"]
-    row = _homology_table(ring_name, [None, d1])[0]
+    row = _homology_table(ring_name, [_certified_smith(d1)])[0]
     orbits = _component_count(d1)
     row.update(orbit_count=orbits,
                agrees=row["betti"] == orbits and not row["torsion"])
@@ -521,74 +561,37 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
         raise ResourceLimitError(
             f"window has {len(cols)} columns, over the cap {column_cap}; "
             f"shrink the radii", cap=column_cap)
-    rank = chain.rank
+    # rows in order of first appearance among the faces, then the
+    # support of the chain itself
+    faces = [_faces(G, x, gvec) for x, gvec in cols]
     row_index = {}
-    rows_points = []
-
-    def row_of(p):
-        if p not in row_index:
-            row_index[p] = len(rows_points)
-            rows_points.append(p)
-        return row_index[p]
-
-    col_entries = []
-    for (x, gvec) in cols:
-        entries = []
-        for i, fp in enumerate(_faces(G, x, gvec)):
-            entries.append((row_of(fp), 1 if i % 2 == 0 else -1))
-        col_entries.append(entries)
-    for (x, gvec) in chain.data:
-        row_of((x, gvec))
-
-    nrows = len(rows_points)
-    ncols = len(cols)
-    A = np.zeros((nrows, ncols), dtype=np.int64)
-    for j, entries in enumerate(col_entries):
-        for i, s in entries:
-            A[i, j] += s
+    for fs in faces:
+        for f in fs:
+            row_index.setdefault(f, len(row_index))
+    for p in chain.data:
+        row_index.setdefault(p, len(row_index))
+    A = _face_sum_matrix(range(len(cols)), row_index, faces.__getitem__)
 
     # right-hand side; over Q clear denominators first
+    scale = 1
     if ring.name == "Q":
-        denoms = [v.denominator for vec in chain.data.values() for v in vec]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // math.gcd(scale, d)
-    else:
-        scale = 1
-    b = [0] * nrows
-    for (x, gvec), v in chain.data.items():
-        b[row_index[(x, gvec)]] = int(v[0] * scale)
+        scale = math.lcm(*(v.denominator for vec in chain.data.values()
+                           for v in vec))
+    b = [0] * len(row_index)
+    for p, v in chain.data.items():
+        b[row_index[p]] = int(v[0] * scale)
 
-    snf = smith_normal_form(A)
-    w = _matvec(snf.U, b)
+    x_vec, m, obstruction = smith_normal_form(A).solve(b, ring.name)
     window = {"x_radius": x_radius, "tuple_radius": tuple_radius,
-              "columns": ncols}
-    y = [0] * ncols
-    for i in range(nrows):
-        if i < snf.rank:
-            d = snf.divisors[i]
-            if ring.name == "Z":
-                if w[i] % d != 0:
-                    return {"verdict": False, "preimage": None,
-                            "window": window,
-                            "obstruction": {"kind": "divisibility",
-                                            "position": i, "divisor": int(d),
-                                            "value": int(w[i])}}
-                y[i] = w[i] // d
-            else:
-                y[i] = Fraction(w[i], d)
-        elif w[i] != 0:
-            return {"verdict": False, "preimage": None, "window": window,
-                    "obstruction": {"kind": "out-of-image", "position": i,
-                                    "value": int(w[i])}}
-    x_vec = _matvec(snf.V, y) if ring.name == "Z" else [
-        sum(Fraction(int(snf.V[i, j])) * y[j] for j in range(ncols))
-        for i in range(ncols)]
-    pre = Chain(G, ring, rank, n + 1)
-    for j, p in enumerate(cols):
-        val = x_vec[j] if ring.name == "Z" else x_vec[j] / scale
-        if val:
-            pre.add_at(p[0], p[1], (ring.normalize(val),))
+              "columns": len(cols)}
+    if obstruction is not None:
+        return {"verdict": False, "preimage": None, "window": window,
+                "obstruction": obstruction}
+    pre = Chain(G, ring, chain.rank, n + 1)
+    for (x, gvec), xj in zip(cols, x_vec):
+        if xj:
+            pre.add_at(x, gvec, (ring.normalize(
+                xj if ring.name == "Z" else Fraction(xj, m * scale)),))
     if boundary(pre) != chain:
         raise RuntimeError("window solver produced an invalid preimage")
     return {"verdict": True, "preimage": pre, "window": window,
@@ -615,10 +618,14 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
              for n in range(max_degree + 2)}
     asm_H = {n: assemble_boundary_matrix(H, n, rank=rank)
              for n in range(max_degree + 2)}
-    snf_G = {n: smith_normal_form(asm_G[n]["matrix"])
-             for n in range(max_degree + 2)}
-    snf_H = {n: smith_normal_form(asm_H[n]["matrix"])
-             for n in range(max_degree + 2)}
+    snf_G = [_certified_smith(asm_G[n]["matrix"])
+             for n in range(max_degree + 2)]
+    snf_H = [_certified_smith(asm_H[n]["matrix"])
+             for n in range(max_degree + 2)]
+    # H_n of each side, read off the same forms as every homology table
+    st_G, st_H = ([{"betti": row["betti"], "torsion": row["torsion"]}
+                   for row in _homology_table("Z", snfs[1:])]
+                  for snfs in (snf_G, snf_H))
 
     def chain_matrix(n):
         colb = asm_G[n]["col_basis"]
@@ -631,10 +638,9 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
                 M[ri * rank + j, ci * rank + j] += 1
         return M
 
-    D = {n: chain_matrix(n) for n in range(max_degree + 2)}
+    D = {n: chain_matrix(n) for n in range(max_degree + 1)}
     for n in range(max_degree + 1):
         sG, sH = snf_G[n], snf_H[n]
-        dimG = asm_G[n]["matrix"].shape[1]
         dimH = asm_H[n]["matrix"].shape[1]
         chain_ok = True
         if n >= 1:
@@ -647,49 +653,29 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
         kerG = sG.kernel_basis()          # dimG x kG
         kG = kerG.shape[1]
         kH = dimH - sH.rank
-        # presentation of H_n: kernel coordinates of the next boundary
-        def presentation(snf_n, asm_next, dim):
-            B = np.asarray(asm_next["matrix"], dtype=object)
-            coords = np.asarray(snf_n.Vinv, dtype=object) @ B
-            return coords[snf_n.rank:, :]
-
-        P_G = presentation(sG, asm_G[n + 1], dimG)
-        P_H = presentation(sH, asm_H[n + 1], dimH)
-
-        def structure(P, kdim):
-            s = smith_normal_form(P) if P.size else None
-            rk = s.rank if s else 0
-            tors = [d for d in (s.elementary_divisors() if s else [])
-                    if d > 1]
-            return {"betti": int(kdim - rk), "torsion": tors}
-
-        st_G = structure(P_G, kG)
-        st_H = structure(P_H, kH)
+        # presentation of H_n(target): the next boundary in kernel
+        # coordinates
+        P_H = (np.asarray(sH.Vinv, dtype=object)
+               @ np.asarray(asm_H[n + 1]["matrix"], dtype=object))[sH.rank:, :]
 
         # push each source kernel generator through D_n, read in target
         # kernel coordinates
         DK = np.asarray(D[n], dtype=object) @ np.asarray(kerG, dtype=object)
         M_coords = (np.asarray(sH.Vinv, dtype=object) @ DK)
-        cycle_ok = bool(np.all(M_coords[:sH.rank, :] == 0)) \
-            if sH.rank else True
-        chain_ok = chain_ok and cycle_ok
+        chain_ok = chain_ok and bool(np.all(M_coords[:sH.rank, :] == 0))
         M = M_coords[sH.rank:, :]
 
         if kH == 0:
             surjective = True
         else:
-            stacked = np.concatenate(
-                [np.asarray(M, dtype=object),
-                 np.asarray(P_H, dtype=object)], axis=1) \
-                if P_H.size else np.asarray(M, dtype=object)
-            s = smith_normal_form(stacked)
+            s = smith_normal_form(np.concatenate([M, P_H], axis=1))
             surjective = (s.rank == kH
                           and all(d == 1 for d in s.elementary_divisors()))
-        iso = (st_G == st_H) and surjective and chain_ok
+        iso = (st_G[n] == st_H[n]) and surjective and chain_ok
         per_degree.append({
             "degree": n, "chain_map_ok": chain_ok,
-            "structure_source": st_G, "structure_target": st_H,
-            "matrix_shape": [int(M.shape[0]) if M.size else kH, kG],
+            "structure_source": st_G[n], "structure_target": st_H[n],
+            "matrix_shape": [kH, kG],
             "surjective": surjective, "iso": iso})
     return {"map": phi.name, "max_degree": max_degree,
             "degrees": per_degree,

@@ -217,6 +217,15 @@ def test_max_degree_flag_applies():
     assert body["config"]["max_degree"] == 1
 
 
+def test_coinvariants_read_the_table_ring():
+    body = run_experiment({"experiment": "homology-finite", "group": "Z/3",
+                           "ring": "Z/3", "max_degree": 1})["body"]
+    table, coin = (v["result"] for v in body["verdicts"])
+    assert [row["ring"] for row in table] == ["Z/3", "Z/3"]
+    assert coin["ring"] == "Z/3"
+    assert body["pass"] is True
+
+
 def test_inline_table_map(tmp_path):
     cfg = {"experiment": "coarse-check", "radius": 2,
            "map_table": {"source": "Z/4", "target": "Z/4", "name": "ident",

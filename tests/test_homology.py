@@ -94,6 +94,23 @@ def test_snf_kernel_annihilated(A):
         assert [int(t) for t in back] == w
 
 
+@given(int_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_snf_solve_recovers_an_image(A, data):
+    z = data.draw(st.lists(st.integers(-9, 9), min_size=A.shape[1],
+                           max_size=A.shape[1]))
+    Ao = np.asarray(A, dtype=object)
+    b = [int(t) for t in Ao @ np.array(z, dtype=object)]
+    s = smith_normal_form(A)
+    x, m, obstruction = s.solve(b, "Z")
+    assert obstruction is None and m == 1
+    assert [int(t) for t in Ao @ np.array(x, dtype=object)] == b
+    x, m, obstruction = s.solve(b, "Q")
+    assert obstruction is None and m >= 1
+    assert [int(t) for t in Ao @ np.array(x, dtype=object)] == \
+        [m * t for t in b]
+
+
 def test_kernel_coordinates_rejects_non_kernel_vector():
     A = np.array([[1, 0], [0, 1]])
     s = smith_normal_form(A)
