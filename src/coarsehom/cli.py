@@ -33,7 +33,7 @@ from .complexes import Chain, bar_boundary, boundary, homotopy_k, \
 from .errors import GroupMismatchError, InvalidElementError, \
     NotACycleError, ResourceLimitError
 from .gallery import catalog_entries, get_group, get_map, get_scenario
-from .homology import h0_coinvariants, homology_finite, \
+from .homology import _coinvariants_row, homology_finite, \
     is_boundary_window
 from .rings import ring_from_name
 
@@ -57,6 +57,16 @@ def _cap(default=10000):
     if cap <= 0:
         raise InvalidElementError("COARSEHOM_CAP must be positive")
     return min(cap, default)
+
+
+def _finite_group(name):
+    """A gallery group for an experiment that enumerates its elements."""
+    group = get_group(name)
+    if not group.is_finite():
+        raise InvalidElementError(
+            f"group {name!r} is infinite; this experiment needs a finite "
+            f"group")
+    return group
 
 
 def _resolve_map(config):
@@ -184,14 +194,15 @@ def _exp_homotopy_suite(config):
 
 
 def _exp_homology_finite(config):
-    group = get_group(config["group"])
+    group = _finite_group(config["group"])
     ring = config.get("ring", "Z")
     module = config.get("module", "trivial")
     rank = int(config.get("rank", 1))
     max_degree = int(config.get("max_degree", 2))
     table = homology_finite(group, max_degree, ring_name=ring,
                             module=module, rank=rank)
-    coin = h0_coinvariants(group, ring_name=ring, module=module, rank=rank)
+    # the coinvariants' Smith route is the table's certified degree-0 row
+    coin = _coinvariants_row(table[0], group, module, rank)
     verdicts = [
         {"name": "homology-table", "pass": True, "result": table},
         {"name": "degree-zero-coinvariants", "pass": coin["agrees"],
@@ -252,8 +263,8 @@ def _exp_dynamics_roundtrip(config):
 def _exp_morita_check(config):
     from . import dynamics as dy
     max_degree = int(config.get("max_degree", 2))
-    ga = get_group(config.get("group_a", "Z/4"))
-    gb = get_group(config.get("group_b", "Z/2"))
+    ga = _finite_group(config.get("group_a", "Z/4"))
+    gb = _finite_group(config.get("group_b", "Z/2"))
     ha = dy.groupoid_homology_finite(
         dy.action_groupoid(dy.translation_action(ga)), max_degree)
     hb = dy.groupoid_homology_finite(

@@ -33,12 +33,49 @@ _PROMOTE_LIMIT = 2 ** 31
 
 
 def _as_int_matrix(A):
+    """A as an int64 matrix when every entry is below _PROMOTE_LIMIT in
+    absolute value, else as an object matrix of Python ints."""
+    if isinstance(A, np.ndarray) and A.dtype.kind in "iu":
+        if A.ndim != 2:
+            raise InvalidElementError("expected a two dimensional matrix")
+        # min and max rather than np.abs, which leaves the least int64
+        # negative
+        if A.size and -_PROMOTE_LIMIT < A.min() and A.max() < _PROMOTE_LIMIT:
+            return A.astype(np.int64)
+        return A.astype(object)
     M = np.array(A, dtype=object)
     if M.ndim != 2:
         raise InvalidElementError("expected a two dimensional matrix")
     if M.size and max(abs(int(v)) for v in M.flat) < _PROMOTE_LIMIT:
         return M.astype(np.int64)
     return M
+
+
+def _absmax(X) -> int:
+    """Largest absolute entry of an integer array, as a Python int."""
+    return max(int(X.max()), -int(X.min())) if X.size else 0
+
+
+def _int64_product(X, Y):
+    """X @ Y computed in int64, or None unless both are integer arrays
+    and max|X| max|Y| (inner size) < 2^63 proves every sum exact.
+
+    Sums run over the nonzero entries of Y only (boundary matrices hold
+    a few per column): pass s adds the s-th nonzero of every column
+    that has one, so no temporary is larger than the product."""
+    if X.dtype.kind not in "iu" or Y.dtype.kind not in "iu":
+        return None
+    if _absmax(X) * _absmax(Y) * X.shape[1] >= 2 ** 63:
+        return None
+    X = X.astype(np.int64, copy=False)
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=np.int64)
+    js, ks = np.nonzero(Y.T)       # column by column
+    vals = Y[ks, js].astype(np.int64, copy=False)
+    rank_in_column = np.arange(len(js)) - np.searchsorted(js, js)
+    for s in range(int(rank_in_column.max(initial=-1)) + 1):
+        at = rank_in_column == s
+        out[:, js[at]] += X[:, ks[at]] * vals[at]
+    return out
 
 
 class SNFResult:
@@ -117,14 +154,25 @@ class SNFResult:
         """Certificate check: U A == diag(divisors) V^-1, computed by
         sparse accumulation, plus V V^-1 == identity (exact for small
         sizes, random probes for large ones).  Together these give
-        U A V = D."""
+        U A V = D.  Each product runs in int64 when a bound on its
+        entries proves that exact, else over Python ints."""
         r, c = self.shape
+        Arr = np.asarray(A)
+        UA = _int64_product(self.U, Arr)
+        if (UA is not None and self.Vinv.dtype != object
+                and max(self.divisors, default=0) * _absmax(self.Vinv)
+                < 2 ** 63):
+            want = np.zeros((r, c), dtype=np.int64)
+            k = len(self.divisors)
+            want[:k] = (np.asarray(self.divisors, dtype=np.int64)[:, None]
+                        * self.Vinv[:k])
+            return bool(np.array_equal(UA, want)) and \
+                self._verify_v_inverse()
         UA = [[0] * c for _ in range(r)]
         # nested lists of Python ints: exact, and cheaper to index than
         # array elements
         Ucols = self.U.T.tolist()
         Vinv = self.Vinv[:r].tolist()
-        Arr = np.asarray(A)
         nz = np.argwhere(Arr != 0)
         for k, j in nz:
             v = int(Arr[k, j])
@@ -143,6 +191,9 @@ class SNFResult:
     def _verify_v_inverse(self) -> bool:
         c = self.shape[1]
         if c <= 64:
+            prod = _int64_product(self.V, self.Vinv)
+            if prod is not None:
+                return bool(np.array_equal(prod, np.eye(c, dtype=np.int64)))
             prod = _matmul_obj(self.V, self.Vinv)
             return all(prod[i][j] == (1 if i == j else 0)
                        for i in range(c) for j in range(c))
@@ -189,6 +240,15 @@ def _matmul_obj(A, B):
 def smith_normal_form(A) -> SNFResult:
     """Smith normal form with unimodular certificates.
 
+    Each step takes as pivot the entry of least absolute value in the
+    trailing block, the first in row-major order, which keeps quotients
+    and so growth small; clears its column and row by batched row and
+    column operations; and, once it stands alone, adds a row holding an
+    entry it does not divide.  The reduction runs in int64 and moves
+    everything to Python ints (object dtype) once a check after a batch
+    of row or column operations finds an entry over 2^31 in absolute
+    value; each check scans only the entries written since the last.
+
     >>> snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     >>> snf.elementary_divisors()
     [2, 2, 156]
@@ -198,91 +258,108 @@ def smith_normal_form(A) -> SNFResult:
     A = _as_int_matrix(A)
     r, c = A.shape
     M = A.copy()
-    dtype = M.dtype
-    U = np.eye(r, dtype=dtype)
-    V = np.eye(c, dtype=dtype)
-    Vinv = np.eye(c, dtype=dtype)
+    U = np.eye(r, dtype=M.dtype)
+    V = np.eye(c, dtype=M.dtype)
+    Vinv = np.eye(c, dtype=M.dtype)
 
-    def promote():
-        nonlocal M, U, V, Vinv, dtype
-        if dtype != object:
-            M, U = M.astype(object), U.astype(object)
-            V, Vinv = V.astype(object), Vinv.astype(object)
-            dtype = object
-
-    def maybe_promote():
-        if dtype == object:
+    def promote_if_over(*written):
+        # entries not written since the last check were within the limit
+        # then, and swaps and sign flips keep them so: only the blocks
+        # written since can push the maximum over it
+        nonlocal M, U, V, Vinv
+        if M.dtype == object:
             return
-        m = 0
-        for X in (M, U, V, Vinv):
-            if X.size:
-                m = max(m, int(np.abs(X).max()))
-        if m > _PROMOTE_LIMIT:
-            promote()
+        for X in written:
+            if X.size and np.abs(X).max() > _PROMOTE_LIMIT:
+                M, U, V, Vinv = (Y.astype(object) for Y in (M, U, V, Vinv))
+                return
 
+    # Entries left of column t and above row t are zero, so row and
+    # column operations start at t, and touch only the rows and columns
+    # whose quotient is nonzero.
     t = 0
     while t < min(r, c):
-        sub = M[t:, t:]
-        nz = np.argwhere(sub != 0)
-        if len(nz) == 0:
-            break
-        # smallest pivot first keeps quotients, hence growth, small
-        pi, pj = min((idx for idx in nz),
-                     key=lambda idx: abs(int(sub[idx[0], idx[1]])))
-        pi, pj = pi + t, pj + t
+        # no nonzero entry is smaller than a unit, and row t comes first
+        units = (np.abs(M[t, t:]) == 1).nonzero()[0]
+        if len(units):
+            pi, pj = t, int(units[0]) + t
+        else:
+            sub = M[t:, t:]
+            ri, ci = sub.nonzero()
+            if len(ri) == 0:
+                break
+            size = np.abs(sub[ri, ci])
+            if size.dtype != object:
+                # as unsigned, |least int64| reads 2^63, as in Python
+                size = size.view(np.uint64)
+            k = int(np.argmin(size))
+            pi, pj = int(ri[k]) + t, int(ci[k]) + t
         if pi != t:
-            M[[t, pi], :] = M[[pi, t], :]
-            U[[t, pi], :] = U[[pi, t], :]
+            M[[t, pi], t:] = M[[pi, t], t:]
+            U[[t, pi]] = U[[pi, t]]
         if pj != t:
-            M[:, [t, pj]] = M[:, [pj, t]]
+            M[t:, [t, pj]] = M[t:, [pj, t]]
             V[:, [t, pj]] = V[:, [pj, t]]
-            Vinv[[t, pj], :] = Vinv[[pj, t], :]
+            Vinv[[t, pj]] = Vinv[[pj, t]]
         while True:
-            p = int(M[t, t])
-            col = M[t + 1:, t]
-            if np.any(col != 0):
-                qs = col // p
-                if np.any(qs != 0):
-                    M[t + 1:, :] -= np.outer(qs, M[t, :])
-                    U[t + 1:, :] -= np.outer(qs, U[t, :])
-                    maybe_promote()
-                col = M[t + 1:, t]
-                nzc = np.argwhere(col != 0)
+            p = M[t, t]
+            nzc = M[t + 1:, t].nonzero()[0] + t + 1
+            if len(nzc):
+                qs = M[nzc, t] // p
+                sel = qs.nonzero()[0]
+                if len(sel):
+                    rows, q = nzc[sel, None], qs[sel, None]
+                    mc, uc = M[t].nonzero()[0], U[t].nonzero()[0]
+                    Mr = M[rows, mc] - q * M[t, mc]
+                    Ur = U[rows, uc] - q * U[t, uc]
+                    M[rows, mc], U[rows, uc] = Mr, Ur
+                    # row t of U may hold a divisibility fix not yet
+                    # checked (a fix leaves column t clear, so a check
+                    # follows it before any row swap)
+                    promote_if_over(Mr, Ur, U[t])
+                    nzc = M[t + 1:, t].nonzero()[0] + t + 1
                 if len(nzc):
-                    i = int(nzc[0][0]) + t + 1
-                    M[[t, i], :] = M[[i, t], :]
-                    U[[t, i], :] = U[[i, t], :]
+                    i = int(nzc[0])
+                    M[[t, i], t:] = M[[i, t], t:]
+                    U[[t, i]] = U[[i, t]]
                     continue
-            row = M[t, t + 1:]
-            if np.any(row != 0):
-                qs = row // p
-                if np.any(qs != 0):
-                    M[:, t + 1:] -= np.outer(M[:, t], qs)
-                    V[:, t + 1:] -= np.outer(V[:, t], qs)
+            nzr = M[t, t + 1:].nonzero()[0] + t + 1
+            if len(nzr):
+                qs = M[t, nzr] // p
+                sel = qs.nonzero()[0]
+                if len(sel):
+                    cols, q = nzr[sel], qs[sel]
+                    # column t below the pivot is clear: only row t of M
+                    # changes
+                    Mt = M[t, cols] - p * q
+                    vr = V[:, t].nonzero()[0][:, None]
+                    Vc = V[vr, cols] - V[vr, t] * q
+                    M[t, cols], V[vr, cols] = Mt, Vc
                     # inverse of the batched column ops, applied to Vinv
-                    Vinv[t, :] += qs @ Vinv[t + 1:, :]
-                    maybe_promote()
-                row = M[t, t + 1:]
-                nzr = np.argwhere(row != 0)
+                    Vinv[t] += q @ Vinv[cols]
+                    promote_if_over(Mt, Vc, Vinv[t], U[t])
+                    nzr = M[t, t + 1:].nonzero()[0] + t + 1
                 if len(nzr):
-                    j = int(nzr[0][0]) + t + 1
-                    M[:, [t, j]] = M[:, [j, t]]
+                    j = int(nzr[0])
+                    M[t:, [t, j]] = M[t:, [j, t]]
                     V[:, [t, j]] = V[:, [j, t]]
-                    Vinv[[t, j], :] = Vinv[[j, t], :]
+                    Vinv[[t, j]] = Vinv[[j, t]]
                     continue
-            # pivot alone in its row and column; enforce divisibility
-            p = int(M[t, t])
-            rest = M[t + 1:, t + 1:]
-            bad = np.argwhere(rest % p != 0) if rest.size else []
-            if len(bad):
-                i = int(bad[0][0]) + t + 1
-                M[t, :] += M[i, :]
-                U[t, :] += U[i, :]
-                continue
+            # pivot alone in its row and column; enforce divisibility,
+            # which a unit pivot always has
+            if abs(int(p)) != 1 and t + 1 < min(r, c):
+                bad = (M[t + 1:, t + 1:] % p != 0).any(axis=1).nonzero()[0]
+                if len(bad):
+                    # row t of M is clear but for the pivot, so it stays
+                    # within the limit; row t of U may not
+                    i = int(bad[0]) + t + 1
+                    M[t, t:] += M[i, t:]
+                    U[t] += U[i]
+                    continue
             break
-        if int(M[t, t]) < 0:
-            M[t, :] = -M[t, :]
-            U[t, :] = -U[t, :]
+        if M[t, t] < 0:
+            M[t, t] = -M[t, t]
+            U[t] = -U[t]
         t += 1
     divisors = [int(M[i, i]) for i in range(min(r, c))]
     return SNFResult(U, V, Vinv, divisors, (r, c))
@@ -373,6 +450,15 @@ def assemble_boundary_matrix(group: Group, degree: int,
                 "row_basis": None, "col_basis": col,
                 "degree": degree, "module": module}
     row = ChainBasis(group, degree - 1, module, rank)
+    M = _face_sum_matrix(col.points, row.index, _basis_faces(group, module),
+                         rank)
+    return {"matrix": M, "row_basis": row, "col_basis": col,
+            "degree": degree, "module": module}
+
+
+def _basis_faces(group: Group, module: str):
+    """Faces of a chain-space basis point of the module, face i taking
+    sign (-1)^i."""
     if module == "group-ring":
         def faces(p):
             return _faces(group, p[0], p[1])
@@ -382,9 +468,7 @@ def assemble_boundary_matrix(group: Group, degree: int,
 
         def faces(gvec):
             return [fg for _, fg in _faces(group, e, gvec)]
-    M = _face_sum_matrix(col.points, row.index, faces, rank)
-    return {"matrix": M, "row_basis": row, "col_basis": col,
-            "degree": degree, "module": module}
+    return faces
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -487,11 +571,10 @@ def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
         for n in range(1, max_degree + 2)))
 
 
-def _component_count(d1) -> int:
-    """Connected components of the degree-0 basis (the rows of d_1),
-    two basis elements joined when they are the faces of one degree-1
-    basis element (the nonzero rows of one column)."""
-    parent = list(range(d1.shape[0]))
+def _component_count(n: int, joins) -> int:
+    """Connected components of the points 0..n-1, the points of each
+    list in joins joined to one another."""
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -499,28 +582,38 @@ def _component_count(d1) -> int:
             i = parent[i]
         return i
 
-    for col in np.asarray(d1).T:
-        rows = np.flatnonzero(col)
-        for i in rows[1:]:
-            parent[find(int(i))] = find(int(rows[0]))
-    return sum(1 for i in range(len(parent)) if find(i) == i)
+    for points in joins:
+        for i in points[1:]:
+            parent[find(i)] = find(points[0])
+    return sum(1 for i in range(n) if find(i) == i)
+
+
+def _coinvariants_row(row: dict, group: Group, module: str,
+                      rank: int) -> dict:
+    """The h0_coinvariants report from row, the degree-0 row of a
+    homology table of the group."""
+    points = ChainBasis(group, 0, module, 1).index
+    faces = _basis_faces(group, module)
+    # components of the points, then one copy per coefficient index
+    orbits = rank * _component_count(
+        len(points), ([points[f] for f in faces(p)]
+                      for p in ChainBasis(group, 1, module, 1).points))
+    return dict(row, orbit_count=orbits,
+                agrees=row["betti"] == orbits and not row["torsion"])
 
 
 def h0_coinvariants(group: Group, ring_name: str = "Z",
                     module: str = "group-ring", rank: int = 1) -> dict:
     """H_0 as coinvariants, two ways: cokernel of the first boundary by
-    Smith reduction, against the orbit count of the group acting on the
-    degree-0 basis, counted as connected components under the faces of
-    the degree-1 basis elements.  Every column of d_1 is a difference
-    of two basis elements or zero, so H_0 is free on the components:
-    reports both and whether they agree."""
-    _check_homology_ring(ring_name)
-    d1 = assemble_boundary_matrix(group, 1, module=module, rank=rank)["matrix"]
-    row = _homology_table(ring_name, [_certified_smith(d1)])[0]
-    orbits = _component_count(d1)
-    row.update(orbit_count=orbits,
-               agrees=row["betti"] == orbits and not row["torsion"])
-    return row
+    Smith reduction (the degree-0 row of the homology table), against
+    the orbit count of the group acting on the degree-0 basis, counted
+    as connected components under the faces of the degree-1 basis
+    elements.  Every column of d_1 is a difference of two basis elements
+    or zero, so H_0 is free on the components: reports both and whether
+    they agree."""
+    return _coinvariants_row(
+        homology_finite(group, 0, ring_name=ring_name, module=module,
+                        rank=rank)[0], group, module, rank)
 
 
 # -- boundary solving ----------------------------------------------------------

@@ -160,6 +160,23 @@ def test_unknown_map_name_exits_two():
     assert "unknown map name" in res.output
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "homology-finite", "group": "Z"},
+    {"experiment": "morita-check", "group_a": "Z"},
+    {"experiment": "morita-check", "group_b": "F2"}])
+def test_infinite_group_exits_two(config):
+    # a finite-group experiment given an infinite group is a config
+    # error, not a resource cap
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("c.json", "w") as fh:
+            json.dump(config, fh)
+        res = runner.invoke(main, ["run", "--config", "c.json"],
+                            catch_exceptions=False)
+    assert res.exit_code == 2, res.output
+    assert "infinite" in res.output
+
+
 def test_bad_cap_value_exits_two():
     res = CliRunner().invoke(
         main, ["run", "--experiment", "omega-build"],

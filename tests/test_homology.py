@@ -1,11 +1,16 @@
 """Integer Smith reduction with certificates, finite homology against
 closed-form oracles, the window boundary solver, and induced maps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsehom import homology
 from coarsehom.complexes import Chain, boundary
+from coarsehom.dynamics import (_groupoid_boundary_matrix, action_groupoid,
+                                translation_action)
 from coarsehom.errors import (InvalidElementError, NotACycleError,
                               ResourceLimitError)
 from coarsehom.gallery import get_map
@@ -62,19 +67,154 @@ def test_snf_certificates_and_chain(A):
     assert all(d == 0 for d in s.divisors[s.rank:])
 
 
-@pytest.mark.parametrize("shape,big", [((3, 5), False), ((3, 5), True),
-                                       ((4, 70), False)])
-def test_snf_verify_rejects_a_changed_certificate(shape, big):
+@pytest.mark.parametrize("shape,big,int64", [
+    pytest.param((3, 5), False, False, id="shape0-False"),
+    pytest.param((3, 5), True, False, id="shape1-True"),
+    pytest.param((4, 70), False, False, id="shape2-False"),
+    pytest.param((3, 5), False, True, id="int64-3x5"),
+    pytest.param((4, 70), False, True, id="int64-4x70")])
+def test_snf_verify_rejects_a_changed_certificate(shape, big, int64):
     # 70 columns take the random-probe check of V V^-1; big entries
-    # take the object-dtype path
+    # take the object-dtype path; an int64 matrix takes the int64
+    # products, an object one the Python-int sums
     A = np.random.default_rng(7).integers(-9, 10, size=shape).astype(object)
     if big:
         A = A * 2 ** 40
+    if int64:
+        A = A.astype(np.int64)
     for name in ("U", "V", "Vinv"):
         s = smith_normal_form(A)
         assert s.verify(A)
         getattr(s, name)[0, 0] += 1
         assert not s.verify(A), name
+
+
+def _smith_in_python_ints(A):
+    """smith_normal_form run over Python ints (object dtype) from the
+    first step: with the promotion limit at 0 no matrix stays int64."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_PROMOTE_LIMIT", 0)
+        return smith_normal_form(A)
+
+
+def _assert_int64_start_matches_object_start(A):
+    fast, exact = smith_normal_form(A), _smith_in_python_ints(A)
+    assert exact.U.dtype == object
+    assert fast.divisors == exact.divisors
+    for name in ("U", "V", "Vinv"):
+        assert getattr(fast, name).tolist() == getattr(exact, name).tolist()
+    assert fast.verify(A) and exact.verify(A)
+    return fast
+
+
+@st.composite
+def wide_int_matrices(draw):
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2 ** 30, 2 ** 30))
+    return np.array([[draw(entry) for _ in range(c)] for _ in range(r)],
+                    dtype=np.int64)
+
+
+@given(wide_int_matrices())
+@settings(max_examples=100, deadline=None)
+def test_snf_int64_start_matches_object_start(A):
+    _assert_int64_start_matches_object_start(A)
+
+
+@pytest.mark.parametrize("rows,divisors", [
+    # small entries, but the third pivot step pushes an entry past 2^31
+    ([[1, 1, 2, 0], [-44314, 0, -3320, -1], [2, 0, 2, 1],
+      [-31308, 2, 1, -1]], [1, 1, 1, 103835632]),
+    # the divisibility fix at the second step adds two rows of U into
+    # one past 2^31, while every entry written after it stays small
+    ([[1, 0, 0], [1073741829, -4, -2], [0, 3, 2]], [1, 1, 2])])
+def test_snf_promotion_partway_matches_object_start(rows, divisors):
+    s = _assert_int64_start_matches_object_start(
+        np.array(rows, dtype=np.int64))
+    assert s.U.dtype == object
+    assert s.divisors == divisors
+
+
+def _digest(X):
+    X = np.asarray(X)
+    return hashlib.sha256(
+        f"{X.dtype}:{X.shape}:{X.tolist()}".encode()).hexdigest()
+
+
+def _window_matrix():
+    """The matrix is_boundary_window hands to Smith for a fixed cycle."""
+    seen = []
+
+    def record(A):
+        seen.append(A)
+        return smith_normal_form(A)
+
+    c = Chain(Z, ZR, 1, 2)
+    c.add_at((0,), ((1,), (-1,)), (2,))
+    c.add_at((1,), ((0,), (1,)), (-3,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "smith_normal_form", record)
+        is_boundary_window(boundary(c), 2, 1)
+    return seen[0]
+
+
+# sha256 of U, V, V^-1 (dtype, shape, values) and of the divisors under
+# the pivot rule (least absolute value, first in row-major order) and
+# its row and column operations: a change to either moves them
+PINNED_SMITH = {
+    "z4-trivial-d3-rank2": (
+        lambda: assemble_boundary_matrix(cyclic_group(4), 3, module="trivial",
+                                         rank=2)["matrix"],
+        {"U": "7b6e7966c5580043041b09324f07ac93"
+              "bea6597700716bf2a704481ffa7c087f",
+         "V": "59eeea7f68fecaf39360332ed39f23f0"
+              "eac7dff1d7e8961a0069659d2c2bbbea",
+         "Vinv": "8a2869e362be9d6ae0ade7c1b6c2fabe"
+                 "4eb82aebaa7b7ea64b12ad9c73cbeb02",
+         "divisors": "081314068381dcad5ebe0febce194eca"
+                     "3bc8164177c9e4b0b6fc5734850abc1e"}),
+    "z3-group-ring-d2": (
+        lambda: assemble_boundary_matrix(cyclic_group(3), 2)["matrix"],
+        {"U": "443a7d3fb9c4af65d6a1dd6387c62dfc"
+              "029b69a63a98702d7dd7388f0edb64a0",
+         "V": "3d98daf920487bafe75bd0ef39bba2a2"
+              "84329b1cda4a8c9fd6ac68a04fd9604b",
+         "Vinv": "3a391e4e8f01ad6b9a7b0321995f07d7"
+                 "a04eb3f9286414604b133e55fd841e72",
+         "divisors": "0d0ec4056df7cbdc06c1ba5e58450d4b"
+                     "4546ef7953ad1e4af2412d50fd5b6d96"}),
+    "z4-translation-groupoid-d2": (
+        lambda: _groupoid_boundary_matrix(
+            action_groupoid(translation_action(cyclic_group(4))), 2),
+        {"U": "ee2b9158270759ebb1a30456780ad5ca"
+              "f8435a8e855c3143904305a03bee06b6",
+         "V": "72de83c8f6a324cbede1a8910e897b41"
+              "1b69e883c1e1c96bdab32fd2d1c9ee36",
+         "Vinv": "8d22a6a2a0fd3f6ba3ca2058ca88c464"
+                 "f3c5027bfbe4728217397c71b09c7d9c",
+         "divisors": "3b5023b7e953e351a31c61c48d7f88e2"
+                     "17c79150b6593d111c86a0920ac514af"}),
+    "z-window-degree-2": (
+        _window_matrix,
+        {"U": "ea81d0ad9f6410377dfa369c6427ca02"
+              "bfd165595d95e991c9a97ab6d70040c8",
+         "V": "1ca9c670bb6b6650b0193bc3afaef5de"
+              "543f6bc328f2cb57b14d69d7bb10fce0",
+         "Vinv": "750f637a5f81c8f637cb304038e06465"
+                 "29380bdc6cd0965b2474a934582c5219",
+         "divisors": "a64556fbcc46382842dce76af1a081df"
+                     "026426f71c89a4d83a742fd1d078304e"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SMITH))
+def test_snf_pivot_rule_pinned(name):
+    build, want = PINNED_SMITH[name]
+    s = smith_normal_form(build())
+    got = {"U": _digest(s.U), "V": _digest(s.V), "Vinv": _digest(s.Vinv),
+           "divisors": hashlib.sha256(repr(s.divisors).encode()).hexdigest()}
+    assert got == want
 
 
 @given(int_matrices())
@@ -190,10 +330,10 @@ def test_h0_coinvariants_agrees():
 
 
 def test_component_count_joins_faces_of_each_column():
-    # columns join rows 0-1 and 2-3; the zero column joins nothing
-    d1 = np.array([[1, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 1, 0]])
-    assert _component_count(d1) == 2
-    assert _component_count(np.zeros((3, 2), dtype=np.int64)) == 3
+    # columns join rows 0-1 and 2-3; a column whose two faces cancel
+    # joins nothing
+    assert _component_count(4, [[0, 1], [3, 2], [1, 1]]) == 2
+    assert _component_count(3, [[0, 0], [2, 2]]) == 3
 
 
 def test_boundary_matrix_squares_to_zero():
