@@ -26,8 +26,7 @@ import time
 
 import click
 
-from .coarsemaps import check_coarse_embedding, check_coarse_map, \
-    compose, omega, table_map
+from .coarsemaps import check_coarse_embedding, compose, omega, table_map
 from .complexes import Chain, bar_boundary, boundary, homotopy_k, \
     homotopy_l, induced_chain_map, random_chain
 from .errors import GroupMismatchError, InvalidElementError, \
@@ -83,8 +82,8 @@ def _resolve_map(config):
 def _exp_coarse_check(config):
     phi = _resolve_map(config)
     radius = int(config["radius"])
-    base = check_coarse_map(phi, radius)
     emb = check_coarse_embedding(phi, radius)
+    base = emb["coarse_map"]
     verdicts = [
         {"name": "coarse-map", "pass": base["verdict"].startswith("certified"),
          "result": base},

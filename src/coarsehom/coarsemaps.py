@@ -16,6 +16,8 @@ omega.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import GroupMismatchError, InvalidElementError, ResourceLimitError
 from .groups import Group
 
@@ -50,14 +52,15 @@ class CoarseMap:
 
     def fibers_on_ball(self, r):
         """Map y -> sorted list of preimages inside ball(r)."""
-        fib = {}
-        for x in self.source.ball(r):
-            fib.setdefault(self(x), []).append(x)
-        key = self.source.sort_key
-        wl = self.source.word_length
-        for y in fib:
-            fib[y].sort(key=lambda x: (wl(x), key(x)))
-        return fib
+        return _fibers(self, self.source.ball(r))
+
+
+def _fibers(phi, ball):
+    # ball order is (length, key), so each fiber comes out sorted
+    fib = {}
+    for x in ball:
+        fib.setdefault(phi(x), []).append(x)
+    return fib
 
 
 def identity_map(G: Group) -> CoarseMap:
@@ -104,9 +107,12 @@ def displacement_set(phi: CoarseMap, g, r: int):
     [(-1,), (1,)]
     """
     phi.source.check_element(g)
+    return _displacements(phi, g, phi.source.ball(r))
+
+
+def _displacements(phi, g, ball):
     T = phi.target
-    out = {T.mul(phi(phi.source.mul(g, x)), T.inv(phi(x)))
-           for x in phi.source.ball(r)}
+    out = {T.mul(phi(phi.source.mul(g, x)), T.inv(phi(x))) for x in ball}
     return sorted(out, key=lambda h: (T.word_length(h), T.sort_key(h)))
 
 
@@ -128,9 +134,11 @@ def check_coarse_map(phi: CoarseMap, r: int) -> dict:
         return {"verdict": "inconclusive", "radius": r,
                 "reason": "radius too small to compare r/2 with r"}
     rh = r // 2
-    fib_r = phi.fibers_on_ball(r)
-    fib_h = phi.fibers_on_ball(rh)
-    deep = {phi(x) for x in phi.source.ball(r // 4)}
+    G = phi.source
+    ball_r, ball_h = G.ball(r), G.ball(rh)
+    fib_r = _fibers(phi, ball_r)
+    fib_h = _fibers(phi, ball_h)
+    deep = {phi(x) for x in G.ball(r // 4)}
     proper_witness = None
     max_fiber = 0
     for y, xs in fib_h.items():
@@ -141,9 +149,9 @@ def check_coarse_map(phi: CoarseMap, r: int) -> dict:
                               "count_at_half": nh, "count_at_full": nr}
     table = {}
     disp_witness = None
-    for g in phi.source.generators():
-        d_h = displacement_set(phi, g, rh)
-        d_r = displacement_set(phi, g, r)
+    for g in G.generators():
+        d_h = _displacements(phi, g, ball_h)
+        d_r = _displacements(phi, g, ball_r)
         stable = set(d_h) == set(d_r)
         table[g] = {"at_half": len(d_h), "at_full": len(d_r),
                     "stable": stable}
@@ -160,6 +168,48 @@ def check_coarse_map(phi: CoarseMap, r: int) -> dict:
         "displacement_growth": table,
         "displacement_witness": disp_witness,
     }
+
+
+# Cells in one row block of the pair scan: a few matrices this size are
+# its whole working set, whatever the size of the ball.
+_SCAN_CELLS = 4096
+
+
+def _reverse_scan(phi: CoarseMap, radius: int, r: int):
+    """best[c], arg[c] for c <= r over the pairs (s, t) of ball(radius).
+
+    best[c] is the largest source length |s t^-1| among pairs whose
+    target length |phi(s) phi(t)^-1| is exactly c, and arg[c] the first
+    such pair in (s, t) order (None while best[c] is 0); a final pass
+    makes both monotone in c.  The lengths come from pair_lengths, a
+    block of rows at a time.
+    """
+    G, T = phi.source, phi.target
+    ball = G.ball(radius)
+    vals = [phi(x) for x in ball]
+    n = len(ball)
+    best = [0] * (r + 1)
+    arg = [None] * (r + 1)
+    step = max(1, _SCAN_CELLS // n)
+    for i in range(0, n, step):
+        ds = G.pair_lengths(ball[i:i + step], ball)
+        # target lengths past r are never read: clip them to r + 1
+        dt = np.minimum(T.pair_lengths(vals[i:i + step], vals),
+                        r + 1).astype(np.int64, copy=False)
+        for c in np.flatnonzero(np.bincount(dt.ravel(), minlength=r + 2)
+                                [:r + 1]):
+            # argmax takes the first maximum: the first pair in (s, t)
+            # order, as a pair-by-pair scan keeping strict increases
+            hit = ds * (dt == c)
+            k = int(hit.argmax())
+            if hit.flat[k] > best[c]:
+                best[c] = int(hit.flat[k])
+                arg[c] = (ball[i + k // n], ball[k % n])
+    for c in range(1, r + 1):
+        if best[c - 1] > best[c]:
+            best[c] = best[c - 1]
+            arg[c] = arg[c - 1]
+    return best, arg
 
 
 def check_coarse_embedding(phi: CoarseMap, r: int) -> dict:
@@ -183,32 +233,8 @@ def check_coarse_embedding(phi: CoarseMap, r: int) -> dict:
         report["verdict"] = "inconclusive"
         return report
 
-    def best_by_cutoff(radius):
-        # best[c] = max source length of s t^-1 over pairs with
-        # target length of phi(s) phi(t)^-1 at most c
-        G, T = phi.source, phi.target
-        ball = G.ball(radius)
-        vals = {x: phi(x) for x in ball}
-        best = [0] * (r + 1)
-        arg = [None] * (r + 1)
-        for s in ball:
-            for t in ball:
-                dt = T.word_length(T.mul(vals[s], T.inv(vals[t])))
-                if dt > r:
-                    continue
-                ds = G.word_length(G.mul(s, G.inv(t)))
-                if ds > best[dt]:
-                    best[dt] = ds
-                    arg[dt] = (s, t)
-        # make best monotone in c
-        for c in range(1, r + 1):
-            if best[c - 1] > best[c]:
-                best[c] = best[c - 1]
-                arg[c] = arg[c - 1]
-        return best, arg
-
-    best_h, _ = best_by_cutoff(r // 2)
-    best_r, arg_r = best_by_cutoff(r)
+    best_h, _ = _reverse_scan(phi, r // 2, r)
+    best_r, arg_r = _reverse_scan(phi, r, r)
     witness = None
     for c in range(r // 4 + 1):
         if best_r[c] > best_h[c]:

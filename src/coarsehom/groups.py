@@ -26,6 +26,9 @@ letters in the order a < a^-1 < b < b^-1, finite groups by index).
 from __future__ import annotations
 
 import json
+from itertools import chain
+
+import numpy as np
 
 from .errors import InvalidElementError, ResourceLimitError
 
@@ -37,6 +40,17 @@ DEFAULT_BALL_CAP = 2_000_000
 def _int_key(c):
     # orders 0 < 1 < -1 < 2 < -2 < ... when paired with |c| first
     return (abs(c), 0 if c >= 0 else 1)
+
+
+def _max_abs(values) -> int:
+    return max(map(abs, values), default=0)
+
+
+def _int64_rows(elems, width):
+    """Integer tuples of one length as the rows of an int64 matrix; the
+    caller has bounded every entry below 2^63."""
+    return np.fromiter(chain.from_iterable(elems), dtype=np.int64,
+                       count=len(elems) * width).reshape(len(elems), width)
 
 
 class Group:
@@ -96,6 +110,27 @@ class Group:
             if a in sphere:
                 return r
         raise InvalidElementError(f"{a!r} not reached by generators")
+
+    def pair_lengths(self, xs, ys):
+        """Matrix of the word lengths |x_i y_j^-1| over all pairs.
+
+        Exact: int64 when every entry is below 2^63, else object (Python
+        ints).  Like ``mul``, it trusts its arguments to be elements.
+        This fallback multiplies pair by pair; families with a closed
+        form override it with an array computation, and take this path
+        whenever a bound on the entries, checked first, does not prove
+        int64 exact.
+
+        >>> FreeGroup(2).pair_lengths([(1,), (1, 2)], [(), (1,)])
+        array([[1, 0],
+               [2, 3]])
+        """
+        invs = [self.inv(y) for y in ys]
+        rows = [[self.word_length(self.mul(x, yi)) for yi in invs]
+                for x in xs]
+        top = max((max(row, default=0) for row in rows), default=0)
+        return np.array(rows, dtype=np.int64 if top < 2 ** 63 else object
+                        ).reshape(len(xs), len(ys))
 
     def _spheres(self, cap=DEFAULT_BALL_CAP):
         """Yield sphere(0), sphere(1), ... as sets; stops for finite groups."""
@@ -230,6 +265,24 @@ class IntLattice(Group):
         self.check_element(a)
         return sum(abs(x) for x in a)
 
+    def pair_lengths(self, xs, ys):
+        """l1 norms of the coordinate differences x_i - y_j.
+
+        >>> IntLattice(2).pair_lengths([(0, 0), (2, -1)], [(1, 1)])
+        array([[2],
+               [3]])
+        """
+        d = self.d
+        if d * (_max_abs(chain.from_iterable(xs))
+                + _max_abs(chain.from_iterable(ys))) >= 2 ** 63:
+            return super().pair_lengths(xs, ys)
+        X, Y = _int64_rows(xs, d), _int64_rows(ys, d)
+        out = np.zeros((len(xs), len(ys)), dtype=np.int64)
+        for k in range(d):
+            diff = np.subtract.outer(X[:, k], Y[:, k])
+            out += np.abs(diff, out=diff)
+        return out
+
     def sort_key(self, a):
         return tuple(_int_key(x) for x in a)
 
@@ -353,6 +406,26 @@ class InfiniteDihedral(Group):
         self.check_element(a)
         return abs(a[0]) + a[1]
 
+    def pair_lengths(self, xs, ys):
+        """Closed form: x y^-1 shifts by t1 - t2 when the flips agree and
+        by t1 + t2 when they differ, and flips when they differ.
+
+        >>> D = InfiniteDihedral()
+        >>> D.pair_lengths([(2, 0), (2, 1)], [(3, 0), (3, 1)])
+        array([[1, 6],
+               [6, 1]])
+        """
+        if (_max_abs(t for t, _ in xs) + _max_abs(t for t, _ in ys) + 1
+                >= 2 ** 63):
+            return super().pair_lengths(xs, ys)
+        X, Y = _int64_rows(xs, 2), _int64_rows(ys, 2)
+        # (1 - 2 s1)(1 - 2 s2) is +1 when the flips agree, -1 otherwise
+        out = np.multiply.outer(1 - 2 * X[:, 1], (1 - 2 * Y[:, 1]) * Y[:, 0])
+        np.subtract(X[:, :1], out, out=out)
+        np.abs(out, out=out)
+        out += np.not_equal.outer(X[:, 1], Y[:, 1])
+        return out
+
     def sort_key(self, a):
         return (_int_key(a[0]), a[1])
 
@@ -423,6 +496,10 @@ class FiniteGroup(Group):
         self._lengths = self._bfs_lengths()
         if any(l is None for l in self._lengths):
             raise ValueError("generators do not generate the group")
+        # |x y^-1| for every pair, read by pair_lengths
+        self._quotient_lengths = np.array(
+            [[self._lengths[self.table[x][self._inv[y]]] for y in range(n)]
+             for x in range(n)], dtype=np.int64)
 
     def _bfs_lengths(self):
         lengths = [None] * self.n
@@ -460,6 +537,17 @@ class FiniteGroup(Group):
     def word_length(self, a):
         self.check_element(a)
         return self._lengths[a]
+
+    def pair_lengths(self, xs, ys):
+        """Read off the table of |x y^-1|.
+
+        >>> cyclic_group(4).pair_lengths([0, 1], [0, 3])
+        array([[0, 1],
+               [1, 2]])
+        """
+        return self._quotient_lengths[np.ix_(
+            np.fromiter(xs, dtype=np.intp, count=len(xs)),
+            np.fromiter(ys, dtype=np.intp, count=len(ys)))]
 
     def sort_key(self, a):
         return a
@@ -515,6 +603,18 @@ class ProductGroup(Group):
     def word_length(self, a):
         self.check_element(a)
         return self.left.word_length(a[0]) + self.right.word_length(a[1])
+
+    def pair_lengths(self, xs, ys):
+        """The sum of the two factors' matrices."""
+        left = self.left.pair_lengths([x[0] for x in xs], [y[0] for y in ys])
+        right = self.right.pair_lengths([x[1] for x in xs],
+                                        [y[1] for y in ys])
+        if (left.dtype == object or right.dtype == object
+                or int(left.max(initial=0)) + int(right.max(initial=0))
+                >= 2 ** 63):
+            return left.astype(object) + right.astype(object)
+        left += right
+        return left
 
     def sort_key(self, a):
         return (self.left.word_length(a[0]), self.left.sort_key(a[0]),

@@ -56,16 +56,17 @@ def _absmax(X) -> int:
     return max(int(X.max()), -int(X.min())) if X.size else 0
 
 
-def _int64_product(X, Y):
+def _int64_product(X, Y, xmax, ymax):
     """X @ Y computed in int64, or None unless both are integer arrays
-    and max|X| max|Y| (inner size) < 2^63 proves every sum exact.
+    and xmax ymax (inner size) < 2^63 proves every sum exact, xmax and
+    ymax being max|X| and max|Y|.
 
     Sums run over the nonzero entries of Y only (boundary matrices hold
     a few per column): pass s adds the s-th nonzero of every column
     that has one, so no temporary is larger than the product."""
     if X.dtype.kind not in "iu" or Y.dtype.kind not in "iu":
         return None
-    if _absmax(X) * _absmax(Y) * X.shape[1] >= 2 ** 63:
+    if xmax * ymax * X.shape[1] >= 2 ** 63:
         return None
     X = X.astype(np.int64, copy=False)
     out = np.zeros((X.shape[0], Y.shape[1]), dtype=np.int64)
@@ -93,6 +94,18 @@ class SNFResult:
         self.divisors = divisors
         self.shape = shape
         self.rank = sum(1 for d in divisors if d != 0)
+        self._maxima = {}
+
+    def _max(self, name):
+        """max|entry| of U, V or Vinv, scanned once: the certificates
+        do not change after the reduction."""
+        if name not in self._maxima:
+            self._maxima[name] = _absmax(getattr(self, name))
+        return self._maxima[name]
+
+    def _apply(self, name, w):
+        """U, V or Vinv times the vector w, exactly."""
+        return _matvec(getattr(self, name), w, self._max(name))
 
     def elementary_divisors(self):
         return [int(d) for d in self.divisors if d != 0]
@@ -105,7 +118,7 @@ class SNFResult:
     def kernel_coordinates(self, w):
         """Coordinates of a kernel vector w in the kernel basis; raises
         if w is not in the kernel."""
-        coords = _matvec(self.Vinv, w)
+        coords = self._apply("Vinv", w)
         for i in range(self.rank):
             if coords[i] != 0:
                 raise NotACycleError(
@@ -132,7 +145,7 @@ class SNFResult:
         >>> smith_normal_form([[1], [1]]).solve([1, 0], "Q")[2]
         {'kind': 'out-of-image', 'position': 1, 'value': -1}
         """
-        w = _matvec(self.U, b)
+        w = self._apply("U", b)
         m = 1
         if ring_name == "Q" and self.rank:
             m = int(self.divisors[self.rank - 1])
@@ -148,7 +161,7 @@ class SNFResult:
                 return None, None, {"kind": "divisibility", "position": i,
                                     "divisor": d, "value": int(wi)}
             y[i] = wi * m // d
-        return _matvec(self.V, y), m, None
+        return self._apply("V", y), m, None
 
     def verify(self, A) -> bool:
         """Certificate check: U A == diag(divisors) V^-1, computed by
@@ -158,9 +171,9 @@ class SNFResult:
         entries proves that exact, else over Python ints."""
         r, c = self.shape
         Arr = np.asarray(A)
-        UA = _int64_product(self.U, Arr)
+        UA = _int64_product(self.U, Arr, self._max("U"), _absmax(Arr))
         if (UA is not None and self.Vinv.dtype != object
-                and max(self.divisors, default=0) * _absmax(self.Vinv)
+                and max(self.divisors, default=0) * self._max("Vinv")
                 < 2 ** 63):
             want = np.zeros((r, c), dtype=np.int64)
             k = len(self.divisors)
@@ -191,7 +204,8 @@ class SNFResult:
     def _verify_v_inverse(self) -> bool:
         c = self.shape[1]
         if c <= 64:
-            prod = _int64_product(self.V, self.Vinv)
+            prod = _int64_product(self.V, self.Vinv, self._max("V"),
+                                  self._max("Vinv"))
             if prod is not None:
                 return bool(np.array_equal(prod, np.eye(c, dtype=np.int64)))
             prod = _matmul_obj(self.V, self.Vinv)
@@ -202,21 +216,24 @@ class SNFResult:
         rng = random.Random(0)
         for _ in range(3):
             w = rng.choices(range(-9, 10), k=c)
-            if _matvec(self.V, _matvec(self.Vinv, w)) != w:
+            if self._apply("V", self._apply("Vinv", w)) != w:
                 return False
         return True
 
 
-def _matvec(M, w):
+def _matvec(M, w, mmax):
+    """M w as a list of Python ints; in int64 when mmax = max|M| bounds
+    every sum below 2^62."""
     r, c = M.shape
     if c == 0:
         return [0] * r
     if M.dtype != object:
-        wmax = max((abs(int(t)) for t in w), default=0)
-        mmax = int(np.abs(M).max()) if M.size else 0
-        if mmax * wmax * c < 2 ** 62:
-            return [int(t) for t in
-                    (M @ np.asarray([int(t) for t in w], dtype=np.int64))]
+        try:
+            wa = np.array(w, dtype=np.int64)
+        except OverflowError:
+            wa = None
+        if wa is not None and mmax * _absmax(wa) * c < 2 ** 62:
+            return (M @ wa).tolist()
     return [sum(int(M[i, j]) * int(w[j]) for j in range(c) if w[j])
             for i in range(r)]
 
@@ -237,6 +254,17 @@ def _matmul_obj(A, B):
     return out
 
 
+def _update_fits_int64(q, Vinv, cols) -> bool:
+    """Whether Vinv[t] += q @ Vinv[cols] stays exact in int64: no
+    partial sum may pass 2^63.  Every entry of Vinv is within
+    _PROMOTE_LIMIT during the reduction, and so are the quotients q; the
+    rows read are scanned only when that bound does not settle it."""
+    room = 2 ** 63 - _PROMOTE_LIMIT
+    qsum = int(np.abs(q).max()) * len(cols)
+    return qsum * _PROMOTE_LIMIT < room or \
+        qsum * _absmax(Vinv[cols]) < room
+
+
 def smith_normal_form(A) -> SNFResult:
     """Smith normal form with unimodular certificates.
 
@@ -247,7 +275,9 @@ def smith_normal_form(A) -> SNFResult:
     entry it does not divide.  The reduction runs in int64 and moves
     everything to Python ints (object dtype) once a check after a batch
     of row or column operations finds an entry over 2^31 in absolute
-    value; each check scans only the entries written since the last.
+    value, each check scanning only the entries written since the last,
+    or before a row update of V^-1 whose int64 sums a bound does not
+    keep below 2^63.
 
     >>> snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     >>> snf.elementary_divisors()
@@ -262,16 +292,19 @@ def smith_normal_form(A) -> SNFResult:
     V = np.eye(c, dtype=M.dtype)
     Vinv = np.eye(c, dtype=M.dtype)
 
+    def promote():
+        nonlocal M, U, V, Vinv
+        M, U, V, Vinv = (Y.astype(object) for Y in (M, U, V, Vinv))
+
     def promote_if_over(*written):
         # entries not written since the last check were within the limit
         # then, and swaps and sign flips keep them so: only the blocks
         # written since can push the maximum over it
-        nonlocal M, U, V, Vinv
         if M.dtype == object:
             return
         for X in written:
             if X.size and np.abs(X).max() > _PROMOTE_LIMIT:
-                M, U, V, Vinv = (Y.astype(object) for Y in (M, U, V, Vinv))
+                promote()
                 return
 
     # Entries left of column t and above row t are zero, so row and
@@ -336,6 +369,10 @@ def smith_normal_form(A) -> SNFResult:
                     Vc = V[vr, cols] - V[vr, t] * q
                     M[t, cols], V[vr, cols] = Mt, Vc
                     # inverse of the batched column ops, applied to Vinv
+                    if (Vinv.dtype != object
+                            and not _update_fits_int64(q, Vinv, cols)):
+                        promote()
+                        q = q.astype(object)
                     Vinv[t] += q @ Vinv[cols]
                     promote_if_over(Mt, Vc, Vinv[t], U[t])
                     nzr = M[t, t + 1:].nonzero()[0] + t + 1

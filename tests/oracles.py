@@ -5,7 +5,10 @@ the package under test: closed-form homology of cyclic groups from the
 periodic resolution, induced-module vanishing for group-ring
 coefficients, free-group sphere counts, the closed form of the coarse
 inverse of doubling, and a from-scratch reduced-word enumerator for the
-free group.  Tests compare engine output against these.
+free group.  Tests compare engine output against these.  The one
+exception is the reverse scan below: it is the pair-by-pair loop that
+the vectorized scan of check_coarse_embedding replaced, and it uses only
+the groups' ball, mul, inv and word_length.
 """
 
 
@@ -127,3 +130,29 @@ def perm_det(rows) -> int:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def reverse_scan(phi, radius: int, r: int):
+    """best[c], arg[c] for c <= r, pair by pair: best[c] is the largest
+    source length |s t^-1| over pairs (s, t) of ball(radius) whose target
+    length |phi(s) phi(t)^-1| is exactly c, arg[c] the first such pair
+    in (s, t) order; then both are made monotone in c."""
+    G, T = phi.source, phi.target
+    ball = G.ball(radius)
+    vals = {x: phi(x) for x in ball}
+    best = [0] * (r + 1)
+    arg = [None] * (r + 1)
+    for s in ball:
+        for t in ball:
+            dt = T.word_length(T.mul(vals[s], T.inv(vals[t])))
+            if dt > r:
+                continue
+            ds = G.word_length(G.mul(s, G.inv(t)))
+            if ds > best[dt]:
+                best[dt] = ds
+                arg[dt] = (s, t)
+    for c in range(1, r + 1):
+        if best[c - 1] > best[c]:
+            best[c] = best[c - 1]
+            arg[c] = arg[c - 1]
+    return best, arg

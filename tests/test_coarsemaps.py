@@ -4,11 +4,13 @@ domain decompositions, coarse inverses."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsehom.coarsemaps import CoarseMap, check_coarse_embedding, \
-    check_coarse_map, closeness, compose, decompose_domain, \
-    displacement_set, identity_map, omega, section, table_map
+from coarsehom import coarsemaps
+from coarsehom.coarsemaps import CoarseMap, _reverse_scan, \
+    check_coarse_embedding, check_coarse_map, closeness, compose, \
+    decompose_domain, displacement_set, identity_map, omega, section, \
+    table_map
 from coarsehom.errors import GroupMismatchError, InvalidElementError
-from coarsehom.gallery import get_map
+from coarsehom.gallery import get_group, get_map, map_names
 from coarsehom.groups import IntLattice, cyclic_group
 
 import oracles
@@ -160,3 +162,39 @@ def test_image_and_fibers_on_ball():
     fibs = phi.fibers_on_ball(4)
     assert fibs[0] == [0, 2]
     assert fibs[1] == [1, 3]
+
+
+@pytest.mark.parametrize("name", [n for n in map_names()
+                                  if n != "f2-abelianize"])
+def test_reverse_scan_matches_pair_by_pair_reference(name):
+    for r in (4, 7, 10):
+        assert check_coarse_map(get_map(name), r)["verdict"] != "falsified"
+        for radius in (r // 2, r):
+            want = oracles.reverse_scan(get_map(name), radius, r)
+            assert _reverse_scan(get_map(name), radius, r) == want
+
+
+def test_abelianize_never_reaches_the_reverse_scan():
+    rep = check_coarse_embedding(get_map("f2-abelianize"), 4)
+    assert rep["verdict"] == "falsified"
+    assert "reverse_table" not in rep
+
+
+@pytest.mark.parametrize("group", ["F2", "Z2", "Dinf", "Z/2xZ/2"])
+def test_reverse_scan_of_identity_matches_reference(group):
+    # the identity maps reach pair_lengths of the families that no
+    # gallery map scans: the free-group fallback and products
+    phi = identity_map(get_group(group))
+    for radius in (2, 4):
+        assert _reverse_scan(phi, radius, 4) == \
+            oracles.reverse_scan(phi, radius, 4)
+
+
+def test_reverse_scan_blocks_match_reference():
+    # a ball of 41 points in blocks of 2 rows, with witnesses in late
+    # blocks and ties between blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coarsemaps, "_SCAN_CELLS", 100)
+        for name in ("z-abs", "z-double-floor", "z-to-dihedral"):
+            got = _reverse_scan(get_map(name), 20, 20)
+            assert got == oracles.reverse_scan(get_map(name), 20, 20)

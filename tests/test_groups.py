@@ -1,5 +1,8 @@
 """Group layer: normal forms, word metric, ball enumeration, JSON."""
 
+from functools import reduce
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,3 +136,55 @@ def test_product_group_order():
     P = ProductGroup(cyclic_group(2), cyclic_group(3))
     assert P.order() == 6
     assert P.elements()[0] == P.identity()
+
+
+# coordinates mostly small, sometimes past what int64 holds
+_COORD = st.one_of(st.integers(-60, 60), st.integers(-2 ** 70, 2 ** 70))
+_D3 = finite_dihedral(3)
+
+# name -> (group, element strategy)
+PAIR_LENGTH_GROUPS = {
+    "Z": (Z, st.tuples(_COORD)),
+    "Z2": (Z2, st.tuples(_COORD, _COORD)),
+    "Dinf": (DINF, st.tuples(_COORD, st.integers(0, 1))),
+    "D3": (_D3, st.integers(0, 5)),
+    "ZxD3": (ProductGroup(Z, _D3), st.tuples(st.tuples(_COORD),
+                                            st.integers(0, 5))),
+    "F2": (F2, st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
+        lambda letters: reduce(lambda w, x: F2.mul(w, (x,)), letters, ()))),
+}
+
+
+def _assert_pair_lengths_exact(G, xs, ys):
+    got = G.pair_lengths(xs, ys)
+    want = [[G.word_length(G.mul(x, G.inv(y))) for y in ys] for x in xs]
+    assert got.shape == (len(xs), len(ys))
+    assert got.tolist() == want
+    # int64 exactly when every length fits
+    fits = all(v < 2 ** 63 for row in want for v in row)
+    assert got.dtype == (np.int64 if fits else object)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_LENGTH_GROUPS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pair_lengths_match_word_lengths(name, data):
+    G, elements = PAIR_LENGTH_GROUPS[name]
+    xs = data.draw(st.lists(elements, max_size=5), label="xs")
+    ys = data.draw(st.lists(elements, max_size=5), label="ys")
+    _assert_pair_lengths_exact(G, xs, ys)
+
+
+@pytest.mark.parametrize("G,xs,ys", [
+    # |x - y| = 2^63 - 1 fits; 2^63 does not and takes the exact fallback
+    (Z, [(2 ** 62 - 1,)], [(-2 ** 62,)]),
+    (Z, [(2 ** 62,)], [(-2 ** 62,)]),
+    (Z2, [(2 ** 62, 0), (1, 1)], [(0, -2 ** 62), (0, 0)]),
+    (DINF, [(2 ** 62, 1)], [(2 ** 62 - 1, 0), (5, 1)]),
+    # each factor fits in int64, their sum does not
+    (ProductGroup(Z, Z), [((2 ** 62,), (2 ** 62,))], [((0,), (0,))]),
+    (Z, [(2 ** 70,)], [(-3,)]),
+], ids=["z-fits", "z-past", "z2-past", "dinf-past", "product-sum-past",
+        "z-huge"])
+def test_pair_lengths_past_int64_stay_exact(G, xs, ys):
+    _assert_pair_lengths_exact(G, xs, ys)

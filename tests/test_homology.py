@@ -136,6 +136,38 @@ def test_snf_promotion_partway_matches_object_start(rows, divisors):
     assert s.divisors == divisors
 
 
+# at step 1 the bound max|q| max|V^-1 rows| (row count) of the V^-1
+# update passes 2^63 (quotients near 2^31, a row near 2^30, five rows),
+# although its sums stay near 2^33
+GUARD_TRIPPING = [[2, -2147483642, -2147483643, 0, -3, 3, -2],
+                  [0, 2147483643, -3, 0, -3, 3, -1073741820],
+                  [0, 1073741823, 3, -1073741827, 2, 1073741825, -2147483645]]
+
+
+def test_snf_vinv_update_guard_trips_and_matches_object_start():
+    real, seen = homology._update_fits_int64, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_update_fits_int64", spy)
+        s = _assert_int64_start_matches_object_start(
+            np.array(GUARD_TRIPPING, dtype=np.int64))
+    assert False in seen and s.U.dtype == object
+
+
+@given(wide_int_matrices())
+@settings(max_examples=40, deadline=None)
+def test_snf_promotion_before_every_vinv_update_matches_object_start(A):
+    # trip the guard at every update: each promotes in the middle of a
+    # column pass, after M and V are written and before V^-1 is
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_update_fits_int64", lambda *args: False)
+        _assert_int64_start_matches_object_start(A)
+
+
 def _digest(X):
     X = np.asarray(X)
     return hashlib.sha256(
