@@ -181,8 +181,8 @@ def _reverse_scan(phi: CoarseMap, radius: int, r: int):
     best[c] is the largest source length |s t^-1| among pairs whose
     target length |phi(s) phi(t)^-1| is exactly c, and arg[c] the first
     such pair in (s, t) order (None while best[c] is 0); a final pass
-    makes both monotone in c.  The lengths come from pair_lengths, a
-    block of rows at a time.
+    makes both monotone in c.  The lengths come from
+    pair_length_blocks, a block of rows at a time.
     """
     G, T = phi.source, phi.target
     ball = G.ball(radius)
@@ -191,11 +191,11 @@ def _reverse_scan(phi: CoarseMap, radius: int, r: int):
     best = [0] * (r + 1)
     arg = [None] * (r + 1)
     step = max(1, _SCAN_CELLS // n)
-    for i in range(0, n, step):
-        ds = G.pair_lengths(ball[i:i + step], ball)
+    for i, ds, dt in zip(range(0, n, step),
+                         G.pair_length_blocks(ball, step),
+                         T.pair_length_blocks(vals, step)):
         # target lengths past r are never read: clip them to r + 1
-        dt = np.minimum(T.pair_lengths(vals[i:i + step], vals),
-                        r + 1).astype(np.int64, copy=False)
+        dt = np.minimum(dt, r + 1).astype(np.int64, copy=False)
         for c in np.flatnonzero(np.bincount(dt.ravel(), minlength=r + 2)
                                 [:r + 1]):
             # argmax takes the first maximum: the first pair in (s, t)

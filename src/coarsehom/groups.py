@@ -116,15 +116,43 @@ class Group:
 
         Exact: int64 when every entry is below 2^63, else object (Python
         ints).  Like ``mul``, it trusts its arguments to be elements.
-        This fallback multiplies pair by pair; families with a closed
-        form override it with an array computation, and take this path
-        whenever a bound on the entries, checked first, does not prove
-        int64 exact.
+        Families with a closed form compute it from coordinate arrays;
+        the others, and coordinates too large for the closed form to be
+        exact in int64, multiply pair by pair.
 
         >>> FreeGroup(2).pair_lengths([(1,), (1, 2)], [(), (1,)])
         array([[1, 0],
                [2, 3]])
         """
+        X, Y = self._pair_coords(xs), self._pair_coords(ys)
+        if X is None or Y is None:
+            return self._word_pair_lengths(xs, ys)
+        return self._coord_pair_lengths(X, Y)
+
+    def pair_length_blocks(self, elems, rows):
+        """Yield pair_lengths(elems[i:i + rows], elems) for i = 0, rows,
+        2 rows, ...; the coordinates of elems are bounded and built once
+        for all the blocks.
+
+        >>> Z = IntLattice(1)
+        >>> [m.tolist() for m in Z.pair_length_blocks([(0,), (2,), (5,)], 2)]
+        [[[0, 2, 5], [2, 0, 3]], [[5, 3, 0]]]
+        """
+        X = self._pair_coords(elems)
+        for i in range(0, len(elems), rows):
+            if X is None:
+                yield self._word_pair_lengths(elems[i:i + rows], elems)
+            else:
+                yield self._coord_pair_lengths(X[i:i + rows], X)
+
+    def _pair_coords(self, elems):
+        """elems as the int64 array that _coord_pair_lengths reads, or
+        None: the family has no closed form, or an entry is too large for
+        the closed form to be exact in int64 between any two such
+        arrays."""
+        return None
+
+    def _word_pair_lengths(self, xs, ys):
         invs = [self.inv(y) for y in ys]
         rows = [[self.word_length(self.mul(x, yi)) for yi in invs]
                 for x in xs]
@@ -265,20 +293,21 @@ class IntLattice(Group):
         self.check_element(a)
         return sum(abs(x) for x in a)
 
-    def pair_lengths(self, xs, ys):
+    def _pair_coords(self, elems):
+        # an l1 difference of coordinates below 2^63 / 2d is below 2^63
+        if 2 * self.d * _max_abs(chain.from_iterable(elems)) >= 2 ** 63:
+            return None
+        return _int64_rows(elems, self.d)
+
+    def _coord_pair_lengths(self, X, Y):
         """l1 norms of the coordinate differences x_i - y_j.
 
         >>> IntLattice(2).pair_lengths([(0, 0), (2, -1)], [(1, 1)])
         array([[2],
                [3]])
         """
-        d = self.d
-        if d * (_max_abs(chain.from_iterable(xs))
-                + _max_abs(chain.from_iterable(ys))) >= 2 ** 63:
-            return super().pair_lengths(xs, ys)
-        X, Y = _int64_rows(xs, d), _int64_rows(ys, d)
-        out = np.zeros((len(xs), len(ys)), dtype=np.int64)
-        for k in range(d):
+        out = np.zeros((len(X), len(Y)), dtype=np.int64)
+        for k in range(self.d):
             diff = np.subtract.outer(X[:, k], Y[:, k])
             out += np.abs(diff, out=diff)
         return out
@@ -406,7 +435,13 @@ class InfiniteDihedral(Group):
         self.check_element(a)
         return abs(a[0]) + a[1]
 
-    def pair_lengths(self, xs, ys):
+    def _pair_coords(self, elems):
+        # the largest length, |t1| + |t2| + 1, stays below 2^63
+        if 2 * _max_abs(t for t, _ in elems) + 1 >= 2 ** 63:
+            return None
+        return _int64_rows(elems, 2)
+
+    def _coord_pair_lengths(self, X, Y):
         """Closed form: x y^-1 shifts by t1 - t2 when the flips agree and
         by t1 + t2 when they differ, and flips when they differ.
 
@@ -415,10 +450,6 @@ class InfiniteDihedral(Group):
         array([[1, 6],
                [6, 1]])
         """
-        if (_max_abs(t for t, _ in xs) + _max_abs(t for t, _ in ys) + 1
-                >= 2 ** 63):
-            return super().pair_lengths(xs, ys)
-        X, Y = _int64_rows(xs, 2), _int64_rows(ys, 2)
         # (1 - 2 s1)(1 - 2 s2) is +1 when the flips agree, -1 otherwise
         out = np.multiply.outer(1 - 2 * X[:, 1], (1 - 2 * Y[:, 1]) * Y[:, 0])
         np.subtract(X[:, :1], out, out=out)
@@ -496,10 +527,6 @@ class FiniteGroup(Group):
         self._lengths = self._bfs_lengths()
         if any(l is None for l in self._lengths):
             raise ValueError("generators do not generate the group")
-        # |x y^-1| for every pair, read by pair_lengths
-        self._quotient_lengths = np.array(
-            [[self._lengths[self.table[x][self._inv[y]]] for y in range(n)]
-             for x in range(n)], dtype=np.int64)
 
     def _bfs_lengths(self):
         lengths = [None] * self.n
@@ -537,17 +564,6 @@ class FiniteGroup(Group):
     def word_length(self, a):
         self.check_element(a)
         return self._lengths[a]
-
-    def pair_lengths(self, xs, ys):
-        """Read off the table of |x y^-1|.
-
-        >>> cyclic_group(4).pair_lengths([0, 1], [0, 3])
-        array([[0, 1],
-               [1, 2]])
-        """
-        return self._quotient_lengths[np.ix_(
-            np.fromiter(xs, dtype=np.intp, count=len(xs)),
-            np.fromiter(ys, dtype=np.intp, count=len(ys)))]
 
     def sort_key(self, a):
         return a
@@ -603,18 +619,6 @@ class ProductGroup(Group):
     def word_length(self, a):
         self.check_element(a)
         return self.left.word_length(a[0]) + self.right.word_length(a[1])
-
-    def pair_lengths(self, xs, ys):
-        """The sum of the two factors' matrices."""
-        left = self.left.pair_lengths([x[0] for x in xs], [y[0] for y in ys])
-        right = self.right.pair_lengths([x[1] for x in xs],
-                                        [y[1] for y in ys])
-        if (left.dtype == object or right.dtype == object
-                or int(left.max(initial=0)) + int(right.max(initial=0))
-                >= 2 ** 63):
-            return left.astype(object) + right.astype(object)
-        left += right
-        return left
 
     def sort_key(self, a):
         return (self.left.word_length(a[0]), self.left.sort_key(a[0]),

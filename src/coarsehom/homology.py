@@ -97,8 +97,9 @@ class SNFResult:
         self._maxima = {}
 
     def _max(self, name):
-        """max|entry| of U, V or Vinv, scanned once: the certificates
-        do not change after the reduction."""
+        """max|entry| of U, V or Vinv, scanned on first use by solve and
+        kernel_coordinates, which trust the certificates to stay as the
+        reduction left them; verify scans afresh on every call."""
         if name not in self._maxima:
             self._maxima[name] = _absmax(getattr(self, name))
         return self._maxima[name]
@@ -168,19 +169,21 @@ class SNFResult:
         sparse accumulation, plus V V^-1 == identity (exact for small
         sizes, random probes for large ones).  Together these give
         U A V = D.  Each product runs in int64 when a bound on its
-        entries proves that exact, else over Python ints."""
+        entries proves that exact, else over Python ints; the bounds are
+        scanned once per call, so a certificate changed since the
+        reduction is checked as it stands."""
         r, c = self.shape
         Arr = np.asarray(A)
-        UA = _int64_product(self.U, Arr, self._max("U"), _absmax(Arr))
+        vimax = _absmax(self.Vinv)
+        UA = _int64_product(self.U, Arr, _absmax(self.U), _absmax(Arr))
         if (UA is not None and self.Vinv.dtype != object
-                and max(self.divisors, default=0) * self._max("Vinv")
-                < 2 ** 63):
+                and max(self.divisors, default=0) * vimax < 2 ** 63):
             want = np.zeros((r, c), dtype=np.int64)
             k = len(self.divisors)
             want[:k] = (np.asarray(self.divisors, dtype=np.int64)[:, None]
                         * self.Vinv[:k])
             return bool(np.array_equal(UA, want)) and \
-                self._verify_v_inverse()
+                self._verify_v_inverse(vimax)
         UA = [[0] * c for _ in range(r)]
         # nested lists of Python ints: exact, and cheaper to index than
         # array elements
@@ -199,13 +202,13 @@ class SNFResult:
                 want = d * Vinv[i][j] if i < c else 0
                 if UA[i][j] != want:
                     return False
-        return self._verify_v_inverse()
+        return self._verify_v_inverse(vimax)
 
-    def _verify_v_inverse(self) -> bool:
+    def _verify_v_inverse(self, vimax) -> bool:
         c = self.shape[1]
+        vmax = _absmax(self.V)
         if c <= 64:
-            prod = _int64_product(self.V, self.Vinv, self._max("V"),
-                                  self._max("Vinv"))
+            prod = _int64_product(self.V, self.Vinv, vmax, vimax)
             if prod is not None:
                 return bool(np.array_equal(prod, np.eye(c, dtype=np.int64)))
             prod = _matmul_obj(self.V, self.Vinv)
@@ -216,7 +219,7 @@ class SNFResult:
         rng = random.Random(0)
         for _ in range(3):
             w = rng.choices(range(-9, 10), k=c)
-            if self._apply("V", self._apply("Vinv", w)) != w:
+            if _matvec(self.V, _matvec(self.Vinv, w, vimax), vmax) != w:
                 return False
         return True
 

@@ -182,8 +182,8 @@ def test_abelianize_never_reaches_the_reverse_scan():
 
 @pytest.mark.parametrize("group", ["F2", "Z2", "Dinf", "Z/2xZ/2"])
 def test_reverse_scan_of_identity_matches_reference(group):
-    # the identity maps reach pair_lengths of the families that no
-    # gallery map scans: the free-group fallback and products
+    # the identity maps scan families that no gallery map scans: free
+    # groups and products, pair by pair
     phi = identity_map(get_group(group))
     for radius in (2, 4):
         assert _reverse_scan(phi, radius, 4) == \

@@ -148,8 +148,6 @@ PAIR_LENGTH_GROUPS = {
     "Z2": (Z2, st.tuples(_COORD, _COORD)),
     "Dinf": (DINF, st.tuples(_COORD, st.integers(0, 1))),
     "D3": (_D3, st.integers(0, 5)),
-    "ZxD3": (ProductGroup(Z, _D3), st.tuples(st.tuples(_COORD),
-                                            st.integers(0, 5))),
     "F2": (F2, st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
         lambda letters: reduce(lambda w, x: F2.mul(w, (x,)), letters, ()))),
 }
@@ -173,6 +171,11 @@ def test_pair_lengths_match_word_lengths(name, data):
     xs = data.draw(st.lists(elements, max_size=5), label="xs")
     ys = data.draw(st.lists(elements, max_size=5), label="ys")
     _assert_pair_lengths_exact(G, xs, ys)
+    # the blocks of rows, stacked, are the square matrix over xs
+    rows = data.draw(st.integers(1, 3), label="rows")
+    stacked = [row for block in G.pair_length_blocks(xs, rows)
+               for row in block.tolist()]
+    assert stacked == G.pair_lengths(xs, xs).tolist()
 
 
 @pytest.mark.parametrize("G,xs,ys", [

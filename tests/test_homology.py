@@ -89,6 +89,18 @@ def test_snf_verify_rejects_a_changed_certificate(shape, big, int64):
         assert not s.verify(A), name
 
 
+def test_snf_verify_rescans_a_certificate_changed_after_use():
+    # A's first row is even, so adding 2^63 to U[0, 0] leaves U A the
+    # same modulo 2^64: only a fresh bound on |U| keeps that product
+    # out of int64
+    A = np.array([[2, 4, 6], [3, 5, 7], [1, 0, 2]], dtype=np.int64)
+    s = smith_normal_form(A)
+    assert s.verify(A)
+    assert s.solve([2, 3, 1], "Z")[2] is None
+    s.U[0, 0] += -2 ** 63 if s.U[0, 0] >= 0 else 2 ** 63
+    assert not s.verify(A)
+
+
 def _smith_in_python_ints(A):
     """smith_normal_form run over Python ints (object dtype) from the
     first step: with the promotion limit at 0 no matrix stays int64."""
