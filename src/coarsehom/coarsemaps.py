@@ -113,7 +113,7 @@ def displacement_set(phi: CoarseMap, g, r: int):
 def _displacements(phi, g, ball):
     T = phi.target
     out = {T.mul(phi(phi.source.mul(g, x)), T.inv(phi(x))) for x in ball}
-    return sorted(out, key=lambda h: (T.word_length(h), T.sort_key(h)))
+    return sorted(out, key=T.order_key)
 
 
 def check_coarse_map(phi: CoarseMap, r: int) -> dict:
@@ -270,7 +270,7 @@ def closeness(phi: CoarseMap, psi: CoarseMap, r: int, cap: int = 64) -> dict:
     d_r = diffs(r)
     stable = set(d_h) == set(d_r)
     if stable and len(d_r) <= cap:
-        order = sorted(d_r, key=lambda h: (T.word_length(h), T.sort_key(h)))
+        order = sorted(d_r, key=T.order_key)
         return {"verdict": "close", "radius": r,
                 "pieces": [(h, d_r[h]) for h in order]}
     return {"verdict": "not-close-at-radius", "radius": r,
@@ -321,9 +321,9 @@ def section(phi: CoarseMap, r: int) -> SectionData:
     fib = phi.fibers_on_ball(r)
     x_of_y = {y: xs[0] for y, xs in fib.items()}
     Xset = {x for x in x_of_y.values()}
-    X = sorted(Xset, key=lambda x: (G.word_length(x), G.sort_key(x)))
+    X = sorted(Xset, key=G.order_key)
     Fset = {G.mul(g, G.inv(x_of_y[phi(g)])) for g in G.ball(r)}
-    F = sorted(Fset, key=lambda f: (G.word_length(f), G.sort_key(f)))
+    F = sorted(Fset, key=G.order_key)
     data = SectionData(phi, r, x_of_y, X, F)
     phi.witness = {"section": x_of_y, "translate_cover": F,
                    "validated_radius": r if data.validate() else -1}
@@ -370,7 +370,6 @@ def decompose_domain(phi: CoarseMap, r: int,
     ball = G.ball(r)
     remaining = set(ball)
     pieces = []
-    wl, sk = G.word_length, G.sort_key
     for f in cover:
         finv = G.inv(f)
         piece = [x for x in ball
@@ -382,8 +381,8 @@ def decompose_domain(phi: CoarseMap, r: int,
         for x in piece:
             h = T.mul(phi(x), T.inv(phi(G.mul(finv, x))))
             by_h.setdefault(h, []).append(x)
-        for h in sorted(by_h, key=lambda h: (T.word_length(h), T.sort_key(h))):
-            xs = sorted(by_h[h], key=lambda x: (wl(x), sk(x)))
+        for h in sorted(by_h, key=T.order_key):
+            xs = sorted(by_h[h], key=G.order_key)
             pieces.append((xs, finv, h))
     return DomainDecomposition(pieces, r)
 
@@ -405,8 +404,7 @@ class TargetPartition:
 
     def block_items(self):
         return [(self.hs[j], sorted(self.blocks[j],
-                                    key=lambda t: (self.target.word_length(t),
-                                                   self.target.sort_key(t))))
+                                    key=self.target.order_key))
                 for j in sorted(self.blocks)]
 
 
@@ -459,7 +457,7 @@ class OmegaMap(CoarseMap):
         G = self.phi_forward.source
         out = {G.mul(self(self.phi_forward(x)), G.inv(x))
                for x in G.ball(r)}
-        return sorted(out, key=lambda g: (G.word_length(g), G.sort_key(g)))
+        return sorted(out, key=G.order_key)
 
 
 def omega(phi: CoarseMap, prefix: int, source_radius: int | None = None,

@@ -31,11 +31,18 @@ from .coarsemaps import CoarseMap, compose, identity_map
 from .errors import GroupMismatchError, InvalidElementError
 from .groups import Group
 from .resmodules import FinSupFun
-from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg
+from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, \
+    vec_scale
 
 
 class Chain:
     """Finitely supported degree-n chain, stored by points (x, gvec).
+
+    Input is validated where it enters: the item setter, ``points=``,
+    ``add_at`` and ``from_json``.  The chain operations of this module
+    build their points by group operations on points already checked, so
+    they write through ``_acc`` without re-validating, or copy entries
+    verbatim.  No zero vector is ever stored.
 
     >>> from .groups import IntLattice
     >>> from .rings import Integers
@@ -71,10 +78,20 @@ class Chain:
         v = tuple(self.ring.normalize(c) for c in v)
         if len(v) != self.rank:
             raise InvalidElementError("value has the wrong rank")
+        self.data.pop((x, gvec), None)
+        self._acc((x, gvec), v)
+
+    def _acc(self, key, v):
+        """Add v at key and drop the key if the sum is zero.  Trusts key
+        to be a point of this chain and v a normalized vector of its
+        rank."""
+        cur = self.data.get(key)
+        if cur is not None:
+            v = vec_add(self.ring, cur, v)
         if vec_is_zero(self.ring, v):
-            self.data.pop((x, gvec), None)
+            self.data.pop(key, None)
         else:
-            self.data[(x, gvec)] = v
+            self.data[key] = v
 
     def __getitem__(self, key):
         return self.data.get(tuple(key),
@@ -96,25 +113,35 @@ class Chain:
                 or self.rank != other.rank or self.degree != other.degree):
             raise GroupMismatchError("chains are not compatible")
 
+    def _with(self, data, group=None, degree=None):
+        """A chain over the same ring and rank (and by default the same
+        group and degree) holding data, whose entries are trusted to be
+        points with nonzero normalized vectors."""
+        out = Chain(self.group if group is None else group, self.ring,
+                    self.rank, self.degree if degree is None else degree)
+        out.data = data
+        return out
+
     def __add__(self, other):
         self._check_compatible(other)
         out = self.copy()
-        for (x, gvec), v in other.data.items():
-            out.add_at(x, gvec, v)
+        for p, v in other.data.items():
+            out._acc(p, v)
         return out
 
     def __neg__(self):
-        return Chain(self.group, self.ring, self.rank, self.degree,
-                     {p: vec_neg(self.ring, v) for p, v in self.data.items()})
+        return self._with({p: vec_neg(self.ring, v)
+                           for p, v in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self.ring.normalize(c)
-        return Chain(self.group, self.ring, self.rank, self.degree,
-                     {p: tuple(self.ring.mul(c, t) for t in v)
-                      for p, v in self.data.items()})
+        out = self._with({})
+        for p, v in self.data.items():
+            out._acc(p, vec_scale(self.ring, c, v))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Chain):
@@ -124,8 +151,7 @@ class Chain:
                 and self.data == other.data)
 
     def copy(self):
-        return Chain(self.group, self.ring, self.rank, self.degree,
-                     dict(self.data))
+        return self._with(dict(self.data))
 
     def __repr__(self):
         return (f"Chain(deg={self.degree}, {self.ring.name}^{self.rank}, "
@@ -139,12 +165,11 @@ class Chain:
             f = out.get(gvec)
             if f is None:
                 f = out[gvec] = FinSupFun(self.group, self.ring, self.rank)
-            f[x] = v
+            f._acc(x, v)
         return out
 
     def _tuple_key(self, gvec):
-        wl, sk = self.group.word_length, self.group.sort_key
-        return tuple((wl(g), sk(g)) for g in gvec)
+        return tuple(map(self.group.order_key, gvec))
 
     def to_json(self):
         sl = self.slices()
@@ -171,7 +196,9 @@ class Chain:
 
 def chi(group: Group, ring: Ring, rank: int, degree: int, slices) -> Chain:
     """Bar picture to groupoid picture: slices {gvec: FinSupFun} become
-    point masses chain(x, gvec) = slice[gvec](x)."""
+    point masses chain(x, gvec) = slice[gvec](x).  Checks each tuple's
+    length and each function's module; trusts the tuple entries to be
+    elements, as Chain.from_json has checked them while reading."""
     out = Chain(group, ring, rank, degree)
     for gvec, f in slices.items():
         if len(gvec) != degree:
@@ -179,8 +206,9 @@ def chi(group: Group, ring: Ring, rank: int, degree: int, slices) -> Chain:
                 f"slice tuple {gvec!r} does not match degree {degree}")
         if f.group != group or f.ring != ring or f.rank != rank:
             raise GroupMismatchError("slice function over the wrong module")
+        gvec = tuple(gvec)
         for x, v in f.data.items():
-            out.add_at(x, tuple(gvec), v)
+            out._acc((x, gvec), v)
     return out
 
 
@@ -205,13 +233,13 @@ def _faces(group: Group, x, gvec):
 def boundary(chain: Chain) -> Chain:
     """Alternating sum of the face pushforwards, computed point by point."""
     n = chain.degree
-    out = Chain(chain.group, chain.ring, chain.rank, max(n - 1, 0))
+    out = chain._with({}, degree=max(n - 1, 0))
     if n == 0:
         return out
     ring = chain.ring
     for (x, gvec), v in chain.data.items():
-        for i, (fx, fg) in enumerate(_faces(chain.group, x, gvec)):
-            out.add_at(fx, fg, v if i % 2 == 0 else vec_neg(ring, v))
+        for i, face in enumerate(_faces(chain.group, x, gvec)):
+            out._acc(face, v if i % 2 == 0 else vec_neg(ring, v))
     return out
 
 
@@ -353,10 +381,9 @@ def induced_chain_map(phi: CoarseMap, chain: Chain) -> Chain:
     """
     if chain.group != phi.source:
         raise GroupMismatchError("chain lives on the wrong group")
-    out = Chain(phi.target, chain.ring, chain.rank, chain.degree)
+    out = chain._with({}, group=phi.target)
     for (x, gvec), v in chain.data.items():
-        y, hvec = _image_point(phi, x, gvec)
-        out.add_at(y, hvec, v)
+        out._acc(_image_point(phi, x, gvec), v)
     return out
 
 
@@ -417,10 +444,10 @@ def homotopy_k(phi: CoarseMap, psi: CoarseMap, chain: Chain) -> Chain:
         raise GroupMismatchError("homotopy needs a parallel pair of maps")
     if chain.group != phi.source:
         raise GroupMismatchError("chain lives on the wrong group")
-    out = Chain(phi.target, chain.ring, chain.rank, chain.degree + 1)
+    out = chain._with({}, group=phi.target, degree=chain.degree + 1)
     for (x, gvec), v in chain.data.items():
         for y, hvec, sign in _homotopy_points(phi, psi, x, gvec):
-            out.add_at(y, hvec, v if sign > 0 else vec_neg(chain.ring, v))
+            out._acc((y, hvec), v if sign > 0 else vec_neg(chain.ring, v))
     return out
 
 
@@ -482,5 +509,5 @@ def random_chain(group: Group, ring: Ring, rank: int, degree: int,
         for _ in range(rank):
             c = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
             v.append(ring.normalize(c))
-        out.add_at(x, gvec, tuple(v))
+        out._acc((x, gvec), tuple(v))
     return out

@@ -21,12 +21,20 @@ Ball enumeration is deterministic: elements are ordered by word length and
 ties inside a sphere are broken by a fixed lexicographic key documented per
 family (integers compare by (|c|, then negative-after-positive), free-group
 letters in the order a < a^-1 < b < b^-1, finite groups by index).
+
+Elements are validated where they enter (``check_element``,
+``word_length``, ``element_from_json``); ``mul``, ``inv``, ``order_key``
+and ``pair_lengths`` trust their arguments.  Because descriptors are
+immutable, each instance computes its identity key once and memoizes its
+largest ball at the default cap (up to BALL_MEMO_CAP elements); smaller
+balls are prefixes of it.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import add, neg
 
 import numpy as np
 
@@ -35,6 +43,10 @@ from .errors import InvalidElementError, ResourceLimitError
 # Hard default for how many elements a single ball may hold before the
 # enumeration is cut off with ResourceLimitError.
 DEFAULT_BALL_CAP = 2_000_000
+
+# Most elements a group instance keeps in its ball memo; a larger ball is
+# enumerated afresh on every call.
+BALL_MEMO_CAP = 1 << 16
 
 
 def _int_key(c):
@@ -100,16 +112,21 @@ class Group:
         return a
 
     def word_length(self, a) -> int:
-        """Minimal number of generators multiplying to ``a``.
+        """Minimal number of generators multiplying to ``a``."""
+        return self._length(self.check_element(a))
 
-        Subclasses override when a closed form exists; the fallback
-        searches outward sphere by sphere.
-        """
-        self.check_element(a)
+    def _length(self, a) -> int:
+        """word_length of an element, unchecked.  Subclasses override
+        when a closed form exists; the fallback searches outward sphere
+        by sphere."""
         for r, sphere in enumerate(self._spheres()):
             if a in sphere:
                 return r
         raise InvalidElementError(f"{a!r} not reached by generators")
+
+    def order_key(self, a):
+        """(length, key): the order of ball enumeration; trusts ``a``."""
+        return (self._length(a), self.sort_key(a))
 
     def pair_lengths(self, xs, ys):
         """Matrix of the word lengths |x_i y_j^-1| over all pairs.
@@ -154,14 +171,17 @@ class Group:
 
     def _word_pair_lengths(self, xs, ys):
         invs = [self.inv(y) for y in ys]
-        rows = [[self.word_length(self.mul(x, yi)) for yi in invs]
+        rows = [[self._length(self.mul(x, yi)) for yi in invs]
                 for x in xs]
         top = max((max(row, default=0) for row in rows), default=0)
         return np.array(rows, dtype=np.int64 if top < 2 ** 63 else object
                         ).reshape(len(xs), len(ys))
 
     def _spheres(self, cap=DEFAULT_BALL_CAP):
-        """Yield sphere(0), sphere(1), ... as sets; stops for finite groups."""
+        """Yield sphere(0), sphere(1), ... as sets; stops for finite groups.
+
+        Sphere r + 1 is built only when asked for, and the cap counts the
+        ball up to the sphere just built."""
         seen = {self.identity()}
         sphere = {self.identity()}
         gens = self.generators()
@@ -186,6 +206,10 @@ class Group:
     def ball(self, r: int, cap=DEFAULT_BALL_CAP):
         """All elements of word length <= r, sorted by (length, key).
 
+        A fresh list on every call.  At the default cap the largest ball
+        enumerated so far is memoized and smaller balls are sliced from
+        it; another cap enumerates afresh and leaves the memo alone.
+
         >>> IntLattice(1).ball(2)
         [(0,), (1,), (-1,), (2,), (-2,)]
         >>> len(FreeGroup(2).ball(2))
@@ -195,12 +219,26 @@ class Group:
         """
         if r < 0:
             raise ValueError("radius must be >= 0")
-        out = []
-        for rad, sphere in enumerate(self._spheres(cap=cap)):
-            if rad > r:
+        memo = self.__dict__.get("_ball_memo") \
+            if cap == DEFAULT_BALL_CAP else None
+        if memo is not None:
+            elems, ends, whole = memo
+            if r < len(ends):
+                return elems[:ends[r]]
+            if whole:
+                return list(elems)
+        # ends[k] = |ball(k)|; whole: the spheres ran out (a finite group)
+        elems, ends, whole = [], [], True
+        for sphere in self._spheres(cap=cap):
+            elems.extend(sorted(sphere, key=self.sort_key))
+            ends.append(len(elems))
+            if len(ends) > r:
+                whole = False
                 break
-            out.extend(sorted(sphere, key=self.sort_key))
-        return out
+        if cap == DEFAULT_BALL_CAP and len(elems) <= BALL_MEMO_CAP:
+            self._ball_memo = (elems, ends, whole)
+            return list(elems)
+        return elems
 
     def sphere(self, r: int, cap=DEFAULT_BALL_CAP):
         """Elements of word length exactly r, sorted."""
@@ -238,13 +276,20 @@ class Group:
     def __repr__(self):
         return f"{type(self).__name__}({self.params()})"
 
+    def _identity_key(self):
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._key = (self.family,
+                               json.dumps(self.params(), sort_keys=True))
+        return key
+
     def __eq__(self, other):
-        return (isinstance(other, Group)
-                and self.family == other.family
-                and self.params() == other.params())
+        return self is other or (isinstance(other, Group)
+                                 and self._identity_key()
+                                 == other._identity_key())
 
     def __hash__(self):
-        return hash((self.family, json.dumps(self.params(), sort_keys=True)))
+        return hash(self._identity_key())
 
 
 class IntLattice(Group):
@@ -271,10 +316,10 @@ class IntLattice(Group):
         return (0,) * self.d
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def generators(self):
         gens = []
@@ -289,8 +334,7 @@ class IntLattice(Group):
         return (isinstance(a, tuple) and len(a) == self.d
                 and all(isinstance(x, int) for x in a))
 
-    def word_length(self, a):
-        self.check_element(a)
+    def _length(self, a):
         return sum(abs(x) for x in a)
 
     def _pair_coords(self, elems):
@@ -359,7 +403,7 @@ class FreeGroup(Group):
         return tuple(a) + tuple(b[i:])
 
     def inv(self, a):
-        return tuple(-x for x in reversed(a))
+        return tuple(map(neg, reversed(a)))
 
     def generators(self):
         return [(j,) for j in range(1, self.k + 1)] + \
@@ -373,8 +417,7 @@ class FreeGroup(Group):
                 return False
         return all(a[i] != -a[i + 1] for i in range(len(a) - 1))
 
-    def word_length(self, a):
-        self.check_element(a)
+    def _length(self, a):
         return len(a)
 
     def sort_key(self, a):
@@ -431,8 +474,7 @@ class InfiniteDihedral(Group):
         return (isinstance(a, tuple) and len(a) == 2
                 and isinstance(a[0], int) and a[1] in (0, 1))
 
-    def word_length(self, a):
-        self.check_element(a)
+    def _length(self, a):
         return abs(a[0]) + a[1]
 
     def _pair_coords(self, elems):
@@ -561,8 +603,7 @@ class FiniteGroup(Group):
         return isinstance(a, int) and not isinstance(a, bool) \
             and 0 <= a < self.n
 
-    def word_length(self, a):
-        self.check_element(a)
+    def _length(self, a):
         return self._lengths[a]
 
     def sort_key(self, a):
@@ -616,13 +657,11 @@ class ProductGroup(Group):
         return (isinstance(a, tuple) and len(a) == 2
                 and self.left.is_element(a[0]) and self.right.is_element(a[1]))
 
-    def word_length(self, a):
-        self.check_element(a)
-        return self.left.word_length(a[0]) + self.right.word_length(a[1])
+    def _length(self, a):
+        return self.left._length(a[0]) + self.right._length(a[1])
 
     def sort_key(self, a):
-        return (self.left.word_length(a[0]), self.left.sort_key(a[0]),
-                self.right.word_length(a[1]), self.right.sort_key(a[1]))
+        return self.left.order_key(a[0]) + self.right.order_key(a[1])
 
     def is_finite(self):
         return self.left.is_finite() and self.right.is_finite()

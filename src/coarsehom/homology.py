@@ -723,7 +723,7 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
     pre = Chain(G, ring, chain.rank, n + 1)
     for (x, gvec), xj in zip(cols, x_vec):
         if xj:
-            pre.add_at(x, gvec, (ring.normalize(
+            pre._acc((x, gvec), (ring.normalize(
                 xj if ring.name == "Z" else Fraction(xj, m * scale)),))
     if boundary(pre) != chain:
         raise RuntimeError("window solver produced an invalid preimage")

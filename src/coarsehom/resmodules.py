@@ -18,11 +18,17 @@ from __future__ import annotations
 from .coarsemaps import CoarseMap, SectionData, section
 from .errors import GroupMismatchError, InvalidElementError, ResourceLimitError
 from .groups import Group
-from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, vec_zero
+from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, \
+    vec_scale, vec_zero
 
 
 class FinSupFun:
     """Finitely supported function from a group into R^rank.
+
+    Like Chain: validated where input enters (the item setter, ``data=``,
+    ``from_json`` and the element of ``translate``), trusted inside.  The
+    operations write through ``_acc`` or copy entries verbatim, and no
+    zero vector is ever stored.
 
     >>> from .groups import IntLattice
     >>> from .rings import Integers
@@ -61,14 +67,31 @@ class FinSupFun:
             raise InvalidElementError(
                 f"value {v!r} has length {len(v)}, expected rank {self.rank}")
         v = tuple(self.ring.normalize(c) for c in v)
+        self.data.pop(g, None)
+        self._acc(g, v)
+
+    def _acc(self, g, v):
+        """Add v at g and drop g if the sum is zero.  Trusts g to be an
+        element and v a normalized vector of the right rank."""
+        cur = self.data.get(g)
+        if cur is not None:
+            v = vec_add(self.ring, cur, v)
         if vec_is_zero(self.ring, v):
             self.data.pop(g, None)
         else:
             self.data[g] = v
 
+    def _with(self, data, group=None):
+        """A function over the same module (or the same ring and rank over
+        another group) holding data, whose entries are trusted to be
+        nonzero normalized vectors."""
+        out = FinSupFun(self.group if group is None else group, self.ring,
+                        self.rank)
+        out.data = data
+        return out
+
     def support(self):
-        wl, sk = self.group.word_length, self.group.sort_key
-        return sorted(self.data, key=lambda g: (wl(g), sk(g)))
+        return sorted(self.data, key=self.group.order_key)
 
     def is_zero(self):
         return not self.data
@@ -82,22 +105,22 @@ class FinSupFun:
         self._check_compatible(other)
         out = self.copy()
         for g, v in other.data.items():
-            out[g] = vec_add(self.ring, out[g], v)
+            out._acc(g, v)
         return out
 
     def __neg__(self):
-        return FinSupFun(self.group, self.ring, self.rank,
-                         {g: vec_neg(self.ring, v)
-                          for g, v in self.data.items()})
+        return self._with({g: vec_neg(self.ring, v)
+                           for g, v in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self.ring.normalize(c)
-        return FinSupFun(self.group, self.ring, self.rank,
-                         {g: tuple(self.ring.mul(c, x) for x in v)
-                          for g, v in self.data.items()})
+        out = self._with({})
+        for g, v in self.data.items():
+            out._acc(g, vec_scale(self.ring, c, v))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, FinSupFun):
@@ -109,7 +132,7 @@ class FinSupFun:
         raise TypeError("FinSupFun is mutable, not hashable")
 
     def copy(self):
-        return FinSupFun(self.group, self.ring, self.rank, dict(self.data))
+        return self._with(dict(self.data))
 
     def __repr__(self):
         items = ", ".join(f"{g}:{v}" for g, v in
@@ -121,14 +144,13 @@ class FinSupFun:
         """(g.f)(x) = f(g^-1 x), i.e. the support moves to g * support."""
         G = self.group
         G.check_element(g)
-        return FinSupFun(G, self.ring, self.rank,
-                         {G.mul(g, x): v for x, v in self.data.items()})
+        # left translation is a bijection: the entries move verbatim
+        return self._with({G.mul(g, x): v for x, v in self.data.items()})
 
     def restrict(self, subset):
         """1_A * f for A a set of elements or a predicate."""
         member = subset if callable(subset) else set(subset).__contains__
-        return FinSupFun(self.group, self.ring, self.rank,
-                         {g: v for g, v in self.data.items() if member(g)})
+        return self._with({g: v for g, v in self.data.items() if member(g)})
 
     # -- JSON ----------------------------------------------------------------
     def to_json(self):
@@ -182,10 +204,9 @@ def pushforward(phi: CoarseMap, f: FinSupFun) -> FinSupFun:
     """
     if f.group != phi.source:
         raise GroupMismatchError("function lives on the wrong group")
-    out = FinSupFun(phi.target, f.ring, f.rank)
+    out = f._with({}, group=phi.target)
     for x, v in f.data.items():
-        y = phi(x)
-        out[y] = vec_add(f.ring, out[y], v)
+        out._acc(phi(x), v)
     return out
 
 
@@ -199,7 +220,7 @@ def pullback(phi: CoarseMap, f: FinSupFun, radius: int) -> FinSupFun:
     if f.group != phi.target:
         raise GroupMismatchError("function lives on the wrong group")
     G = phi.source
-    out = FinSupFun(G, f.ring, f.rank)
+    out = f._with({}, group=G)
     last_sphere = []
     exhausted = True
     for r, sphere in enumerate(G._spheres()):
@@ -208,9 +229,9 @@ def pullback(phi: CoarseMap, f: FinSupFun, radius: int) -> FinSupFun:
             break
         last_sphere = []
         for x in sphere:
-            v = f[phi(x)]
-            if not vec_is_zero(f.ring, v):
-                out[x] = v
+            v = f.data.get(phi(x))
+            if v is not None:
+                out.data[x] = v
                 if r == radius:
                     last_sphere.append(x)
     if not exhausted and last_sphere:
@@ -251,11 +272,10 @@ def pull_push_identity(phi: CoarseMap, f: FinSupFun, radius: int,
                 acc = vec_add(f.ring, acc, f[G.mul(g, x)])
             rhs[x] = acc
     holds = all(lhs[x] == rhs[x] for x in lhs)
-    wl, sk = G.word_length, G.sort_key
-    pieces = [(sorted(Fi, key=lambda g: (wl(g), sk(g))),
-               sorted(xs, key=lambda x: (wl(x), sk(x))))
+    key = G.order_key
+    pieces = [(sorted(Fi, key=key), sorted(xs, key=key))
               for Fi, xs in groups.items()]
-    pieces.sort(key=lambda p: (len(p[0]), [(wl(g), sk(g)) for g in p[0]]))
+    pieces.sort(key=lambda p: (len(p[0]), list(map(key, p[0]))))
     return {"holds": holds, "radius": radius, "fiber_radius": fiber_radius,
             "pieces": pieces}
 
@@ -281,14 +301,13 @@ def translate_push_identity(phi: CoarseMap, h, f: FinSupFun, radius: int,
         want = T.mul(hinv, phi(x))
         Fx = frozenset(G.mul(t, G.inv(x)) for t in fib.get(want, ()))
         groups.setdefault(Fx, []).append(x)
-    inner = FinSupFun(G, f.ring, f.rank)
+    inner = f._with({})
     for Fi, xs in groups.items():
         for x in xs:
-            acc = vec_zero(f.ring, f.rank)
             for g in Fi:
-                acc = vec_add(f.ring, acc, f[G.mul(g, x)])
-            if not vec_is_zero(f.ring, acc):
-                inner[x] = acc
+                v = f.data.get(G.mul(g, x))
+                if v is not None:
+                    inner._acc(x, v)
     rhs = pushforward(phi, inner)
     # left side, evaluated on the image points of the section
     push = pushforward(phi, f)
@@ -300,10 +319,9 @@ def translate_push_identity(phi: CoarseMap, h, f: FinSupFun, radius: int,
         if lhs_v != rhs[y]:
             holds = False
             break
-    wl, sk = G.word_length, G.sort_key
-    pieces = [(sorted(Fi, key=lambda g: (wl(g), sk(g))), len(xs))
-              for Fi, xs in groups.items()]
-    pieces.sort(key=lambda p: (len(p[0]), [(wl(g), sk(g)) for g in p[0]]))
+    key = G.order_key
+    pieces = [(sorted(Fi, key=key), len(xs)) for Fi, xs in groups.items()]
+    pieces.sort(key=lambda p: (len(p[0]), list(map(key, p[0]))))
     return {"holds": holds, "radius": radius, "translate": h,
             "pieces": pieces}
 

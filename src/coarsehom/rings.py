@@ -196,11 +196,11 @@ def vec_zero(ring: Ring, k: int):
 
 
 def vec_add(ring: Ring, a, b):
-    return tuple(ring.add(x, y) for x, y in zip(a, b))
+    return tuple(map(ring.add, a, b))
 
 
 def vec_neg(ring: Ring, a):
-    return tuple(ring.neg(x) for x in a)
+    return tuple(map(ring.neg, a))
 
 
 def vec_scale(ring: Ring, c, a):
@@ -208,4 +208,6 @@ def vec_scale(ring: Ring, c, a):
 
 
 def vec_is_zero(ring: Ring, a):
-    return all(ring.is_zero(x) for x in a)
+    # the scalars of every ring here, ints and Fractions, are falsy
+    # exactly when they equal zero
+    return not any(a)

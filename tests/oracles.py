@@ -5,10 +5,13 @@ the package under test: closed-form homology of cyclic groups from the
 periodic resolution, induced-module vanishing for group-ring
 coefficients, free-group sphere counts, the closed form of the coarse
 inverse of doubling, and a from-scratch reduced-word enumerator for the
-free group.  Tests compare engine output against these.  The one
-exception is the reverse scan below: it is the pair-by-pair loop that
-the vectorized scan of check_coarse_embedding replaced, and it uses only
-the groups' ball, mul, inv and word_length.
+free group.  Tests compare engine output against these.  Two exceptions
+use the package's objects: the reverse scan below is the pair-by-pair
+loop that the vectorized scan of check_coarse_embedding replaced, and it
+uses only the groups' ball, mul, inv and word_length; the reference
+chain operations at the end rebuild boundaries, induced maps, homotopies
+and function sums from their formulas, writing every term through the
+validating public setters (Chain.add_at, FinSupFun item assignment).
 """
 
 
@@ -156,3 +159,101 @@ def reverse_scan(phi, radius: int, r: int):
             best[c] = best[c - 1]
             arg[c] = arg[c - 1]
     return best, arg
+
+
+# -- reference chain and function arithmetic ----------------------------------
+
+def reference_sum(out, terms):
+    """Accumulate (key, vector) terms into the empty chain or function
+    out through its validating setter: add_at for a chain, whose keys
+    are points (x, gvec), item assignment for a function, whose keys are
+    elements."""
+    for key, v in terms:
+        if hasattr(out, "add_at"):
+            out.add_at(*key, v)
+        else:
+            out[key] = tuple(out.ring.add(a, b) for a, b in zip(out[key], v))
+    return out
+
+
+def _signed(ring, v, sign):
+    return v if sign > 0 else tuple(ring.neg(a) for a in v)
+
+
+def reference_boundary(chain):
+    """Alternating face sum: face 0 of (x, (g_1..g_n)) is
+    (g_1^-1 x, (g_2..g_n)), face i merges g_i g_{i+1}, face n drops g_n."""
+    G, ring, n = chain.group, chain.ring, chain.degree
+    out = type(chain)(G, ring, chain.rank, max(n - 1, 0))
+    if n == 0:
+        return out
+    terms = []
+    for (x, gvec), v in chain.data.items():
+        faces = [(G.mul(G.inv(gvec[0]), x), gvec[1:])]
+        for i in range(n - 1):
+            faces.append((x, gvec[:i] + (G.mul(gvec[i], gvec[i + 1]),)
+                          + gvec[i + 2:]))
+        faces.append((x, gvec[:-1]))
+        terms += [(f, _signed(ring, v, (-1) ** i))
+                  for i, f in enumerate(faces)]
+    return reference_sum(out, terms)
+
+
+def _orbit(G, x, gvec):
+    xs = [x]
+    for g in gvec:
+        xs.append(G.mul(G.inv(g), xs[-1]))
+    return xs
+
+
+def _arrows(T, vals):
+    return tuple(T.mul(a, T.inv(b)) for a, b in zip(vals, vals[1:]))
+
+
+def reference_induced(phi, chain):
+    """(x, gvec) goes to (phi(x_0), (phi(x_i) phi(x_{i+1})^-1)_i) where
+    x_0 = x and x_{i+1} = g_{i+1}^-1 x_i."""
+    T = phi.target
+    terms = []
+    for (x, gvec), v in chain.data.items():
+        vals = [phi(t) for t in _orbit(phi.source, x, gvec)]
+        terms.append(((vals[0], _arrows(T, vals)), v))
+    out = type(chain)(T, chain.ring, chain.rank, chain.degree)
+    return reference_sum(out, terms)
+
+
+def reference_homotopy(phi, psi, chain):
+    """Slot h = 1..n+1 takes the phi-arrows before x_{h-1}, the
+    comparison arrow phi(x_{h-1}) psi(x_{h-1})^-1, then the psi-arrows,
+    with sign (-1)^(h+1)."""
+    T = phi.target
+    terms = []
+    for (x, gvec), v in chain.data.items():
+        xs = _orbit(phi.source, x, gvec)
+        fv, pv = [phi(t) for t in xs], [psi(t) for t in xs]
+        for h in range(1, len(gvec) + 2):
+            hvec = (_arrows(T, fv[:h])
+                    + (T.mul(fv[h - 1], T.inv(pv[h - 1])),)
+                    + _arrows(T, pv[h - 1:]))
+            terms.append(((fv[0], hvec), _signed(chain.ring, v,
+                                                 (-1) ** (h + 1))))
+    out = type(chain)(T, chain.ring, chain.rank, chain.degree + 1)
+    return reference_sum(out, terms)
+
+
+def reference_fun_sum(f, g):
+    return reference_sum(type(f)(f.group, f.ring, f.rank),
+                         list(f.data.items()) + list(g.data.items()))
+
+
+def reference_fun_neg(f):
+    return reference_sum(type(f)(f.group, f.ring, f.rank),
+                         [(x, _signed(f.ring, v, -1))
+                          for x, v in f.data.items()])
+
+
+def reference_translate(h, f):
+    """(h.f)(x) = f(h^-1 x): the value at x moves to h x."""
+    G = f.group
+    return reference_sum(type(f)(G, f.ring, f.rank),
+                         [(G.mul(h, x), v) for x, v in f.data.items()])

@@ -262,3 +262,44 @@ def test_run_experiment_api_shape():
     assert isinstance(rep["body"]["verdicts"], list)
     text = json.dumps(rep["body"])
     assert json.loads(text) == rep["body"]
+
+
+# -- ball enumerations per report ----------------------------------------------
+
+def _spheres_runs(monkeypatch):
+    """Record every enumeration as [group id, spheres consumed]."""
+    from coarsehom.groups import Group
+    runs = []
+    real = Group._spheres
+
+    def counted(self, *args, **kwargs):
+        run = [id(self), 0]
+        runs.append(run)
+        for sphere in real(self, *args, **kwargs):
+            run[1] += 1
+            yield sphere
+
+    monkeypatch.setattr(Group, "_spheres", counted)
+    return runs
+
+
+def test_omega_build_enumerates_each_ball_once(monkeypatch):
+    runs = _spheres_runs(monkeypatch)
+    report = run_experiment({"experiment": "omega-build", "map": "z-double",
+                             "prefix_radius": 16, "check_radius": 16})
+    assert report["body"]["pass"]
+    keys = [tuple(run) for run in runs]
+    assert len(keys) == len(set(keys))
+    # the section's fibers, its translate cover and its validation share
+    # one ball(34), of which both ball(16)s are prefixes; the other run
+    # is the target's lazy walk for the block partition
+    assert len(runs) == 2
+
+
+def test_chain_suite_enumerates_its_ball_once(monkeypatch):
+    runs = _spheres_runs(monkeypatch)
+    report = run_experiment({"experiment": "chain-suite", "group": "F2",
+                             "ring": "Q", "rank": 2, "chains": 21,
+                             "seed": 1})
+    assert report["body"]["pass"]
+    assert [n for _, n in runs] == [4]      # ball(3): spheres 0..3

@@ -3,16 +3,19 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsehom.coarsemaps import compose, identity_map, omega
+from coarsehom.coarsemaps import CoarseMap, compose, identity_map, omega
 from coarsehom.complexes import Chain, Cochain, bar_boundary, boundary, \
     chi, chi_inv, coboundary, cochain_from_chain, homotopy_k, \
     homotopy_k_cochain, homotopy_l, homotopy_l_cochain, \
     induced_chain_map, induced_cochain_map, random_chain
-from coarsehom.errors import GroupMismatchError
-from coarsehom.gallery import get_map
+from coarsehom.errors import GroupMismatchError, InvalidElementError
+from coarsehom.gallery import get_group, get_map, group_names
 from coarsehom.groups import FreeGroup, InfiniteDihedral, IntLattice, \
     cyclic_group
+from coarsehom.resmodules import FinSupFun
 from coarsehom.rings import ring_from_name
+
+import oracles
 
 Z = IntLattice(1)
 ZR = ring_from_name("Z")
@@ -204,3 +207,132 @@ def test_random_chain_deterministic():
     assert a == b
     c = random_chain(Z, ZR, 1, 2, 3, terms=5, seed=100)
     assert a != c
+
+
+# -- validated at the boundary, trusted inside ----------------------------------
+
+def _no_zero_values(obj):
+    return all(any(c != 0 for c in v) for v in obj.data.values())
+
+
+@pytest.mark.parametrize("key,value", [
+    ((("a",), ((1,),)), (1,)),          # x is not an element
+    (((0,), ((1, 2),)), (1,)),          # an entry of gvec is not
+    (((0,), ((1,), (2,))), (1,)),       # gvec has the wrong length
+    (((0,), ()), (1,)),
+    (((0,), ((1,),)), (1, 2)),          # the value has the wrong rank
+    (((0,), ((1,),)), ()),
+], ids=["bad-x", "bad-g", "long-gvec", "short-gvec", "long-value",
+        "empty-value"])
+def test_chain_entry_points_reject_bad_input(key, value):
+    c = Chain(Z, ZR, 1, 1)
+    with pytest.raises(InvalidElementError):
+        c[key] = value
+    with pytest.raises(InvalidElementError):
+        c.add_at(*key, value)
+    with pytest.raises(InvalidElementError):
+        Chain(Z, ZR, 1, 1, {key: value})
+    assert c.is_zero()
+
+
+def test_chain_from_json_rejects_bad_input():
+    c = Chain(Z, ZR, 1, 1, {((0,), ((1,),)): (2,), ((3,), ((1,),)): (1,)})
+    good = c.to_json()
+    assert Chain.from_json(Z, good) == c
+
+    def bad(edit):
+        obj = c.to_json()
+        edit(obj)
+        with pytest.raises(InvalidElementError):
+            Chain.from_json(Z, obj)
+
+    bad(lambda o: o["slices"].append(o["slices"][0]))       # duplicate tuple
+    bad(lambda o: o["slices"][0][1]["support"].append(
+        o["slices"][0][1]["support"][0]))                  # duplicate point
+    bad(lambda o: o["slices"][0].__setitem__(0, [[1, 2]]))  # not an element
+    bad(lambda o: o["slices"][0].__setitem__(0, [[1], [2]]))  # wrong length
+    bad(lambda o: o["slices"][0][1]["support"][0].__setitem__(0, [1, 1]))
+    bad(lambda o: o["slices"][0][1].__setitem__("rank", 2))  # wrong rank
+
+
+def test_chi_checks_tuple_lengths_and_modules():
+    f = FinSupFun(Z, ZR, 1, {(0,): (1,)})
+    with pytest.raises(InvalidElementError):
+        chi(Z, ZR, 1, 2, {((1,),): f})
+    with pytest.raises(GroupMismatchError):
+        chi(Z, ZR, 2, 1, {((1,),): f})
+
+
+def test_maps_with_bad_outputs_are_rejected():
+    c = Chain(Z, ZR, 1, 1, {((0,), ((1,),)): (1,)})
+    junk = CoarseMap(Z, Z, lambda g: (g[0], 0), name="junk")
+    with pytest.raises(InvalidElementError):
+        induced_chain_map(junk, c)
+    with pytest.raises(InvalidElementError):
+        homotopy_k(identity_map(Z), junk, c)
+    with pytest.raises(InvalidElementError):
+        homotopy_k(junk, identity_map(Z), c)
+
+
+def test_no_zero_vector_is_stored():
+    z6 = ring_from_name("Z/6")
+    c = Chain(Z, z6, 2, 1, {((0,), ((1,),)): (3, 0), ((1,), ((1,),)): (3, 1)})
+    doubled = c.scale(2)                    # 2 * 3 = 0 in Z/6
+    assert doubled.data == {((1,), ((1,),)): (0, 2)}
+    assert c.scale(6).is_zero()
+    assert (c + (-c)).is_zero() and (c - c).is_zero()
+    d = Chain(Z, z6, 2, 1, {((0,), ((1,),)): (3, 0)})
+    assert (c + d).data == {((1,), ((1,),)): (3, 1)}   # 3 + 3 = 0
+    f = FinSupFun(Z, z6, 1, {(0,): (3,), (1,): (2,)})
+    assert f.scale(2).data == {(1,): (4,)}
+    assert (f + f.scale(5)).is_zero()
+    for ring in ("Z", "Q", "Z/5"):
+        r = random_chain(FreeGroup(2), ring_from_name(ring), 2, 2, 2,
+                         terms=6, seed=4)
+        for out in (r, boundary(r), bar_boundary(r), r - r.scale(2),
+                    induced_chain_map(get_map("f2-abelianize"), r)):
+            assert _no_zero_values(out)
+
+
+# a gallery map out of each group that has one, beside the left shift
+_GALLERY_MAP_FROM = {"Z": "z-into-z2", "F2": "f2-abelianize",
+                     "Z/2": "z2-to-z3-const", "Z/4": "z4-mod-z2",
+                     "triv": "triv-into-z2"}
+
+
+def _left_shift(G):
+    gens = G.generators()
+    s = gens[0] if gens else G.identity()
+    return s, CoarseMap(G, G, lambda x: G.mul(s, x), name="left-shift")
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("ring_name", ["Z", "Q", "Z/7"])
+@pytest.mark.parametrize("name", group_names())
+@given(seed=st.integers(0, 10**6), degree=st.integers(0, 3))
+@settings(max_examples=6, deadline=None)
+def test_trusted_writes_match_validating_reference(name, ring_name, rank,
+                                                   seed, degree):
+    G, R = get_group(name), ring_from_name(ring_name)
+    c = random_chain(G, R, rank, degree, 2, terms=4, seed=seed)
+    want = oracles.reference_boundary(c).data
+    assert boundary(c).data == want
+    assert bar_boundary(c).data == want
+    s, shift = _left_shift(G)
+    maps = [shift] + ([get_map(_GALLERY_MAP_FROM[name])]
+                      if name in _GALLERY_MAP_FROM else [])
+    for phi in maps:
+        assert induced_chain_map(phi, c).data == \
+            oracles.reference_induced(phi, c).data
+    ident = identity_map(G)
+    for phi, psi in ((ident, shift), (shift, ident)):
+        assert homotopy_k(phi, psi, c).data == \
+            oracles.reference_homotopy(phi, psi, c).data
+    f, g = (random_chain(G, R, rank, 0, 2, terms=4, seed=seed + k)
+            .slices().get((), FinSupFun(G, R, rank)) for k in (1, 2))
+    assert (f + g).data == oracles.reference_fun_sum(f, g).data
+    assert (-f).data == oracles.reference_fun_neg(f).data
+    assert (f - g).data == \
+        oracles.reference_fun_sum(f, oracles.reference_fun_neg(g)).data
+    assert (f - f).is_zero()
+    assert f.translate(s).data == oracles.reference_translate(s, f).data

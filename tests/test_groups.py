@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsehom import groups
 from coarsehom.errors import InvalidElementError, ResourceLimitError
+from coarsehom.gallery import get_group, group_names
 from coarsehom.groups import FiniteGroup, FreeGroup, InfiniteDihedral, \
     IntLattice, ProductGroup, cyclic_group, finite_dihedral, \
     group_from_json, trivial_group
@@ -191,3 +193,110 @@ def test_pair_lengths_match_word_lengths(name, data):
         "z-huge"])
 def test_pair_lengths_past_int64_stay_exact(G, xs, ys):
     _assert_pair_lengths_exact(G, xs, ys)
+
+
+# -- ball memo and enumeration cost --------------------------------------------
+
+def _count_calls(monkeypatch, G, name):
+    calls = []
+    real = getattr(G, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(G, name, counted)
+    return calls
+
+
+def test_ball_stops_after_its_last_sphere(monkeypatch):
+    F = FreeGroup(2)
+    muls = _count_calls(monkeypatch, F, "mul")
+    ball = F.ball(3)
+    # spheres 1..3 come from spheres 0..2: (1 + 4 + 12) * 4 products
+    assert len(muls) == 68
+    letter = {1: (1, 0), -1: (1, 1), 2: (2, 0), -2: (2, 1)}
+    assert ball == sorted(oracles.f2_reduced_words(3),
+                          key=lambda w: (len(w), [letter[x] for x in w]))
+    assert ball[:7] == [(), (1,), (-1,), (2,), (-2,), (1, 1), (1, 2)]
+
+
+def test_ball_memo_serves_fresh_lists(monkeypatch):
+    F = FreeGroup(2)
+    spheres = _count_calls(monkeypatch, F, "_spheres")
+    first = F.ball(3)
+    want = list(first)
+    first[0] = "junk"
+    assert F.ball(3) == want
+    F.ball(3).clear()
+    assert F.ball(3) == want
+    assert F.ball(1) == [(), (1,), (-1,), (2,), (-2,)]
+    assert F.ball(0) == [()]
+    assert len(spheres) == 1
+    assert len(F.ball(4)) == oracles.f2_ball_count(4)
+    assert len(spheres) == 2
+    # a finite group's memo covers every larger radius
+    C6 = cyclic_group(6)
+    spheres = _count_calls(monkeypatch, C6, "_spheres")
+    C6.ball(5).clear()
+    C6.ball(50).clear()
+    assert C6.ball(5) == C6.ball(50) == [0, 1, 5, 2, 4, 3]
+    assert len(spheres) == 1
+
+
+def test_ball_with_another_cap_bypasses_the_memo(monkeypatch):
+    F = FreeGroup(2)
+    spheres = _count_calls(monkeypatch, F, "_spheres")
+    assert len(F.ball(3)) == 53
+    # the cap counts the ball exactly: 53 fits in 53, not in 52
+    assert len(F.ball(3, cap=53)) == 53
+    with pytest.raises(ResourceLimitError):
+        F.ball(3, cap=52)
+    with pytest.raises(ResourceLimitError):
+        F.ball(2, cap=16)
+    assert len(F.ball(2, cap=17)) == 17
+    assert len(spheres) == 5
+    assert len(F.ball(3)) == 53 and len(spheres) == 5
+
+
+def test_ball_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(groups, "BALL_MEMO_CAP", 9)
+    G = IntLattice(1)
+    spheres = _count_calls(monkeypatch, G, "_spheres")
+    G.ball(4)                         # 9 elements: memoized
+    G.ball(4)
+    G.ball(3)
+    assert len(spheres) == 1
+    G.ball(5)                         # 11 elements: enumerated every time
+    G.ball(5)
+    assert len(spheres) == 3
+    assert G.ball(2) == [(0,), (1,), (-1,), (2,), (-2,)]
+    assert len(spheres) == 3
+
+
+# -- group identity --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", group_names())
+def test_fresh_gallery_groups_are_equal(name):
+    a, b = get_group(name), get_group(name)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert not (a != b)
+    assert {a: 1}[b] == 1
+    before = a.to_json()
+    hash(a)
+    assert a.to_json() == before == b.to_json()
+    assert group_from_json(before) == a
+
+
+def test_group_identity_tells_descriptors_apart():
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    a = FiniteGroup(table, generators=[1, 3])
+    b = FiniteGroup(table, generators=[1, 2, 3])
+    assert a != b and a == FiniteGroup(table, generators=[3, 1])
+    assert a.to_json()["params"]["generators"] == [1, 3]
+    assert IntLattice(1) != IntLattice(2) != FreeGroup(2)
+    assert ProductGroup(Z, DINF) == ProductGroup(IntLattice(1),
+                                                 InfiniteDihedral())
+    assert ProductGroup(Z, DINF) != ProductGroup(DINF, Z)
+    assert Z != (1,) and Z != "Z"

@@ -184,3 +184,28 @@ def test_json_roundtrip_and_duplicates():
     j2["support"].append(j2["support"][0])
     with pytest.raises(InvalidElementError):
         FinSupFun.from_json(Z, j2)
+
+
+@pytest.mark.parametrize("g,v", [
+    (("a",), (1,)), ((1, 2), (1,)), (1, (1,)), ((0,), (1, 2)), ((0,), ()),
+], ids=["not-int", "long-tuple", "not-tuple", "long-value", "empty-value"])
+def test_function_entry_points_reject_bad_input(g, v):
+    f = FinSupFun(Z, ZR, 1)
+    with pytest.raises(InvalidElementError):
+        f[g] = v
+    with pytest.raises(InvalidElementError):
+        FinSupFun(Z, ZR, 1, {g: v})
+    with pytest.raises(InvalidElementError):
+        delta(Z, ZR, 1, g, v)
+    assert f.is_zero()
+
+
+def test_function_translate_and_json_reject_bad_input():
+    f = FinSupFun(Z, ZR, 1, {(0,): (1,)})
+    for g in [(1, 2), ("a",), 3]:
+        with pytest.raises(InvalidElementError):
+            f.translate(g)
+    for support in ([[[1, 2], [1]]], [[[0], [1, 2]]], [[[0], [1]], [[0], [2]]]):
+        with pytest.raises(InvalidElementError):
+            FinSupFun.from_json(Z, {"ring": "Z", "rank": 1,
+                                    "support": support})
