@@ -10,17 +10,20 @@ equivalences: a bijection between full subsets of the two systems that
 intertwines the restricted transformation groupoids.  Everything here
 is exact and finite, so every claimed identity is verified pointwise.
 
-Homology of the finite transformation groupoids (constant coefficients)
-is computed from the face maps of composable tuples; restricting to a
-full subset must not change it, and morita_invariance_check tests that.
+Every groupoid here is the transformation groupoid G⋉X of a finite
+action, possibly restricted to a subset of its units.  Its homology with
+constant coefficients is that of its nerve, assembled by the engine that
+builds the group tables (homology.Nerve); by Shapiro's lemma it is the
+group homology with coefficients Z[X].  Restricting to a full subset
+must not change it, and morita_invariance_check tests that.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidElementError
 from .groups import Group, ProductGroup
-from .homology import (_certified_smith, _check_homology_ring,
-                       _face_sum_matrix, _homology_table)
+from .homology import (Nerve, _certified_smith, _check_homology_ring,
+                       _homology_table)
 
 
 class FiniteAction:
@@ -520,94 +523,47 @@ def kakutani_to_couple(kak: KakutaniData) -> OrbitCouple:
 # -- finite groupoids and their (co)homology ----------------------------------
 
 class FiniteGroupoid:
-    """Arrows with range/source over a finite unit space; composition
-    partial.  Arrows and units are opaque hashables."""
+    """The transformation groupoid G⋉X of a finite action, restricted to
+    a subset of its units: arrows (x, g) with range x and source g^-1.x,
+    both units, composing (x, g1)(g1^-1.x, g2) = (x, g1 g2).  The units
+    keep the order of act.points."""
 
-    def __init__(self, units, arrows, r, s, compose, inv, unit_arrow):
-        self.units = sorted(units, key=repr)
-        self.arrows = sorted(arrows, key=repr)
-        self.r = r
-        self.s = s
-        self.compose = compose
-        self.inv = inv
-        self.unit_arrow = unit_arrow
+    def __init__(self, act: FiniteAction, units):
+        sub = set(units)
+        self.action = act
+        self.units = [x for x in act.points if x in sub]
+
+    def nerve(self) -> Nerve:
+        """The nerve whose boundaries the (co)homology tables read, with
+        the elements sorted by repr."""
+        G = self.action.group
+        return Nerve(G, self.units, sorted(G.elements(), key=repr),
+                     self.action)
 
     def validate(self) -> bool:
-        for a in self.arrows:
-            if self.r(a) not in set(self.units):
-                return False
-            b = self.inv(a)
-            if self.r(b) != self.s(a) or self.s(b) != self.r(a):
-                return False
-            if self.compose(a, b) != self.unit_arrow(self.r(a)):
-                return False
+        """Every arrow (x, g) has the inverse (g^-1.x, g^-1): it runs from
+        the source back to the range, and composes with the arrow to the
+        unit arrow (x, e)."""
+        act, G = self.action, self.action.group
+        units, e = set(self.units), G.identity()
+        for x in self.units:
+            for g in G.elements():
+                gi = G.inv(g)
+                s = act(gi, x)
+                if s in units and (act(G.inv(gi), s) != x
+                                   or G.mul(g, gi) != e):
+                    return False
         return True
-
-    def composable_tuples(self, n):
-        if n == 0:
-            return [(u,) for u in self.units]
-        by_r = {}
-        for a in self.arrows:
-            by_r.setdefault(self.r(a), []).append(a)
-        tuples = [(a,) for a in self.arrows]
-        for _ in range(n - 1):
-            tuples = [t + (b,) for t in tuples
-                      for b in by_r.get(self.s(t[-1]), [])]
-        return tuples
 
 
 def action_groupoid(act: FiniteAction) -> FiniteGroupoid:
-    """Transformation groupoid of the action, arrows (x, g) with
-    r = x and s = g^-1.x, composing (x, g1)(g1^-1.x, g2) = (x, g1 g2)."""
-    G = act.group
-    units = list(act.points)
-    arrows = [(x, g) for x in act.points for g in G.elements()]
-
-    def r(a):
-        return a[0]
-
-    def s(a):
-        return act(G.inv(a[1]), a[0])
-
-    def compose(a, b):
-        if s(a) != r(b):
-            raise InvalidElementError("arrows are not composable")
-        return (a[0], G.mul(a[1], b[1]))
-
-    def inv(a):
-        return (s(a), G.inv(a[1]))
-
-    def unit_arrow(u):
-        return (u, G.identity())
-
-    return FiniteGroupoid(units, arrows, r, s, compose, inv, unit_arrow)
+    """Transformation groupoid of the action, on all of its units."""
+    return FiniteGroupoid(act, act.points)
 
 
 def restrict_groupoid(gpd: FiniteGroupoid, subset) -> FiniteGroupoid:
     """Arrows with both endpoints in the subset; same operations."""
-    sub = set(subset)
-    units = [u for u in gpd.units if u in sub]
-    arrows = [a for a in gpd.arrows
-              if gpd.r(a) in sub and gpd.s(a) in sub]
-    return FiniteGroupoid(units, arrows, gpd.r, gpd.s, gpd.compose,
-                          gpd.inv, gpd.unit_arrow)
-
-
-def _groupoid_boundary_matrix(gpd: FiniteGroupoid, n: int):
-    """Rows: (n-1)-tuples (units for n = 1); columns: n-tuples; entries
-    by the alternating face sum with constant coefficients."""
-    rows = gpd.composable_tuples(n - 1)
-
-    def faces(t):
-        if n == 1:
-            return [(gpd.s(t[0]),), (gpd.r(t[0]),)]
-        return ([t[1:]]
-                + [t[:i] + (gpd.compose(t[i], t[i + 1]),) + t[i + 2:]
-                   for i in range(n - 1)]
-                + [t[:-1]])
-
-    return _face_sum_matrix(gpd.composable_tuples(n),
-                            {t: i for i, t in enumerate(rows)}, faces)
+    return FiniteGroupoid(gpd.action, set(gpd.units) & set(subset))
 
 
 def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
@@ -620,8 +576,9 @@ def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
     tests lean on that oracle.
     """
     _check_homology_ring(ring_name)
+    nerve = gpd.nerve()
     return _homology_table(ring_name, (
-        _certified_smith(_groupoid_boundary_matrix(gpd, n))
+        _certified_smith(nerve.boundary(n)[0])
         for n in range(1, max_degree + 2)))
 
 
@@ -631,8 +588,9 @@ def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
     evaluates functions on n-tuples against the faces of (n+1)-tuples,
     so its matrix is the transpose of the boundary one degree up."""
     _check_homology_ring(ring_name)
+    nerve = gpd.nerve()
     return _homology_table(ring_name, (
-        _certified_smith(_groupoid_boundary_matrix(gpd, n).T)
+        _certified_smith(nerve.boundary(n)[0].T)
         for n in range(1, max_degree + 2)), cohomology=True)
 
 

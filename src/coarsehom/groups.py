@@ -33,6 +33,7 @@ balls are prefixes of it.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from operator import add, neg
 
@@ -209,6 +210,7 @@ class Group:
         A fresh list on every call.  At the default cap the largest ball
         enumerated so far is memoized and smaller balls are sliced from
         it; another cap enumerates afresh and leaves the memo alone.
+        ``r = math.inf`` gives the whole of a finite group.
 
         >>> IntLattice(1).ball(2)
         [(0,), (1,), (-1,), (2,), (-2,)]
@@ -260,10 +262,11 @@ class Group:
             yield from sorted(sphere, key=self.sort_key)
 
     def elements(self):
-        """All elements of a finite group, in enumeration order."""
+        """All elements of a finite group, in enumeration order: the
+        whole group is one ball, served from the ball memo."""
         if not self.is_finite():
             raise ResourceLimitError("elements() needs a finite group")
-        return list(self.enumerate_elements())
+        return self.ball(math.inf)
 
     def order(self):
         return len(self.elements())

@@ -7,12 +7,18 @@ the next.  Everything downstream — betti numbers, torsion, kernel
 coordinates, boundary solving, induced maps on homology — is read off
 that one decomposition, so a verified certificate certifies the lot.
 
-Basis order contract: a degree-n chain space over a finite group G with
-module "group-ring" has basis points (x, (g_1..g_n)) ordered by the
-ball order of x, then lexicographically by the ball order of each g_i,
-then by coefficient index; module "trivial" drops the x coordinate.
-The ball order itself is (word length, family sort key), fixed by the
-group.  All matrices and reports refer to this order.
+Nerve contract: every finite complex is the nerve of an action groupoid
+G⋉X on an ordered list of units X and an ordered list of elements of G.
+A degree-n basis point is (x, (g_1..g_n)) with every vertex
+x_i = g_i^-1.x_{i-1} a unit; points are ordered by x, then
+lexicographically by each g_i, then by coefficient index.  Face 0 is
+(g_1^-1.x, (g_2..g_n)), face i < n merges g_i g_{i+1}, face n drops g_n;
+face i has sign (-1)^i.  Group tables take X = G under left translation
+(module "group-ring") or X one point (module "trivial"), units and
+elements both in ball order, (word length, family sort key); groupoid
+tables take the units of the groupoid in the action's point order and
+the elements sorted by repr.  All matrices and reports refer to this
+order.
 """
 
 from __future__ import annotations
@@ -428,51 +434,94 @@ def bareiss_det(A) -> int:
     return sign * M[n - 1][n - 1]
 
 
-# -- boundary matrices over explicit bases -----------------------------------
+# -- boundary matrices of nerves ---------------------------------------------
 
 class ChainBasis:
-    """Ordered basis of a degree-n chain space over a finite group.
+    """Ordered basis of a degree-n chain space: its points and their
+    positions.  Index = point position * rank + coefficient index."""
 
-    module "group-ring": points (x, gvec); module "trivial": tuples gvec
-    only.  Index = point position * rank + coefficient index.
-    """
-
-    def __init__(self, group: Group, degree: int, module: str, rank: int):
-        if module not in ("group-ring", "trivial"):
-            raise InvalidElementError(
-                f"unknown module {module!r}; use 'group-ring' or 'trivial'")
-        if not group.is_finite():
-            raise ResourceLimitError(
-                "chain bases require a finite group", cap=None)
-        self.group = group
-        self.degree = degree
-        self.module = module
+    def __init__(self, points, rank: int):
+        self.points = points
+        self.index = {p: i for i, p in enumerate(points)}
         self.rank = rank
-        els = group.elements()
-        tuples = [()]
-        for _ in range(degree):
-            tuples = [t + (g,) for t in tuples for g in els]
-        if module == "group-ring":
-            self.points = [(x, gv) for x in els for gv in tuples]
-        else:
-            self.points = tuples
-        self.index = {p: i for i, p in enumerate(self.points)}
 
     def __len__(self):
         return len(self.points) * self.rank
+
+
+class Nerve:
+    """Nerve of the action groupoid G⋉X of a finite action (act(g, x) =
+    g.x) on ordered lists of units and elements, with the points, order
+    and faces of the nerve contract above."""
+
+    def __init__(self, group: Group, units, elements, act):
+        self.group = group
+        self.units = list(units)
+        self.elements = list(elements)
+        # (g, x) -> g^-1.x, computed once
+        self.back = {(g, x): act(group.inv(g), x)
+                     for g in self.elements for x in self.units}
+        self._e = group.identity()
+
+    def points(self, degree: int):
+        """The degree-n points, in the order of the contract."""
+        unitset = set(self.units)
+        walks = [(x, (), x) for x in self.units]     # (x, gvec, last vertex)
+        for _ in range(degree):
+            walks = [(x, gvec + (g,), y) for x, gvec, v in walks
+                     for g in self.elements
+                     if (y := self.back[(g, v)]) in unitset]
+        return [(x, gvec) for x, gvec, _ in walks]
+
+    def faces(self, point):
+        # face 0 moves x by the action; the others keep x and take the
+        # tuple parts of the group faces
+        x, gvec = point
+        rest = _faces(self.group, self._e, gvec)
+        return ([(self.back[(gvec[0], x)], gvec[1:])]
+                + [(x, fg) for _, fg in rest[1:]])
+
+    def boundary(self, degree: int, rank: int = 1):
+        """(matrix, row basis, column basis) of the degree-n boundary;
+        degree 0 gives a 0 x dim matrix and no row basis."""
+        col = ChainBasis(self.points(degree), rank)
+        if degree == 0:
+            return np.zeros((0, len(col)), dtype=np.int64), None, col
+        row = ChainBasis(self.points(degree - 1), rank)
+        return (_face_sum_matrix(col.points, row.index, self.faces, rank),
+                row, col)
+
+
+def _module_nerve(group: Group, module: str) -> Nerve:
+    """The nerve whose chains are the bar complex of the group with
+    coefficients in the module: "group-ring" is the translation action
+    of the group on itself, "trivial" the action on one point.  Units and
+    elements are in ball order; an infinite group raises
+    ResourceLimitError from elements()."""
+    if module not in ("group-ring", "trivial"):
+        raise InvalidElementError(
+            f"unknown module {module!r}; use 'group-ring' or 'trivial'")
+    els = group.elements()
+    if module == "group-ring":
+        return Nerve(group, els, els, group.mul)
+    return Nerve(group, ["pt"], els, lambda g, x: x)
 
 
 def _face_sum_matrix(cols, row_index, faces, rank=1):
     """Alternating face sums over ordered bases: column key k gets sign
     (-1)^i at row_index[f] for the i-th face f in faces(k), written as
     a rank x rank identity block."""
-    M = np.zeros((len(row_index) * rank, len(cols) * rank), dtype=np.int64)
+    rows, at, signs = [], [], []
     for ci, key in enumerate(cols):
         for i, f in enumerate(faces(key)):
-            s = 1 if i % 2 == 0 else -1
-            ri = row_index[f]
-            for j in range(rank):
-                M[ri * rank + j, ci * rank + j] += s
+            rows.append(row_index[f])
+            at.append(ci)
+            signs.append(-1 if i & 1 else 1)
+    M = np.zeros((len(row_index) * rank, len(cols) * rank), dtype=np.int64)
+    rows = np.array(rows, dtype=np.int64) * rank
+    at = np.array(at, dtype=np.int64) * rank
+    for j in range(rank):
+        np.add.at(M, (rows + j, at + j), signs)
     return M
 
 
@@ -484,31 +533,9 @@ def assemble_boundary_matrix(group: Group, degree: int,
     Returns {"matrix", "row_basis", "col_basis", "degree", "module"};
     degree 0 gives a 0 x dim matrix (the boundary out of degree 0 is 0).
     """
-    col = ChainBasis(group, degree, module, rank)
-    if degree == 0:
-        return {"matrix": np.zeros((0, len(col)), dtype=np.int64),
-                "row_basis": None, "col_basis": col,
-                "degree": degree, "module": module}
-    row = ChainBasis(group, degree - 1, module, rank)
-    M = _face_sum_matrix(col.points, row.index, _basis_faces(group, module),
-                         rank)
+    M, row, col = _module_nerve(group, module).boundary(degree, rank)
     return {"matrix": M, "row_basis": row, "col_basis": col,
             "degree": degree, "module": module}
-
-
-def _basis_faces(group: Group, module: str):
-    """Faces of a chain-space basis point of the module, face i taking
-    sign (-1)^i."""
-    if module == "group-ring":
-        def faces(p):
-            return _faces(group, p[0], p[1])
-    else:
-        # the trivial module keeps only the tuple part of each face
-        e = group.identity()
-
-        def faces(gvec):
-            return [fg for _, fg in _faces(group, e, gvec)]
-    return faces
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -632,12 +659,12 @@ def _coinvariants_row(row: dict, group: Group, module: str,
                       rank: int) -> dict:
     """The h0_coinvariants report from row, the degree-0 row of a
     homology table of the group."""
-    points = ChainBasis(group, 0, module, 1).index
-    faces = _basis_faces(group, module)
+    nerve = _module_nerve(group, module)
+    points = {p: i for i, p in enumerate(nerve.points(0))}
     # components of the points, then one copy per coefficient index
     orbits = rank * _component_count(
-        len(points), ([points[f] for f in faces(p)]
-                      for p in ChainBasis(group, 1, module, 1).points))
+        len(points), ([points[f] for f in nerve.faces(p)]
+                      for p in nerve.points(1)))
     return dict(row, orbit_count=orbits,
                 agrees=row["betti"] == orbits and not row["torsion"])
 

@@ -163,14 +163,22 @@ class FinSupFun:
     def from_json(cls, group: Group, obj) -> "FinSupFun":
         ring = ring_from_name(obj["ring"])
         rank = obj["rank"]
-        data = {}
+        out = cls(group, ring, rank)
+        seen = set()
         for nf, coeffs in obj["support"]:
+            # element_from_json checks g once; _acc trusts it
             g = group.element_from_json(nf)
-            if g in data:
+            if g in seen:
                 raise InvalidElementError(
                     f"duplicate support point {nf!r} in function JSON")
-            data[g] = tuple(ring.scalar_from_json(c) for c in coeffs)
-        return cls(group, ring, rank, data)
+            seen.add(g)
+            if len(coeffs) != rank:
+                raise InvalidElementError(
+                    f"value {coeffs!r} has length {len(coeffs)}, expected "
+                    f"rank {rank}")
+            out._acc(g, tuple(ring.normalize(ring.scalar_from_json(c))
+                              for c in coeffs))
+        return out
 
 
 def delta(group: Group, ring: Ring, rank: int, g, coeffs=None) -> FinSupFun:

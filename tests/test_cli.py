@@ -303,3 +303,20 @@ def test_chain_suite_enumerates_its_ball_once(monkeypatch):
                              "seed": 1})
     assert report["body"]["pass"]
     assert [n for _, n in runs] == [4]      # ball(3): spheres 0..3
+
+
+@pytest.mark.parametrize("config,count", [
+    # the two translation systems and the couple's two groups
+    ({"experiment": "morita-check"}, 4),
+    ({"experiment": "homology-finite", "group": "D3", "max_degree": 2}, 1),
+    # G, H and the product acting in each of the two coupling checks
+    ({"experiment": "dynamics-roundtrip", "scenario": "dihedral-flip"}, 4),
+    ({"experiment": "dynamics-roundtrip", "scenario": "z4-z2-kakutani"}, 2),
+])
+def test_finite_group_reports_enumerate_each_group_once(monkeypatch, config,
+                                                        count):
+    runs = _spheres_runs(monkeypatch)
+    assert all(v["pass"] for v in run_experiment(config)["body"]["verdicts"])
+    # elements() of a finite group is its whole ball, served from the
+    # memo, so each group instance enumerates once
+    assert len(runs) == count

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsehom import homology
 from coarsehom.complexes import Chain, boundary
-from coarsehom.dynamics import (_groupoid_boundary_matrix, action_groupoid,
-                                translation_action)
+from coarsehom.dynamics import action_groupoid, translation_action
 from coarsehom.errors import (InvalidElementError, NotACycleError,
                               ResourceLimitError)
 from coarsehom.gallery import get_map
@@ -229,8 +228,8 @@ PINNED_SMITH = {
          "divisors": "0d0ec4056df7cbdc06c1ba5e58450d4b"
                      "4546ef7953ad1e4af2412d50fd5b6d96"}),
     "z4-translation-groupoid-d2": (
-        lambda: _groupoid_boundary_matrix(
-            action_groupoid(translation_action(cyclic_group(4))), 2),
+        lambda: action_groupoid(translation_action(cyclic_group(4)))
+        .nerve().boundary(2)[0],
         {"U": "ee2b9158270759ebb1a30456780ad5ca"
               "f8435a8e855c3143904305a03bee06b6",
          "V": "72de83c8f6a324cbede1a8910e897b41"
@@ -388,6 +387,23 @@ def test_boundary_matrix_squares_to_zero():
             d2 = assemble_boundary_matrix(G, 2, module=module)["matrix"]
             prod = np.asarray(d1, dtype=object) @ np.asarray(d2, dtype=object)
             assert np.all(prod == 0)
+
+
+@given(st.integers(0, 5), st.integers(0, 6), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_face_sum_matrix_matches_entrywise_loop(nrows, ncols, rank, data):
+    """The scattered face sums against the entry-by-entry loop they
+    replaced, repeated faces (which add up or cancel) included."""
+    faces = [data.draw(st.lists(st.integers(0, nrows - 1), max_size=4))
+             if nrows else [] for _ in range(ncols)]
+    want = np.zeros((nrows * rank, ncols * rank), dtype=np.int64)
+    for ci, fs in enumerate(faces):
+        for i, ri in enumerate(fs):
+            for j in range(rank):
+                want[ri * rank + j, ci * rank + j] += (-1) ** i
+    got = homology._face_sum_matrix(range(ncols), list(range(nrows)),
+                                    faces.__getitem__, rank)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_matrix_json_roundtrip():

@@ -8,7 +8,7 @@ from coarsehom.coarsemaps import CoarseMap, section
 from coarsehom.errors import GroupMismatchError, InvalidElementError, \
     ResourceLimitError
 from coarsehom.gallery import get_map
-from coarsehom.groups import IntLattice, cyclic_group
+from coarsehom.groups import Group, IntLattice, cyclic_group
 from coarsehom.resmodules import FinSupFun, ModuleTag, delta, \
     module_image_tag, phi_inv_membership, pull_push_identity, \
     pull_span_identity, pullback, push_span_generators, pushforward, \
@@ -198,6 +198,22 @@ def test_function_entry_points_reject_bad_input(g, v):
     with pytest.raises(InvalidElementError):
         delta(Z, ZR, 1, g, v)
     assert f.is_zero()
+
+
+def test_function_json_checks_each_point_once(monkeypatch):
+    calls = []
+    real = Group.check_element
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(Group, "check_element", counted)
+    f = FinSupFun(Z, ZR, 2, {(0,): (1, 2), (3,): (0, -1), (-4,): (5, 0)})
+    j = f.to_json()
+    calls.clear()
+    assert FinSupFun.from_json(Z, j) == f
+    assert sorted(calls) == sorted(f.data)
 
 
 def test_function_translate_and_json_reject_bad_input():
