@@ -566,6 +566,16 @@ def restrict_groupoid(gpd: FiniteGroupoid, subset) -> FiniteGroupoid:
     return FiniteGroupoid(gpd.action, set(gpd.units) & set(subset))
 
 
+def _groupoid_smiths(gpd: FiniteGroupoid, max_degree: int,
+                     ring_name: str):
+    """The certified Smith forms of d_1..d_{N+1} of the groupoid's nerve,
+    which its homology and cohomology tables both read."""
+    _check_homology_ring(ring_name)
+    nerve = gpd.nerve()
+    return [_certified_smith(nerve.boundary(n)[0])
+            for n in range(1, max_degree + 2)]
+
+
 def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
                              ring_name: str = "Z"):
     """Homology of the finite groupoid with constant coefficients, read
@@ -575,30 +585,30 @@ def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
     per orbit: betti_0 = number of orbits, all higher groups zero; the
     tests lean on that oracle.
     """
-    _check_homology_ring(ring_name)
-    nerve = gpd.nerve()
-    return _homology_table(ring_name, (
-        _certified_smith(nerve.boundary(n)[0])
-        for n in range(1, max_degree + 2)))
+    return _homology_table(ring_name,
+                           _groupoid_smiths(gpd, max_degree, ring_name))
 
 
 def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
                                ring_name: str = "Z"):
     """Cohomology with constant coefficients: the degree-n coboundary
     evaluates functions on n-tuples against the faces of (n+1)-tuples,
-    so its matrix is the transpose of the boundary one degree up."""
-    _check_homology_ring(ring_name)
-    nerve = gpd.nerve()
-    return _homology_table(ring_name, (
-        _certified_smith(nerve.boundary(n)[0].T)
-        for n in range(1, max_degree + 2)), cohomology=True)
+    so its matrix is the transpose of the boundary one degree up.  A
+    matrix and its transpose have the same divisors (V^T A^T U^T = D^T
+    certifies the one form for both), so by the universal coefficient
+    theorem the table is read off the homology's forms of d_n."""
+    return _homology_table(ring_name,
+                           _groupoid_smiths(gpd, max_degree, ring_name),
+                           cohomology=True)
 
 
 def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
                             ring_name: str = "Z") -> dict:
     """Homology and cohomology of the transformation groupoid against
     its restriction to a full subset; Morita invariance says they must
-    agree degree by degree."""
+    agree degree by degree.  Both tables of a groupoid read one list of
+    Smith forms, so the cohomology verdict follows from the homology
+    one."""
     sub = set(subset)
     full = all(any(act(g, x) in sub for g in act.group.elements())
                for x in act.points)
@@ -606,11 +616,13 @@ def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
         raise InvalidElementError(
             "the subset must meet every orbit (be full)")
     big = action_groupoid(act)
-    small = restrict_groupoid(big, subset)
-    h_big = groupoid_homology_finite(big, max_degree, ring_name)
-    h_small = groupoid_homology_finite(small, max_degree, ring_name)
-    c_big = groupoid_cohomology_finite(big, max_degree, ring_name)
-    c_small = groupoid_cohomology_finite(small, max_degree, ring_name)
+    forms_big = _groupoid_smiths(big, max_degree, ring_name)
+    forms_small = _groupoid_smiths(restrict_groupoid(big, subset),
+                                   max_degree, ring_name)
+    h_big, h_small = (_homology_table(ring_name, forms)
+                      for forms in (forms_big, forms_small))
+    c_big, c_small = (_homology_table(ring_name, forms, cohomology=True)
+                      for forms in (forms_big, forms_small))
     hom_eq = h_big == h_small
     coh_eq = c_big == c_small
     return {"subset_size": len(sub), "units": len(act.points),

@@ -411,29 +411,6 @@ def smith_normal_form(A) -> SNFResult:
     return SNFResult(U, V, Vinv, divisors, (r, c))
 
 
-def bareiss_det(A) -> int:
-    """Fraction-free determinant, for unimodularity spot checks."""
-    M = [[int(v) for v in row] for row in np.asarray(A, dtype=object)]
-    n = len(M)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 # -- boundary matrices of nerves ---------------------------------------------
 
 class ChainBasis:
@@ -462,16 +439,23 @@ class Nerve:
         self.back = {(g, x): act(group.inv(g), x)
                      for g in self.elements for x in self.units}
         self._e = group.identity()
+        self._unitset = set(self.units)
+        # the walks of degrees 0, 1, ... built so far: (x, gvec, last
+        # vertex), so each degree is walked once per nerve
+        self._walks = [[(x, (), x) for x in self.units]]
+
+    def _step(self, walks):
+        """The walks one degree up: each walk extended by every element
+        that takes its last vertex to a unit."""
+        return [(x, gvec + (g,), y) for x, gvec, v in walks
+                for g in self.elements
+                if (y := self.back[(g, v)]) in self._unitset]
 
     def points(self, degree: int):
         """The degree-n points, in the order of the contract."""
-        unitset = set(self.units)
-        walks = [(x, (), x) for x in self.units]     # (x, gvec, last vertex)
-        for _ in range(degree):
-            walks = [(x, gvec + (g,), y) for x, gvec, v in walks
-                     for g in self.elements
-                     if (y := self.back[(g, v)]) in unitset]
-        return [(x, gvec) for x, gvec, _ in walks]
+        while len(self._walks) <= degree:
+            self._walks.append(self._step(self._walks[-1]))
+        return [(x, gvec) for x, gvec, _ in self._walks[degree]]
 
     def faces(self, point):
         # face 0 moves x by the action; the others keep x and take the
@@ -483,7 +467,8 @@ class Nerve:
 
     def boundary(self, degree: int, rank: int = 1):
         """(matrix, row basis, column basis) of the degree-n boundary;
-        degree 0 gives a 0 x dim matrix and no row basis."""
+        degree 0 gives a 0 x dim matrix and no row basis.  The row basis
+        is read from the walks that reached degree n."""
         col = ChainBasis(self.points(degree), rank)
         if degree == 0:
             return np.zeros((0, len(col)), dtype=np.int64), None, col
@@ -538,44 +523,20 @@ def assemble_boundary_matrix(group: Group, degree: int,
             "degree": degree, "module": module}
 
 
-def matrix_to_json(mat: np.ndarray) -> dict:
-    """Sparse triplet form: entries as "row col value" strings."""
-    entries = [f"{int(i)} {int(j)} {int(mat[i, j])}"
-               for i, j in np.argwhere(np.asarray(mat) != 0)]
-    return {"rows": int(mat.shape[0]), "cols": int(mat.shape[1]),
-            "entries": entries}
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    M = np.zeros((obj["rows"], obj["cols"]), dtype=np.int64)
-    for line in obj["entries"]:
-        i, j, v = line.split()
-        M[int(i), int(j)] = int(v)
-    return M
-
-
 # -- homology of finite complexes ---------------------------------------------
 
-_SUPPORTED_RINGS = ("Z", "Q")
-
-
 def _check_homology_ring(ring_name: str):
-    if ring_name in _SUPPORTED_RINGS:
-        return
-    if ring_name.startswith("Z/"):
-        m = int(ring_name[2:])
-        ring_from_name(ring_name)
-        probe = 2
-        while probe * probe <= m:
-            if m % probe == 0:
-                raise InvalidElementError(
-                    f"homology over Z/{m} is not supported: the modulus "
-                    f"must be prime (Z/{m} is not a PID)")
-            probe += 1
-        if m < 2:
-            raise InvalidElementError("modulus must be at least 2")
-        return
-    raise InvalidElementError(f"unsupported homology ring {ring_name!r}")
+    """Tables are read over Z and over fields (Q and Z/p, p prime); any
+    other name raises InvalidElementError."""
+    try:
+        ring = ring_from_name(ring_name)
+    except ValueError:
+        raise InvalidElementError(
+            f"unsupported homology ring {ring_name!r}") from None
+    if ring_name != "Z" and not ring.is_field:
+        raise InvalidElementError(
+            f"homology over {ring_name} is not supported: the modulus "
+            f"must be prime ({ring_name} is not a PID)")
 
 
 def _rank_over(ring_name: str, divisors) -> int:
@@ -603,13 +564,16 @@ def _homology_table(ring_name: str, smiths, cohomology: bool = False):
     One integer Smith form per boundary serves every ring: over Z the
     divisors give betti and torsion, over Q only ranks matter, over a
     prime field Z/p ranks count divisors prime to p.  Cohomology reads
-    the forms of the transposes d_n^T : C^{n-1} -> C^n, so in degree n
-    the map leaving is d_{n+1}^T and the one entering d_n^T.
+    the same forms: the coboundary d_n^T : C^{n-1} -> C^n has the
+    divisors of d_n, so in degree n the map leaving is d_{n+1}^T and the
+    one entering d_n^T.  That is the universal coefficient theorem for a
+    finite free complex: H^n has the betti number of H_n and the torsion
+    of H_{n-1}.
     """
     divisors, dims = [[]], []     # nonzero divisors of d_n; dim C_{n-1}
     for snf in smiths:
         divisors.append(snf.elementary_divisors())
-        dims.append(snf.shape[1 if cohomology else 0])
+        dims.append(snf.shape[0])
     table = []
     for n, dim in enumerate(dims):
         leaving, entering = divisors[n], divisors[n + 1]
@@ -774,22 +738,25 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     """
     G, H = phi.source, phi.target
     per_degree = []
-    asm_G = {n: assemble_boundary_matrix(G, n, rank=rank)
-             for n in range(max_degree + 2)}
-    asm_H = {n: assemble_boundary_matrix(H, n, rank=rank)
-             for n in range(max_degree + 2)}
-    snf_G = [_certified_smith(asm_G[n]["matrix"])
-             for n in range(max_degree + 2)]
-    snf_H = [_certified_smith(asm_H[n]["matrix"])
-             for n in range(max_degree + 2)]
+
+    def boundaries(group):
+        # d_0..d_{N+1} and the bases of C_0..C_{N+1}, from one nerve
+        nerve = _module_nerve(group, "group-ring")
+        out = [nerve.boundary(n, rank) for n in range(max_degree + 2)]
+        return [M for M, _, _ in out], [col for _, _, col in out]
+
+    d_G, basis_G = boundaries(G)
+    d_H, basis_H = boundaries(H)
+    snf_G = [_certified_smith(M) for M in d_G]
+    snf_H = [_certified_smith(M) for M in d_H]
     # H_n of each side, read off the same forms as every homology table
     st_G, st_H = ([{"betti": row["betti"], "torsion": row["torsion"]}
                    for row in _homology_table("Z", snfs[1:])]
                   for snfs in (snf_G, snf_H))
 
     def chain_matrix(n):
-        colb = asm_G[n]["col_basis"]
-        rowb = asm_H[n]["col_basis"]
+        colb = basis_G[n]
+        rowb = basis_H[n]
         M = np.zeros((len(rowb), len(colb)), dtype=np.int64)
         for ci, (x, gvec) in enumerate(colb.points):
             y, hvec = _image_point(phi, x, gvec)
@@ -801,13 +768,13 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     D = {n: chain_matrix(n) for n in range(max_degree + 1)}
     for n in range(max_degree + 1):
         sG, sH = snf_G[n], snf_H[n]
-        dimH = asm_H[n]["matrix"].shape[1]
+        dimH = d_H[n].shape[1]
         chain_ok = True
         if n >= 1:
-            lhs = np.asarray(asm_H[n]["matrix"], dtype=object) @ \
+            lhs = np.asarray(d_H[n], dtype=object) @ \
                 np.asarray(D[n], dtype=object)
             rhs = np.asarray(D[n - 1], dtype=object) @ \
-                np.asarray(asm_G[n]["matrix"], dtype=object)
+                np.asarray(d_G[n], dtype=object)
             chain_ok = bool(np.all(lhs == rhs))
 
         kerG = sG.kernel_basis()          # dimG x kG
@@ -816,7 +783,7 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
         # presentation of H_n(target): the next boundary in kernel
         # coordinates
         P_H = (np.asarray(sH.Vinv, dtype=object)
-               @ np.asarray(asm_H[n + 1]["matrix"], dtype=object))[sH.rank:, :]
+               @ np.asarray(d_H[n + 1], dtype=object))[sH.rank:, :]
 
         # push each source kernel generator through D_n, read in target
         # kernel coordinates

@@ -114,27 +114,6 @@ def zd_ball_count(d: int, r: int) -> int:
     return sum(zd_ball_count(d - 1, r - abs(k)) for k in range(-r, r + 1))
 
 
-def perm_det(rows) -> int:
-    """Determinant straight from the Leibniz formula, for small
-    matrices; each permutation contributes its sign times the product
-    along it."""
-    from itertools import permutations
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
-
-
 def reverse_scan(phi, radius: int, r: int):
     """best[c], arg[c] for c <= r, pair by pair: best[c] is the largest
     source length |s t^-1| over pairs (s, t) of ball(radius) whose target

@@ -177,6 +177,20 @@ def test_infinite_group_exits_two(config):
     assert "infinite" in res.output
 
 
+@pytest.mark.parametrize("ring", ["Z/1", "Z/x", "Z/4", "R"])
+def test_unsupported_homology_ring_exits_two(ring):
+    # Z/1 and Z/x fail to parse, Z/4 is not a PID, R is not a ring name:
+    # all four are the same config error
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("c.json", "w") as fh:
+            json.dump({"experiment": "homology-finite", "ring": ring}, fh)
+        res = runner.invoke(main, ["run", "--config", "c.json"],
+                            catch_exceptions=False)
+    assert res.exit_code == 2, res.output
+    assert "InvalidElementError" in res.output
+
+
 def test_bad_cap_value_exits_two():
     res = CliRunner().invoke(
         main, ["run", "--experiment", "omega-build"],

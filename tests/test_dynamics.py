@@ -1,9 +1,12 @@
 """The finite dictionary: couplings, orbit couples, Kakutani data, and
 transformation-groupoid (co)homology, with frozen tables and oracles."""
 
+import numpy as np
 import pytest
 
 from coarsehom import dynamics as dy
+from coarsehom import homology
+from coarsehom.cli import run_experiment
 from coarsehom.errors import InvalidElementError
 from coarsehom.groups import cyclic_group, finite_dihedral
 
@@ -264,6 +267,43 @@ def test_morita_restriction_agrees():
     assert mor["subset_size"] == 4 and mor["units"] == 8
     assert mor["homology_full"] == mor["homology_restricted"]
     assert mor["cohomology_full"] == mor["cohomology_restricted"]
+
+
+def _smith_inputs(monkeypatch):
+    """The matrices handed to smith_normal_form from here on."""
+    seen, real = [], homology.smith_normal_form
+
+    def spy(A):
+        seen.append(np.array(A))
+        return real(A)
+
+    monkeypatch.setattr(homology, "smith_normal_form", spy)
+    return seen
+
+
+def test_morita_reduces_each_boundary_of_each_groupoid_once(monkeypatch):
+    coup = dy.product_coupling(C4, C2)
+    act = coup.combined_action()
+    seen = _smith_inputs(monkeypatch)
+    assert dy.morita_invariance_check(act, coup.xbar, max_degree=1)["ok"]
+    big = dy.action_groupoid(act)
+    want = [gpd.nerve().boundary(n)[0]
+            for gpd in (big, dy.restrict_groupoid(big, coup.xbar))
+            for n in (1, 2)]
+    # d_1, d_2 of the full groupoid, then of the restricted one; no
+    # transposes
+    assert len(seen) == len(want) == 4
+    assert all(a.shape == b.shape and np.array_equal(a, b)
+               for a, b in zip(seen, want))
+
+
+def test_default_morita_report_makes_sixteen_smith_calls(monkeypatch):
+    # 3 + 3 for the two translation groupoids and 3 + 3 for the two
+    # restricted ones (max degree 2), then 2 + 2 for the Morita check
+    # (max degree 1), whose tables of each groupoid share their forms
+    seen = _smith_inputs(monkeypatch)
+    assert run_experiment({"experiment": "morita-check"})["body"]["pass"]
+    assert len(seen) == 16
 
 
 def test_morita_rejects_non_full_subset():

@@ -15,9 +15,8 @@ from coarsehom.errors import (InvalidElementError, NotACycleError,
 from coarsehom.gallery import get_map
 from coarsehom.groups import IntLattice, cyclic_group, trivial_group
 from coarsehom.homology import (_component_count, assemble_boundary_matrix,
-                                bareiss_det, h0_coinvariants, homology_finite,
+                                h0_coinvariants, homology_finite,
                                 induced_map_on_homology, is_boundary_window,
-                                matrix_from_json, matrix_to_json,
                                 smith_normal_form)
 from coarsehom.rings import ring_from_name
 
@@ -301,20 +300,6 @@ def test_kernel_coordinates_rejects_non_kernel_vector():
         s.kernel_coordinates([1, 0])
 
 
-def test_bareiss_det_frozen():
-    assert bareiss_det(np.array([[1, 2], [3, 4]])) == -2
-    assert bareiss_det(np.array([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == 30
-    assert bareiss_det(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
-
-
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=3, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_bareiss_det_matches_leibniz(rows):
-    assert bareiss_det(np.array(rows, dtype=np.int64)) == \
-        oracles.perm_det(rows)
-
-
 # -- homology of finite complexes ---------------------------------------------
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -356,6 +341,20 @@ def test_homology_ring_restrictions():
         homology_finite(cyclic_group(2), 1, ring_name="Z/4")
     with pytest.raises(InvalidElementError):
         homology_finite(cyclic_group(2), 1, ring_name="Z/6")
+
+
+@pytest.mark.parametrize("ring", ["Z/0", "Z/1", "Z/-3", "Z/x", "R", "Z/4",
+                                  "Z/6"])
+def test_homology_rejects_rings_other_than_z_and_fields(ring):
+    # one error type for every rejected name, malformed moduli included
+    with pytest.raises(InvalidElementError):
+        homology_finite(cyclic_group(2), 1, ring_name=ring)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "Z/2", "Z/7"])
+def test_homology_accepts_z_and_fields(ring):
+    assert [h["ring"] for h in homology_finite(cyclic_group(2), 1,
+                                               ring_name=ring)] == [ring] * 2
 
 
 def test_homology_needs_finite_group():
@@ -404,12 +403,6 @@ def test_face_sum_matrix_matches_entrywise_loop(nrows, ncols, rank, data):
     got = homology._face_sum_matrix(range(ncols), list(range(nrows)),
                                     faces.__getitem__, rank)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_matrix_json_roundtrip():
-    M = np.array([[1, -2], [0, 5], [7, 0]], dtype=np.int64)
-    back = matrix_from_json(matrix_to_json(M))
-    assert back.shape == M.shape and np.all(back == M)
 
 
 # -- window boundary solving ---------------------------------------------------

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from coarsehom import dynamics as dy
-from coarsehom.gallery import get_group, get_scenario
-from coarsehom.homology import assemble_boundary_matrix, homology_finite
+from coarsehom.gallery import get_group, get_map, get_scenario
+from coarsehom.homology import (Nerve, _certified_smith, _rank_over,
+                                assemble_boundary_matrix, homology_finite,
+                                induced_map_on_homology)
 
 FINITE = ["triv", "Z/2", "Z/3", "Z/4", "Z/6", "D3", "Z/2xZ/2"]
 SCENARIOS = ["product-coupling", "z4-z2-twist", "dihedral-flip",
@@ -139,3 +141,83 @@ def test_group_tables_are_groupoid_tables(name, ring):
     assert homology_finite(G, 2, ring_name=ring, module="group-ring") == \
         dy.groupoid_homology_finite(
             dy.action_groupoid(dy.translation_action(G)), 2, ring_name=ring)
+
+
+# -- cohomology from the homology forms ------------------------------------
+
+def _point_groupoid(G):
+    return dy.action_groupoid(dy.FiniteAction(G, ["pt"], lambda g, x: x))
+
+
+COHOMOLOGY_GROUPOIDS = dict(
+    GROUPOIDS, **{f"point {name}": _point_groupoid(get_group(name))
+                  for name in FINITE})
+# C_3 of these has 4096 or 20736 points: the Smith forms of d_3 (a dense
+# V of that size squared) are too large for a unit test
+DEGREE_ONE_ONLY = {"product-coupling combined", "z4-z2-twist combined",
+                   "dihedral-flip combined"}
+
+
+def _cohomology_by_transposes(gpd, max_degree, rings):
+    """Cohomology tables read off the certified Smith forms of the
+    coboundaries d_n^T : C^{n-1} -> C^n themselves: in degree n the map
+    leaving is d_{n+1}^T, the one entering d_n^T, and the torsion is the
+    cokernel of the one entering."""
+    nerve = gpd.nerve()
+    co = [_certified_smith(nerve.boundary(n)[0].T)
+          for n in range(1, max_degree + 2)]      # co[n] is d_{n+1}^T
+    tables = {}
+    for ring in rings:
+        table = []
+        for n in range(max_degree + 1):
+            leaving = co[n].elementary_divisors()
+            entering = co[n - 1].elementary_divisors() if n else []
+            betti = (co[n].shape[1] - _rank_over(ring, leaving)
+                     - _rank_over(ring, entering))
+            table.append({"degree": n, "ring": ring, "betti": betti,
+                          "torsion": [d for d in entering if d > 1]
+                          if ring == "Z" else []})
+        tables[ring] = table
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_GROUPOIDS))
+def test_cohomology_equals_the_transposed_route(name):
+    gpd = COHOMOLOGY_GROUPOIDS[name]
+    max_degree = 1 if name in DEGREE_ONE_ONLY else 2
+    rings = ("Z", "Q", "Z/2", "Z/3")
+    want = _cohomology_by_transposes(gpd, max_degree, rings)
+    for ring in rings:
+        assert dy.groupoid_cohomology_finite(gpd, max_degree,
+                                             ring_name=ring) == want[ring]
+
+
+# -- one walk per degree -------------------------------------------------------
+
+def _count_steps(monkeypatch):
+    """The walk sizes each Nerve._step extends, from here on."""
+    sizes, real = [], Nerve._step
+
+    def spy(self, walks):
+        sizes.append(len(walks))
+        return real(self, walks)
+
+    monkeypatch.setattr(Nerve, "_step", spy)
+    return sizes
+
+
+def test_each_degree_is_walked_once_per_nerve(monkeypatch):
+    nerve = GROUPOIDS["translation Z/4"].nerve()
+    sizes = _count_steps(monkeypatch)
+    for n in range(1, 4):
+        nerve.boundary(n)
+    # degrees 0, 1, 2 are extended once each, to reach degrees 1, 2, 3
+    assert sizes == [4, 16, 64]
+    assert nerve.points(2) == nerve.boundary(3)[1].points
+
+
+def test_induced_map_walks_one_nerve_per_side(monkeypatch):
+    sizes = _count_steps(monkeypatch)
+    induced_map_on_homology(get_map("z4-mod-z2"), 2)
+    # Z/4, then Z/2, each walked from degree 0 to degree 3 once
+    assert sizes == [4, 16, 64, 2, 4, 8]
