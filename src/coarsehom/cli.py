@@ -32,17 +32,11 @@ from .complexes import Chain, bar_boundary, boundary, homotopy_k, \
 from .errors import GroupMismatchError, InvalidElementError, \
     NotACycleError, ResourceLimitError
 from .gallery import catalog_entries, get_group, get_map, get_scenario
-from .homology import _coinvariants_row, homology_finite, \
+from .homology import _coinvariants_row, _table_and_nerve, \
     is_boundary_window
 from .rings import ring_from_name
 
 VERSION = "0.1.0"
-
-EXPERIMENTS = [
-    "coarse-check", "omega-build", "chain-suite", "homotopy-suite",
-    "homology-finite", "window-boundary", "dynamics-roundtrip",
-    "morita-check",
-]
 
 
 def _cap(default=10000):
@@ -198,10 +192,10 @@ def _exp_homology_finite(config):
     module = config.get("module", "trivial")
     rank = int(config.get("rank", 1))
     max_degree = int(config.get("max_degree", 2))
-    table = homology_finite(group, max_degree, ring_name=ring,
-                            module=module, rank=rank)
-    # the coinvariants' Smith route is the table's certified degree-0 row
-    coin = _coinvariants_row(table[0], group, module, rank)
+    table, nerve = _table_and_nerve(group, max_degree, ring, module, rank)
+    # the coinvariants' Smith route is the table's certified degree-0 row,
+    # and their orbits are counted on the nerve the table read
+    coin = _coinvariants_row(table[0], nerve, rank)
     verdicts = [
         {"name": "homology-table", "pass": True, "result": table},
         {"name": "degree-zero-coinvariants", "pass": coin["agrees"],
@@ -290,27 +284,49 @@ def _exp_morita_check(config):
     return verdicts
 
 
-_DISPATCH = {
-    "coarse-check": (_exp_coarse_check, {"map": "z-double", "radius": 8}),
-    "omega-build": (_exp_omega_build,
-                    {"map": "z-double", "prefix_radius": 8,
-                     "check_radius": 8}),
-    "chain-suite": (_exp_chain_suite,
-                    {"group": "Z", "ring": "Z", "rank": 1, "radius": 3,
-                     "chains": 100}),
-    "homotopy-suite": (_exp_homotopy_suite, {"chains": 25, "radius": 3}),
-    "homology-finite": (_exp_homology_finite,
-                        {"group": "Z/2", "module": "trivial", "ring": "Z",
-                         "max_degree": 2}),
-    "window-boundary": (_exp_window_boundary,
-                        {"group": "Z", "ring": "Z", "x_radius": 2,
-                         "tuple_radius": 2}),
-    "dynamics-roundtrip": (_exp_dynamics_roundtrip,
-                           {"scenario": "product-coupling"}),
-    "morita-check": (_exp_morita_check,
-                     {"group_a": "Z/4", "group_b": "Z/2",
-                      "scenario": "z4-z2-kakutani", "max_degree": 2}),
+# name -> (function, default config, description), in catalog order
+_TABLE = {
+    "coarse-check": (
+        _exp_coarse_check, {"map": "z-double", "radius": 8},
+        "certify or falsify a map as coarse and as a coarse embedding on a "
+        "ball"),
+    "omega-build": (
+        _exp_omega_build,
+        {"map": "z-double", "prefix_radius": 8, "check_radius": 8},
+        "build the coarse inverse of an embedding and check it retracts "
+        "the map to the identity"),
+    "chain-suite": (
+        _exp_chain_suite,
+        {"group": "Z", "ring": "Z", "rank": 1, "radius": 3, "chains": 100},
+        "seeded random chains: boundary squares to zero, both boundary "
+        "routes agree, JSON round trip"),
+    "homotopy-suite": (
+        _exp_homotopy_suite, {"chains": 25, "radius": 3},
+        "chain homotopies between close maps and the coarse-inverse "
+        "homotopy to the identity"),
+    "homology-finite": (
+        _exp_homology_finite,
+        {"group": "Z/2", "module": "trivial", "ring": "Z", "max_degree": 2},
+        "integral/rational/mod-p homology tables for a finite group with "
+        "trivial or group-ring coefficients"),
+    "window-boundary": (
+        _exp_window_boundary,
+        {"group": "Z", "ring": "Z", "x_radius": 2, "tuple_radius": 2},
+        "decide whether a cycle is a boundary of a window-supported chain, "
+        "with certificate"),
+    "dynamics-roundtrip": (
+        _exp_dynamics_roundtrip, {"scenario": "product-coupling"},
+        "coupling to orbit couple to coupling and couple to Kakutani data "
+        "and back, all identities checked"),
+    "morita-check": (
+        _exp_morita_check,
+        {"group_a": "Z/4", "group_b": "Z/2", "scenario": "z4-z2-kakutani",
+         "max_degree": 2},
+        "groupoid homology of translation systems and of restricted "
+        "groupoids of a Kakutani pair"),
 }
+
+EXPERIMENTS = list(_TABLE)
 
 
 def _jsonable(value):
@@ -334,10 +350,10 @@ def _jsonable(value):
 def run_experiment(config: dict) -> dict:
     """Run one named experiment; returns the full report dict."""
     name = config.get("experiment")
-    if name not in _DISPATCH:
+    if name not in _TABLE:
         raise InvalidElementError(
             f"unknown experiment {name!r}; known: {EXPERIMENTS}")
-    fn, defaults = _DISPATCH[name]
+    fn, defaults, _ = _TABLE[name]
     merged = dict(defaults)
     merged.update({k: v for k, v in config.items() if v is not None})
     merged.setdefault("seed", 0)
@@ -356,38 +372,8 @@ def catalog() -> dict:
     """Deterministic listing of everything addressable by name."""
     return {
         **catalog_entries(),
-        "experiments": [
-            {"name": "coarse-check",
-             "description": "certify or falsify a map as coarse and as "
-                            "a coarse embedding on a ball"},
-            {"name": "omega-build",
-             "description": "build the coarse inverse of an embedding "
-                            "and check it retracts the map to the "
-                            "identity"},
-            {"name": "chain-suite",
-             "description": "seeded random chains: boundary squares to "
-                            "zero, both boundary routes agree, JSON "
-                            "round trip"},
-            {"name": "homotopy-suite",
-             "description": "chain homotopies between close maps and "
-                            "the coarse-inverse homotopy to the "
-                            "identity"},
-            {"name": "homology-finite",
-             "description": "integral/rational/mod-p homology tables "
-                            "for a finite group with trivial or "
-                            "group-ring coefficients"},
-            {"name": "window-boundary",
-             "description": "decide whether a cycle is a boundary of a "
-                            "window-supported chain, with certificate"},
-            {"name": "dynamics-roundtrip",
-             "description": "coupling to orbit couple to coupling and "
-                            "couple to Kakutani data and back, all "
-                            "identities checked"},
-            {"name": "morita-check",
-             "description": "groupoid homology of translation systems "
-                            "and of restricted groupoids of a Kakutani "
-                            "pair"},
-        ],
+        "experiments": [{"name": name, "description": description}
+                        for name, (_, _, description) in _TABLE.items()],
     }
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from .errors import InvalidElementError
 from .groups import Group, ProductGroup
-from .homology import (Nerve, _certified_smith, _check_homology_ring,
-                       _homology_table)
+from .homology import Nerve, _check_homology_ring, _homology_table
 
 
 class FiniteAction:
@@ -566,16 +565,6 @@ def restrict_groupoid(gpd: FiniteGroupoid, subset) -> FiniteGroupoid:
     return FiniteGroupoid(gpd.action, set(gpd.units) & set(subset))
 
 
-def _groupoid_smiths(gpd: FiniteGroupoid, max_degree: int,
-                     ring_name: str):
-    """The certified Smith forms of d_1..d_{N+1} of the groupoid's nerve,
-    which its homology and cohomology tables both read."""
-    _check_homology_ring(ring_name)
-    nerve = gpd.nerve()
-    return [_certified_smith(nerve.boundary(n)[0])
-            for n in range(1, max_degree + 2)]
-
-
 def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
                              ring_name: str = "Z"):
     """Homology of the finite groupoid with constant coefficients, read
@@ -585,8 +574,8 @@ def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
     per orbit: betti_0 = number of orbits, all higher groups zero; the
     tests lean on that oracle.
     """
-    return _homology_table(ring_name,
-                           _groupoid_smiths(gpd, max_degree, ring_name))
+    _check_homology_ring(ring_name)
+    return _homology_table(ring_name, gpd.nerve().smiths(max_degree))
 
 
 def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
@@ -597,8 +586,8 @@ def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
     matrix and its transpose have the same divisors (V^T A^T U^T = D^T
     certifies the one form for both), so by the universal coefficient
     theorem the table is read off the homology's forms of d_n."""
-    return _homology_table(ring_name,
-                           _groupoid_smiths(gpd, max_degree, ring_name),
+    _check_homology_ring(ring_name)
+    return _homology_table(ring_name, gpd.nerve().smiths(max_degree),
                            cohomology=True)
 
 
@@ -615,10 +604,10 @@ def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
     if not full:
         raise InvalidElementError(
             "the subset must meet every orbit (be full)")
+    _check_homology_ring(ring_name)
     big = action_groupoid(act)
-    forms_big = _groupoid_smiths(big, max_degree, ring_name)
-    forms_small = _groupoid_smiths(restrict_groupoid(big, subset),
-                                   max_degree, ring_name)
+    forms_big, forms_small = (gpd.nerve().smiths(max_degree) for gpd in
+                              (big, restrict_groupoid(big, subset)))
     h_big, h_small = (_homology_table(ring_name, forms)
                       for forms in (forms_big, forms_small))
     c_big, c_small = (_homology_table(ring_name, forms, cohomology=True)

@@ -242,13 +242,6 @@ class Group:
             return list(elems)
         return elems
 
-    def sphere(self, r: int, cap=DEFAULT_BALL_CAP):
-        """Elements of word length exactly r, sorted."""
-        for rad, sph in enumerate(self._spheres(cap=cap)):
-            if rad == r:
-                return sorted(sph, key=self.sort_key)
-        return []
-
     def enumerate_elements(self, cap=DEFAULT_BALL_CAP):
         """Deterministic enumeration g1 = e, g2, g3, ... in ball order.
 

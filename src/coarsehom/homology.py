@@ -62,22 +62,22 @@ def _absmax(X) -> int:
     return max(int(X.max()), -int(X.min())) if X.size else 0
 
 
-def _int64_product(X, Y, xmax, ymax):
-    """X @ Y computed in int64, or None unless both are integer arrays
-    and xmax ymax (inner size) < 2^63 proves every sum exact, xmax and
-    ymax being max|X| and max|Y|.
+def _product(X, Y, xmax, ymax):
+    """X @ Y, exactly: in int64 when both are integer arrays and
+    xmax ymax (inner size) < 2^63 proves every sum exact, xmax and ymax
+    being max|X| and max|Y|; else over Python ints (object dtype).
 
     Sums run over the nonzero entries of Y only (boundary matrices hold
     a few per column): pass s adds the s-th nonzero of every column
     that has one, so no temporary is larger than the product."""
-    if X.dtype.kind not in "iu" or Y.dtype.kind not in "iu":
-        return None
-    if xmax * ymax * X.shape[1] >= 2 ** 63:
-        return None
-    X = X.astype(np.int64, copy=False)
-    out = np.zeros((X.shape[0], Y.shape[1]), dtype=np.int64)
+    dtype = object
+    if (X.dtype.kind in "iu" and Y.dtype.kind in "iu"
+            and xmax * ymax * X.shape[1] < 2 ** 63):
+        dtype = np.int64
+    X = X.astype(dtype, copy=False)
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=dtype)
     js, ks = np.nonzero(Y.T)       # column by column
-    vals = Y[ks, js].astype(np.int64, copy=False)
+    vals = Y[ks, js].astype(dtype, copy=False)
     rank_in_column = np.arange(len(js)) - np.searchsorted(js, js)
     for s in range(int(rank_in_column.max(initial=-1)) + 1):
         at = rank_in_column == s
@@ -178,48 +178,27 @@ class SNFResult:
         entries proves that exact, else over Python ints; the bounds are
         scanned once per call, so a certificate changed since the
         reduction is checked as it stands."""
-        r, c = self.shape
         Arr = np.asarray(A)
         vimax = _absmax(self.Vinv)
-        UA = _int64_product(self.U, Arr, _absmax(self.U), _absmax(Arr))
-        if (UA is not None and self.Vinv.dtype != object
-                and max(self.divisors, default=0) * vimax < 2 ** 63):
-            want = np.zeros((r, c), dtype=np.int64)
-            k = len(self.divisors)
-            want[:k] = (np.asarray(self.divisors, dtype=np.int64)[:, None]
-                        * self.Vinv[:k])
-            return bool(np.array_equal(UA, want)) and \
-                self._verify_v_inverse(vimax)
-        UA = [[0] * c for _ in range(r)]
-        # nested lists of Python ints: exact, and cheaper to index than
-        # array elements
-        Ucols = self.U.T.tolist()
-        Vinv = self.Vinv[:r].tolist()
-        nz = np.argwhere(Arr != 0)
-        for k, j in nz:
-            v = int(Arr[k, j])
-            col = Ucols[k]
-            for i in range(r):
-                if col[i]:
-                    UA[i][j] += v * col[i]
-        for i in range(r):
-            d = int(self.divisors[i]) if i < len(self.divisors) else 0
-            for j in range(c):
-                want = d * Vinv[i][j] if i < c else 0
-                if UA[i][j] != want:
-                    return False
-        return self._verify_v_inverse(vimax)
+        UA = _product(self.U, Arr, _absmax(self.U), _absmax(Arr))
+        dtype = np.int64
+        if (self.Vinv.dtype == object
+                or max(self.divisors, default=0) * vimax >= 2 ** 63):
+            dtype = object
+        k = len(self.divisors)
+        want = np.zeros(self.shape, dtype=dtype)
+        want[:k] = (np.array(self.divisors, dtype=dtype)[:, None]
+                    * self.Vinv[:k].astype(dtype, copy=False))
+        return bool(np.array_equal(UA, want)) and \
+            self._verify_v_inverse(vimax)
 
     def _verify_v_inverse(self, vimax) -> bool:
         c = self.shape[1]
         vmax = _absmax(self.V)
         if c <= 64:
-            prod = _int64_product(self.V, self.Vinv, vmax, vimax)
-            if prod is not None:
-                return bool(np.array_equal(prod, np.eye(c, dtype=np.int64)))
-            prod = _matmul_obj(self.V, self.Vinv)
-            return all(prod[i][j] == (1 if i == j else 0)
-                       for i in range(c) for j in range(c))
+            return bool(np.array_equal(_product(self.V, self.Vinv, vmax,
+                                                vimax),
+                                       np.eye(c, dtype=np.int64)))
         # stdlib random: loading numpy.random adds about 6 MB of
         # resident memory to a process that has no other use for it
         rng = random.Random(0)
@@ -245,22 +224,6 @@ def _matvec(M, w, mmax):
             return (M @ wa).tolist()
     return [sum(int(M[i, j]) * int(w[j]) for j in range(c) if w[j])
             for i in range(r)]
-
-
-def _matmul_obj(A, B):
-    c = B.shape[1]
-    Bl = B.tolist()
-    out = []
-    for Ai in A.tolist():
-        row = [0] * c
-        for t, a in enumerate(Ai):
-            if a:
-                Bt = Bl[t]
-                for j in range(c):
-                    if Bt[j]:
-                        row[j] += a * Bt[j]
-        out.append(row)
-    return out
 
 
 def _update_fits_int64(q, Vinv, cols) -> bool:
@@ -417,7 +380,7 @@ class ChainBasis:
     """Ordered basis of a degree-n chain space: its points and their
     positions.  Index = point position * rank + coefficient index."""
 
-    def __init__(self, points, rank: int):
+    def __init__(self, points, rank: int = 1):
         self.points = points
         self.index = {p: i for i, p in enumerate(points)}
         self.rank = rank
@@ -465,16 +428,23 @@ class Nerve:
         return ([(self.back[(gvec[0], x)], gvec[1:])]
                 + [(x, fg) for _, fg in rest[1:]])
 
-    def boundary(self, degree: int, rank: int = 1):
-        """(matrix, row basis, column basis) of the degree-n boundary;
-        degree 0 gives a 0 x dim matrix and no row basis.  The row basis
-        is read from the walks that reached degree n."""
-        col = ChainBasis(self.points(degree), rank)
+    def boundary(self, degree: int):
+        """(matrix, row basis, column basis) of the degree-n boundary
+        with coefficients of rank 1; degree 0 gives a 0 x dim matrix and
+        no row basis.  The row basis is read from the walks that reached
+        degree n."""
+        col = ChainBasis(self.points(degree))
         if degree == 0:
             return np.zeros((0, len(col)), dtype=np.int64), None, col
-        row = ChainBasis(self.points(degree - 1), rank)
-        return (_face_sum_matrix(col.points, row.index, self.faces, rank),
-                row, col)
+        row = ChainBasis(self.points(degree - 1))
+        return _face_sum_matrix(col.points, row.index, self.faces), row, col
+
+    def smiths(self, max_degree: int):
+        """The certified Smith forms of d_1..d_{N+1}, which every table
+        of the nerve reads, at every rank: with coefficients of rank k
+        the complex is k copies of this one."""
+        return [_certified_smith(self.boundary(n)[0])
+                for n in range(1, max_degree + 2)]
 
 
 def _module_nerve(group: Group, module: str) -> Nerve:
@@ -492,21 +462,18 @@ def _module_nerve(group: Group, module: str) -> Nerve:
     return Nerve(group, ["pt"], els, lambda g, x: x)
 
 
-def _face_sum_matrix(cols, row_index, faces, rank=1):
+def _face_sum_matrix(cols, row_index, faces):
     """Alternating face sums over ordered bases: column key k gets sign
-    (-1)^i at row_index[f] for the i-th face f in faces(k), written as
-    a rank x rank identity block."""
+    (-1)^i at row_index[f] for the i-th face f in faces(k)."""
     rows, at, signs = [], [], []
     for ci, key in enumerate(cols):
         for i, f in enumerate(faces(key)):
             rows.append(row_index[f])
             at.append(ci)
             signs.append(-1 if i & 1 else 1)
-    M = np.zeros((len(row_index) * rank, len(cols) * rank), dtype=np.int64)
-    rows = np.array(rows, dtype=np.int64) * rank
-    at = np.array(at, dtype=np.int64) * rank
-    for j in range(rank):
-        np.add.at(M, (rows + j, at + j), signs)
+    M = np.zeros((len(row_index), len(cols)), dtype=np.int64)
+    np.add.at(M, (np.array(rows, dtype=np.int64),
+                  np.array(at, dtype=np.int64)), signs)
     return M
 
 
@@ -517,9 +484,14 @@ def assemble_boundary_matrix(group: Group, degree: int,
 
     Returns {"matrix", "row_basis", "col_basis", "degree", "module"};
     degree 0 gives a 0 x dim matrix (the boundary out of degree 0 is 0).
+    With coefficients of rank k the matrix is kron(d, I_k), d the rank-1
+    boundary: one k x k identity block per entry of d.
     """
-    M, row, col = _module_nerve(group, module).boundary(degree, rank)
-    return {"matrix": M, "row_basis": row, "col_basis": col,
+    M, row, col = _module_nerve(group, module).boundary(degree)
+    return {"matrix": np.kron(M, np.eye(rank, dtype=np.int64)),
+            "row_basis": None if row is None else ChainBasis(row.points,
+                                                             rank),
+            "col_basis": ChainBasis(col.points, rank),
             "degree": degree, "module": module}
 
 
@@ -555,11 +527,16 @@ def _certified_smith(A) -> SNFResult:
     return snf
 
 
-def _homology_table(ring_name: str, smiths, cohomology: bool = False):
-    """Betti number and torsion in degrees 0..N of a finite free complex,
-    read off the certified Smith forms of its boundaries d_1, ...,
-    d_{N+1} (an iterable, consumed once), d_n : C_n -> C_{n-1}; d_0 is
-    zero.
+def _homology_table(ring_name: str, smiths, rank: int = 1,
+                    cohomology: bool = False):
+    """Betti number and torsion in degrees 0..N of a finite free complex
+    with coefficients of rank k, read off the certified Smith forms of
+    the rank-1 boundaries d_1, ..., d_{N+1} (an iterable, consumed
+    once), d_n : C_n -> C_{n-1}; d_0 is zero.
+
+    The rank-k complex is k copies of the rank-1 one, so its homology is
+    the k-th power: betti times k, and each torsion divisor k times in
+    place, which is the divisor chain of kron(d_n, I_k).
 
     One integer Smith form per boundary serves every ring: over Z the
     divisors give betti and torsion, over Q only ranks matter, over a
@@ -582,8 +559,9 @@ def _homology_table(ring_name: str, smiths, cohomology: bool = False):
         betti = (dim - _rank_over(ring_name, leaving)
                  - _rank_over(ring_name, entering))
         torsion = [d for d in entering if d > 1] if ring_name == "Z" else []
-        table.append({"degree": n, "ring": ring_name, "betti": int(betti),
-                      "torsion": torsion})
+        table.append({"degree": n, "ring": ring_name,
+                      "betti": rank * int(betti),
+                      "torsion": [d for d in torsion for _ in range(rank)]})
     return table
 
 
@@ -596,10 +574,15 @@ def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
     ...                                      module="group-ring")]
     [1, 0]
     """
+    return _table_and_nerve(group, max_degree, ring_name, module, rank)[0]
+
+
+def _table_and_nerve(group: Group, max_degree: int, ring_name: str,
+                     module: str, rank: int):
+    """The homology table of the module's nerve, and that nerve."""
     _check_homology_ring(ring_name)
-    return _homology_table(ring_name, (_certified_smith(
-        assemble_boundary_matrix(group, n, module=module, rank=rank)["matrix"])
-        for n in range(1, max_degree + 2)))
+    nerve = _module_nerve(group, module)
+    return _homology_table(ring_name, nerve.smiths(max_degree), rank), nerve
 
 
 def _component_count(n: int, joins) -> int:
@@ -619,11 +602,9 @@ def _component_count(n: int, joins) -> int:
     return sum(1 for i in range(n) if find(i) == i)
 
 
-def _coinvariants_row(row: dict, group: Group, module: str,
-                      rank: int) -> dict:
-    """The h0_coinvariants report from row, the degree-0 row of a
-    homology table of the group."""
-    nerve = _module_nerve(group, module)
+def _coinvariants_row(row: dict, nerve: Nerve, rank: int) -> dict:
+    """The h0_coinvariants report from row, the degree-0 row of the
+    homology table read off the nerve."""
     points = {p: i for i, p in enumerate(nerve.points(0))}
     # components of the points, then one copy per coefficient index
     orbits = rank * _component_count(
@@ -642,9 +623,8 @@ def h0_coinvariants(group: Group, ring_name: str = "Z",
     elements.  Every column of d_1 is a difference of two basis elements
     or zero, so H_0 is free on the components: reports both and whether
     they agree."""
-    return _coinvariants_row(
-        homology_finite(group, 0, ring_name=ring_name, module=module,
-                        rank=rank)[0], group, module, rank)
+    table, nerve = _table_and_nerve(group, 0, ring_name, module, rank)
+    return _coinvariants_row(table[0], nerve, rank)
 
 
 # -- boundary solving ----------------------------------------------------------
@@ -735,59 +715,57 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     "iso" when the two homology structures agree and the image generates
     the target quotient (for finitely generated abelian groups, a
     surjection between isomorphic groups is an isomorphism).
+
+    Everything is computed at rank 1: with coefficients of rank k every
+    complex and chain map is k copies of the rank-1 one, which scales the
+    structures and matrix shapes by k and leaves the verdicts as they
+    are.
     """
     G, H = phi.source, phi.target
-    per_degree = []
-
-    def boundaries(group):
-        # d_0..d_{N+1} and the bases of C_0..C_{N+1}, from one nerve
-        nerve = _module_nerve(group, "group-ring")
-        out = [nerve.boundary(n, rank) for n in range(max_degree + 2)]
-        return [M for M, _, _ in out], [col for _, _, col in out]
-
-    d_G, basis_G = boundaries(G)
-    d_H, basis_H = boundaries(H)
-    snf_G = [_certified_smith(M) for M in d_G]
-    snf_H = [_certified_smith(M) for M in d_H]
-    # H_n of each side, read off the same forms as every homology table
+    nerve_G = _module_nerve(G, "group-ring")
+    nerve_H = _module_nerve(H, "group-ring")
+    # the form of d_0 = 0, whose kernel is all of C_0, then the forms of
+    # d_1..d_{N+1} that H_n of each side is read off, as in every table
+    snf_G, snf_H = ([_certified_smith(nerve.boundary(0)[0])]
+                    + nerve.smiths(max_degree)
+                    for nerve in (nerve_G, nerve_H))
     st_G, st_H = ([{"betti": row["betti"], "torsion": row["torsion"]}
-                   for row in _homology_table("Z", snfs[1:])]
+                   for row in _homology_table("Z", snfs[1:], rank)]
                   for snfs in (snf_G, snf_H))
+    # d_0..d_{N+1} over Python ints, for the chain-map check and the
+    # presentations of the target
+    d_G, d_H = ([np.asarray(nerve.boundary(n)[0], dtype=object)
+                 for n in range(max_degree + 2)]
+                for nerve in (nerve_G, nerve_H))
 
     def chain_matrix(n):
-        colb = basis_G[n]
-        rowb = basis_H[n]
-        M = np.zeros((len(rowb), len(colb)), dtype=np.int64)
+        colb = ChainBasis(nerve_G.points(n))
+        rowb = ChainBasis(nerve_H.points(n))
+        M = np.zeros((len(rowb), len(colb)), dtype=object)
         for ci, (x, gvec) in enumerate(colb.points):
             y, hvec = _image_point(phi, x, gvec)
-            ri = rowb.index[(y, hvec)]
-            for j in range(rank):
-                M[ri * rank + j, ci * rank + j] += 1
+            M[rowb.index[(y, hvec)], ci] += 1
         return M
 
     D = {n: chain_matrix(n) for n in range(max_degree + 1)}
+    per_degree = []
     for n in range(max_degree + 1):
         sG, sH = snf_G[n], snf_H[n]
-        dimH = d_H[n].shape[1]
         chain_ok = True
         if n >= 1:
-            lhs = np.asarray(d_H[n], dtype=object) @ \
-                np.asarray(D[n], dtype=object)
-            rhs = np.asarray(D[n - 1], dtype=object) @ \
-                np.asarray(d_G[n], dtype=object)
-            chain_ok = bool(np.all(lhs == rhs))
+            chain_ok = bool(np.all(d_H[n] @ D[n] == D[n - 1] @ d_G[n]))
 
         kerG = sG.kernel_basis()          # dimG x kG
         kG = kerG.shape[1]
-        kH = dimH - sH.rank
+        kH = sH.shape[1] - sH.rank
         # presentation of H_n(target): the next boundary in kernel
         # coordinates
         P_H = (np.asarray(sH.Vinv, dtype=object)
-               @ np.asarray(d_H[n + 1], dtype=object))[sH.rank:, :]
+               @ d_H[n + 1])[sH.rank:, :]
 
         # push each source kernel generator through D_n, read in target
         # kernel coordinates
-        DK = np.asarray(D[n], dtype=object) @ np.asarray(kerG, dtype=object)
+        DK = D[n] @ np.asarray(kerG, dtype=object)
         M_coords = (np.asarray(sH.Vinv, dtype=object) @ DK)
         chain_ok = chain_ok and bool(np.all(M_coords[:sH.rank, :] == 0))
         M = M_coords[sH.rank:, :]
@@ -802,7 +780,7 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
         per_degree.append({
             "degree": n, "chain_map_ok": chain_ok,
             "structure_source": st_G[n], "structure_target": st_H[n],
-            "matrix_shape": [kH, kG],
+            "matrix_shape": [rank * kH, rank * kG],
             "surjective": surjective, "iso": iso})
     return {"map": phi.name, "max_degree": max_degree,
             "degrees": per_degree,

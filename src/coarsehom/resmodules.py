@@ -189,15 +189,7 @@ def delta(group: Group, ring: Ring, rank: int, g, coeffs=None) -> FinSupFun:
     return FinSupFun(group, ring, rank, {g: tuple(coeffs)})
 
 
-# -- module-level operation wrappers ----------------------------------------
-
-def translate(g, f: FinSupFun) -> FinSupFun:
-    return f.translate(g)
-
-
-def restrict(subset, f: FinSupFun) -> FinSupFun:
-    return f.restrict(subset)
-
+# -- pushforward and pullback along coarse maps -----------------------------
 
 def pushforward(phi: CoarseMap, f: FinSupFun) -> FinSupFun:
     """phi_*(f)(y) = sum of f over the fiber of y.  Exact: the support

@@ -35,9 +35,6 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def is_zero(self, a):
         return a == self.zero()
 

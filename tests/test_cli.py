@@ -1,6 +1,7 @@
 """Command line contract: catalog listing, experiment runs, exit codes,
 deterministic report bodies, config file handling and the resource cap."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,14 @@ def test_catalog_matches_list_output():
     res = run_cli(["list"])
     assert json.loads(res.output) == json.loads(
         json.dumps(catalog(), sort_keys=True))
+
+
+def test_list_output_pinned():
+    # sha256 of the whole listing, recorded while the experiment names,
+    # defaults and descriptions were kept in three separate tables
+    res = run_cli(["list"])
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "e41d8b0b4d4917efc273e23dc5cd01b8b2ac295ec7f802d59922675a859fdc25")
 
 
 # -- experiment runs, exit code 0 -------------------------------------------------

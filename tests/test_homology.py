@@ -99,6 +99,46 @@ def test_snf_verify_rescans_a_certificate_changed_after_use():
     assert not s.verify(A)
 
 
+def test_snf_verify_checks_the_certificate_over_python_ints(monkeypatch):
+    # entries of 2^33 and more keep the reduction and every product of
+    # verify out of int64: all of them run over Python ints
+    A = np.random.default_rng(3).integers(-9, 10, size=(4, 6)) * 2 ** 33
+    dtypes, real = [], homology._product
+
+    def spy(*args):
+        out = real(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(homology, "_product", spy)
+    for name in ("U", "Vinv"):
+        s = smith_normal_form(A)
+        assert s.U.dtype == object and s.verify(A)
+        getattr(s, name)[0, 0] += 1
+        assert not s.verify(A), name
+    assert dtypes and all(dt == object for dt in dtypes)
+
+
+@given(st.integers(1, 5), st.integers(0, 5), st.integers(1, 5),
+       st.sampled_from([2 ** 20, 2 ** 40, 2 ** 62, 2 ** 70]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_the_triple_loop(r, inner, c, bound, data):
+    """The sparse accumulation against the schoolbook sum: in int64 when
+    its bound allows, over Python ints from int64 inputs whose bound
+    does not (2^40, 2^62), and from object inputs (2^70)."""
+    entries = st.integers(-bound, bound)
+    X = [[data.draw(entries) for _ in range(inner)] for _ in range(r)]
+    Y = [[data.draw(entries) for _ in range(c)] for _ in range(inner)]
+    want = [[sum(X[i][t] * Y[t][j] for t in range(inner))
+             for j in range(c)] for i in range(r)]
+    dtype = np.int64 if bound < 2 ** 63 else object
+    Xa = np.array(X, dtype=object).reshape(r, inner).astype(dtype)
+    Ya = np.array(Y, dtype=object).reshape(inner, c).astype(dtype)
+    got = homology._product(Xa, Ya, homology._absmax(Xa),
+                            homology._absmax(Ya))
+    assert got.shape == (r, c) and got.tolist() == want
+
+
 def _smith_in_python_ints(A):
     """smith_normal_form run over Python ints (object dtype) from the
     first step: with the promotion limit at 0 no matrix stays int64."""
@@ -392,7 +432,10 @@ def test_boundary_matrix_squares_to_zero():
 @settings(max_examples=60, deadline=None)
 def test_face_sum_matrix_matches_entrywise_loop(nrows, ncols, rank, data):
     """The scattered face sums against the entry-by-entry loop they
-    replaced, repeated faces (which add up or cancel) included."""
+    replaced, repeated faces (which add up or cancel) included; at rank
+    k the loop writes one identity block per face, which is the kron of
+    the rank-free sums with I_k (the layout assemble_boundary_matrix
+    documents)."""
     faces = [data.draw(st.lists(st.integers(0, nrows - 1), max_size=4))
              if nrows else [] for _ in range(ncols)]
     want = np.zeros((nrows * rank, ncols * rank), dtype=np.int64)
@@ -400,8 +443,9 @@ def test_face_sum_matrix_matches_entrywise_loop(nrows, ncols, rank, data):
         for i, ri in enumerate(fs):
             for j in range(rank):
                 want[ri * rank + j, ci * rank + j] += (-1) ** i
-    got = homology._face_sum_matrix(range(ncols), list(range(nrows)),
-                                    faces.__getitem__, rank)
+    got = np.kron(homology._face_sum_matrix(range(ncols), list(range(nrows)),
+                                            faces.__getitem__),
+                  np.eye(rank, dtype=np.int64))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

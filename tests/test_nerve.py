@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from coarsehom import dynamics as dy
+from coarsehom import homology
+from coarsehom.cli import run_experiment
 from coarsehom.gallery import get_group, get_map, get_scenario
-from coarsehom.homology import (Nerve, _certified_smith, _rank_over,
-                                assemble_boundary_matrix, homology_finite,
-                                induced_map_on_homology)
+from coarsehom.homology import (Nerve, _certified_smith, _homology_table,
+                                _rank_over, assemble_boundary_matrix,
+                                homology_finite, induced_map_on_homology)
 
 FINITE = ["triv", "Z/2", "Z/3", "Z/4", "Z/6", "D3", "Z/2xZ/2"]
 SCENARIOS = ["product-coupling", "z4-z2-twist", "dihedral-flip",
@@ -221,3 +223,69 @@ def test_induced_map_walks_one_nerve_per_side(monkeypatch):
     induced_map_on_homology(get_map("z4-mod-z2"), 2)
     # Z/4, then Z/2, each walked from degree 0 to degree 3 once
     assert sizes == [4, 16, 64, 2, 4, 8]
+
+
+def test_homology_report_walks_one_nerve(monkeypatch):
+    sizes = _count_steps(monkeypatch)
+    report = run_experiment({"experiment": "homology-finite", "group": "Z/4",
+                             "module": "trivial", "max_degree": 2})
+    assert report["body"]["pass"]
+    # degrees 0, 1, 2 extended once each to reach d_3; the coinvariants
+    # row counts its components on the walks of degrees 0 and 1
+    assert sizes == [1, 4, 16]
+
+
+# -- rank k as k copies of the rank-1 complex ----------------------------------
+
+@pytest.mark.parametrize("module", ["group-ring", "trivial"])
+@pytest.mark.parametrize("name", FINITE)
+def test_rank_two_tables_match_the_kron_route(name, module):
+    """The rank-2 boundary is kron(d, I_2) in the documented layout;
+    tables read off its own certified Smith forms are the reference."""
+    G = get_group(name)
+    forms = [_certified_smith(assemble_boundary_matrix(
+        G, n, module=module, rank=2)["matrix"]) for n in (1, 2, 3)]
+    for ring in ("Z", "Q", "Z/2", "Z/3"):
+        assert homology_finite(G, 2, ring_name=ring, module=module,
+                               rank=2) == _homology_table(ring, forms)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("A", [[[2, 0], [0, 4]], [[6, 4, 0], [2, 0, 0]],
+                               [[0, 3]], [[3, 0, 0]]])
+def test_rank_k_reads_the_divisor_chain_of_the_kron(A, rank):
+    """Two boundaries with divisors that differ: torsion repeats each
+    divisor k times in place, as the forms of kron(d, I_k) give it."""
+    A = np.array(A, dtype=np.int64)
+    d2 = np.zeros((A.shape[1], 0), dtype=np.int64)
+    kron = [np.kron(M, np.eye(rank, dtype=np.int64)) for M in (A, d2)]
+    for ring in ("Z", "Q", "Z/2", "Z/3"):
+        assert _homology_table(ring, [_certified_smith(M) for M in (A, d2)],
+                               rank) == \
+            _homology_table(ring, [_certified_smith(M) for M in kron])
+
+
+def _smith_digests(monkeypatch):
+    """Digests of the matrices handed to smith_normal_form from here on."""
+    seen, real = [], homology.smith_normal_form
+
+    def spy(A):
+        seen.append(_digest(A))
+        return real(A)
+
+    monkeypatch.setattr(homology, "smith_normal_form", spy)
+    return seen
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "homology-finite", "group": "Z/3", "module": "group-ring",
+     "max_degree": 2},
+    {"experiment": "homology-finite", "group": "Z/4", "module": "trivial",
+     "max_degree": 3}], ids=["Z/3-group-ring", "Z/4-trivial"])
+def test_rank_two_report_reduces_the_rank_one_matrices(monkeypatch, config):
+    seen = _smith_digests(monkeypatch)
+    run_experiment(config)
+    rank_one = list(seen)
+    seen.clear()
+    run_experiment(dict(config, rank=2))
+    assert seen == rank_one and len(seen) == config["max_degree"] + 1

@@ -7,7 +7,10 @@ read one form per boundary, so these pins hold the reports to what they
 were: the eight CLI defaults, morita-check on the group pairs of the
 benchmark's homology-tables menu (max degree 2) and on the three
 coupling scenarios (max degree 1), homology-finite tables over Z, Q and
-Z/2, and induced maps on group-ring homology at ranks 1 and 2."""
+Z/2, and induced maps on group-ring homology at ranks 1 and 2.  The
+rank-2 homology-finite bodies were recorded while every rank-k table
+still Smith-reduced kron(d, I_k); the tables now read rank k off the
+rank-1 forms, and these pins hold them to the reduced kron route."""
 
 import hashlib
 import json
@@ -27,6 +30,12 @@ def _morita(group_a, group_b, scenario, max_degree):
 
 def _homology(group, ring):
     return {"experiment": "homology-finite", "group": group, "ring": ring}
+
+
+def _rank2(group, module, max_degree, ring):
+    return {"experiment": "homology-finite", "group": group,
+            "module": module, "max_degree": max_degree, "rank": 2,
+            "ring": ring}
 
 
 PINNED_BODIES = {
@@ -90,6 +99,33 @@ PINNED_BODIES = {
     "homology-D3-Z/2": (
         _homology("D3", "Z/2"),
         "e3089a19a99fae8dccca53fcce4adabe74de95008e17e93a1f3280413bca7921"),
+    "rank2-Z/3-group-ring-Z": (
+        _rank2("Z/3", "group-ring", 2, "Z"),
+        "43d51c954db36b32767e4d0b41ef1e96fe6ad08f7d5cb459db6d155e6daf7ad9"),
+    "rank2-Z/3-group-ring-Q": (
+        _rank2("Z/3", "group-ring", 2, "Q"),
+        "954715d7f6dbaa7b8d11a088427ebdd52956db8ebbddd3da8d8ed597f781a1f7"),
+    "rank2-Z/3-group-ring-Z/2": (
+        _rank2("Z/3", "group-ring", 2, "Z/2"),
+        "f81e019a338f25339e7fedcb551469408c2cd08ce509f0507f97fa31195cb875"),
+    "rank2-Z/4-trivial-Z": (
+        _rank2("Z/4", "trivial", 3, "Z"),
+        "8d9d05246f0bf24007a3c7d56cf55bf488bdbb0ff1f79913e67d274162ce975f"),
+    "rank2-Z/4-trivial-Q": (
+        _rank2("Z/4", "trivial", 3, "Q"),
+        "7780889621dd984fb0178de29b8f3dc2f52a9e79f4529a957230f7883ac4a7fd"),
+    "rank2-Z/4-trivial-Z/2": (
+        _rank2("Z/4", "trivial", 3, "Z/2"),
+        "9867a63355180b2b4b4b5a9f3227f29bfff45438fb84d5d473a022a3fae28f7f"),
+    "rank2-Z/2xZ/2-group-ring-Z": (
+        _rank2("Z/2xZ/2", "group-ring", 2, "Z"),
+        "306552fbc9aadd8b3fa1fba89afe223754f46ed3e01cbcd807b083e24a659b1b"),
+    "rank2-Z/2xZ/2-group-ring-Q": (
+        _rank2("Z/2xZ/2", "group-ring", 2, "Q"),
+        "cfd844de2a96fba59133d9afebc312a0de7b0bd0cd17c42d1062c75335bb5066"),
+    "rank2-Z/2xZ/2-group-ring-Z/2": (
+        _rank2("Z/2xZ/2", "group-ring", 2, "Z/2"),
+        "2597d88bbec7e4aa8c12baf8c02c535ad945bd7f0ab518bb70e0bdb3e361addc"),
 }
 
 # (map, rank) -> sha256 of json.dumps(induced_map_on_homology(map, 2,
