@@ -23,6 +23,7 @@ order.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -629,6 +630,124 @@ def h0_coinvariants(group: Group, ring_name: str = "Z",
 
 # -- boundary solving ----------------------------------------------------------
 
+def _eliminate_units(columns):
+    """Eliminate the unit pivots of a sparse integer matrix by row
+    operations, the reduction pairs of Kaczynski-Mrozek-Slusarek.
+
+    columns holds one dict row -> nonzero int per column and is consumed.
+    Columns are taken by fewest current entries, ties to the lower index;
+    within a column the pivot is the +-1 entry whose row has the fewest
+    entries, ties to the lower row.  Each pivot (i, j) subtracts
+    multiples of row i from the other rows of column j, which clears
+    column j but for the pivot, and then retires row i and column j.
+    A column with no unit entry waits until a row operation changes it.
+
+    Returns (pivots, rest).  pivots lists, in elimination order,
+    (i, j, p, row, col): p = A_ij, row = {k: A_ik} over the other live
+    columns and col = {l: A_lj} over the other live rows, both as they
+    stood when (i, j) was taken; the row operations were
+    row_l -= A_lj p row_i.  rest maps each column left with an entry to
+    that column, over rows that were never a pivot row.
+    """
+    rows = {}
+    for j, col in enumerate(columns):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(columns) if col]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        n, j = heapq.heappop(heap)
+        col = columns[j]
+        if col is None or len(col) != n:
+            continue            # pivoted, or changed since it was pushed
+        units = [i for i, v in col.items() if v in (1, -1)]
+        if not units:
+            continue
+        i = min(units, key=lambda i: (len(rows[i]), i))
+        p = col.pop(i)
+        row = {k: columns[k].pop(i) for k in rows.pop(i) if k != j}
+        for l, a in col.items():
+            f = a * p
+            on_l = rows[l]
+            on_l.discard(j)
+            for k, v in row.items():
+                ck = columns[k]
+                w = ck.get(l, 0) - f * v
+                if w:
+                    ck[l] = w
+                    on_l.add(k)
+                else:
+                    del ck[l]
+                    on_l.discard(k)
+        columns[j] = None
+        pivots.append((i, j, p, row, col))
+        for k in row:
+            if columns[k]:
+                heapq.heappush(heap, (len(columns[k]), k))
+    return pivots, {j: col for j, col in enumerate(columns) if col}
+
+
+def _solve_sparse(columns, b, ring_name):
+    """Solve A x = m b over ring "Z" or "Q", A given by sparse columns
+    (consumed by _eliminate_units); returns (x, m) with integer x and
+    m >= 1, or None when there is no solution.
+
+    The unit pivots' row operations are replayed on b.  What they leave
+    is a remainder over the other rows, which the dense Smith form
+    solves as R y = m b_R (m is 1 over Z); rows with no entry left need
+    b_l = 0.  The pivot variables are then back-substituted in reverse
+    order over Python ints: row i reads p x_j + sum_k A_ik x_k = m b_i.
+    """
+    pivots, rest = _eliminate_units(columns)
+    b = list(b)
+    for i, _, p, _, col in pivots:
+        if b[i]:
+            f = p * b[i]
+            for l, a in col.items():
+                b[l] -= a * f
+    x = [0] * len(columns)
+    m = 1
+    empty = set(range(len(b))).difference(i for i, *_ in pivots)
+    if rest:
+        at = {l: t for t, l in enumerate(sorted(
+            {l for col in rest.values() for l in col}))}
+        R = [[0] * len(rest) for _ in at]
+        for t, col in enumerate(rest.values()):
+            for l, v in col.items():
+                R[at[l]][t] = v
+        y, m, obstruction = smith_normal_form(R).solve(
+            [b[l] for l in at], ring_name)
+        if obstruction is not None:
+            return None
+        for j, yj in zip(rest, y):
+            x[j] = yj
+        empty.difference_update(at)
+    if any(b[l] for l in empty):
+        return None
+    for i, j, p, row, _ in reversed(pivots):
+        x[j] = p * (m * b[i] - sum(v * x[k] for k, v in row.items()))
+    return x, m
+
+
+def _check_dual_witness(u, A, b, obstruction):
+    """Certify a negative solve of A x = b exactly by the row u of U at
+    the obstruction's position: u A = 0 and u b != 0 for "out-of-image",
+    which rules out a solution over Q, or u A = 0 and u b != 0 modulo
+    the divisor for "divisibility", which rules one out over Z.  Raises
+    RuntimeError when the witness does not hold."""
+    u = np.asarray(u)[None, :]
+    uA = _product(u, A, _absmax(u), _absmax(A))[0]
+    ub = sum(int(ui) * bi for ui, bi in zip(u[0], b))
+    d = obstruction.get("divisor", 0)
+    if d:
+        uA, ub = uA % d, ub % d
+    if np.any(uA != 0) or ub == 0:
+        raise RuntimeError(f"window obstruction {obstruction['kind']} at "
+                           f"position {obstruction['position']} has no "
+                           f"valid dual witness")
+
+
 def _window_basis(group: Group, degree: int, x_radius: int,
                   tuple_radius: int):
     xs = group.ball(x_radius)
@@ -645,10 +764,17 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
 
     The window holds degree n+1 points with x in ball(x_radius) and all
     tuple entries in ball(tuple_radius).  Works over Z (divisibility
-    honoured) and Q; a found preimage is re-checked through boundary()
-    before being reported.  A negative verdict only rules out the
-    window, and says so.  The window grows like |ball|^(degree+1), so a
-    column cap guards against accidentally huge solves.
+    honoured) and Q.  The window's face sums are assembled as sparse
+    columns, their unit pivots eliminated (_eliminate_units), any
+    remainder solved by the dense Smith form and the pivot variables
+    back-substituted, so no dense matrix of the whole window is built on
+    the way to a preimage; a found preimage is re-checked through
+    boundary() before being reported.  A negative verdict only rules out
+    the window, and says so: it is taken again by the dense route, a
+    Smith form of the whole window, whose obstruction the report names,
+    and is certified by that form's dual witness (_check_dual_witness).
+    The window grows like |ball|^(degree+1), so a column cap guards
+    against accidentally huge solves.
     """
     ring = chain.ring
     if ring.name not in ("Z", "Q"):
@@ -674,7 +800,19 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
             row_index.setdefault(f, len(row_index))
     for p in chain.data:
         row_index.setdefault(p, len(row_index))
-    A = _face_sum_matrix(range(len(cols)), row_index, faces.__getitem__)
+    # sparse columns: repeated faces summed, zero sums dropped, as in
+    # _face_sum_matrix
+    columns = []
+    for fs in faces:
+        col = {}
+        for i, f in enumerate(fs):
+            r = row_index[f]
+            v = col.get(r, 0) + (-1 if i & 1 else 1)
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+        columns.append(col)
 
     # right-hand side; over Q clear denominators first
     scale = 1
@@ -685,12 +823,23 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
     for p, v in chain.data.items():
         b[row_index[p]] = int(v[0] * scale)
 
-    x_vec, m, obstruction = smith_normal_form(A).solve(b, ring.name)
     window = {"x_radius": x_radius, "tuple_radius": tuple_radius,
               "columns": len(cols)}
-    if obstruction is not None:
+    solved = _solve_sparse(columns, b, ring.name)
+    if solved is None:
+        # the position and value a negative verdict names are those of
+        # the dense Smith form of the whole window
+        A = _face_sum_matrix(range(len(cols)), row_index, faces.__getitem__)
+        snf = smith_normal_form(A)
+        obstruction = snf.solve(b, ring.name)[2]
+        if obstruction is None:
+            raise RuntimeError("window solvers disagree: the dense route "
+                               "found a preimage the sparse route ruled out")
+        _check_dual_witness(snf.U[obstruction["position"]], A, b,
+                            obstruction)
         return {"verdict": False, "preimage": None, "window": window,
                 "obstruction": obstruction}
+    x_vec, m = solved
     pre = Chain(G, ring, chain.rank, n + 1)
     for (x, gvec), xj in zip(cols, x_vec):
         if xj:

@@ -396,3 +396,28 @@ def test_criterion_11_deterministic_reports():
     _line(11, ok, f"report bodies byte-identical across reruns for "
           f"{len(configs)} experiments")
     assert ok
+
+
+# -- 12: large windows solve -----------------------------------------------------------
+
+def test_criterion_12_large_windows():
+    results = []
+    ok = True
+    for group, x_radius, tuple_radius, columns in (("Z2", 3, 2, 4225),
+                                                    ("F2", 2, 2, 4913)):
+        t0 = time.time()
+        body = run_experiment({"experiment": "window-boundary",
+                               "group": group, "ring": "Z",
+                               "x_radius": x_radius,
+                               "tuple_radius": tuple_radius,
+                               "seed": 0})["body"]
+        elapsed = time.time() - t0
+        res = body["verdicts"][0]["result"]
+        ok = ok and (res["verdict"] is True
+                     and res["window"]["columns"] == columns
+                     and elapsed < 10)
+        results.append((group, res["verdict"], res["window"]["columns"],
+                        round(elapsed, 2)))
+    _line(12, ok, "window-boundary over Z on Z2 (3,2) and F2 (2,2): "
+          + ", ".join(f"{g} {c} columns {e}s" for g, _, c, e in results))
+    assert ok, results

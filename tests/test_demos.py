@@ -2,16 +2,34 @@
 
 Each demo is parsed, not run (running them all takes seconds): every
 name it imports from coarsehom.*, and every attribute it reads off an
-imported coarsehom module (``dy.action_groupoid``), must exist.
+imported coarsehom module (``dy.action_groupoid``), must exist.  The
+window solver demo, which prints an obstruction's exact position, is
+also run, and its output compared with a recorded copy.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# stdout of demos/05_window_solver.py, recorded while every window was
+# solved by one dense Smith form of the whole window
+WINDOW_SOLVER_OUTPUT = """\
+verdict: True window: {'x_radius': 4, 'tuple_radius': 4, 'columns': 729}
+preimage re-checked: True
+
+point mass verdict: False
+obstruction: {'kind': 'out-of-image', 'position': 12, 'value': 1}
+
+distance-10 difference, window 3: False | window 10: True
+"""
 
 
 def _missing_names(path):
@@ -46,3 +64,12 @@ def test_every_demo_is_checked():
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_names_exist(path):
     assert _missing_names(path) == []
+
+
+def test_window_solver_demo_output():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "demos/05_window_solver.py"],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout == WINDOW_SOLVER_OUTPUT

@@ -5,10 +5,10 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsehom import homology
-from coarsehom.complexes import Chain, boundary
+from coarsehom.complexes import Chain, _faces, boundary
 from coarsehom.dynamics import action_groupoid, translation_action
 from coarsehom.errors import (InvalidElementError, NotACycleError,
                               ResourceLimitError)
@@ -225,20 +225,20 @@ def _digest(X):
 
 
 def _window_matrix():
-    """The matrix is_boundary_window hands to Smith for a fixed cycle."""
-    seen = []
-
-    def record(A):
-        seen.append(A)
-        return smith_normal_form(A)
-
+    """The dense matrix of the window (2, 1) of a fixed degree-1 cycle,
+    as the dense route of is_boundary_window builds it: rows in order of
+    first appearance among the faces, then the support of the cycle."""
     c = Chain(Z, ZR, 1, 2)
     c.add_at((0,), ((1,), (-1,)), (2,))
     c.add_at((1,), ((0,), (1,)), (-3,))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "smith_normal_form", record)
-        is_boundary_window(boundary(c), 2, 1)
-    return seen[0]
+    cycle = boundary(c)
+    faces = [_faces(Z, x, gvec)
+             for x, gvec in homology._window_basis(Z, 2, 2, 1)]
+    row_index = {}
+    for f in [f for fs in faces for f in fs] + list(cycle.data):
+        row_index.setdefault(f, len(row_index))
+    return homology._face_sum_matrix(range(len(faces)), row_index,
+                                     faces.__getitem__)
 
 
 # sha256 of U, V, V^-1 (dtype, shape, values) and of the divisors under
@@ -506,6 +506,109 @@ def test_window_guards():
     wide.add_at((0,), (), (1,))
     with pytest.raises(ResourceLimitError):
         is_boundary_window(wide, 3, 3, column_cap=5)
+
+
+@st.composite
+def linear_systems(draw):
+    """A small integer system (A, b): entries from -3..3, or from values
+    with no unit, so that some matrices have no unit pivot at all; b is
+    A z for a drawn z (solvable) or drawn outright."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([st.integers(-3, 3),
+                                  st.sampled_from([0, 0, 2, -2, 3, 4, -6])]))
+    A = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if draw(st.booleans()):
+        z = [draw(st.integers(-3, 3)) for _ in range(c)]
+        b = [sum(a * zj for a, zj in zip(row, z)) for row in A]
+    else:
+        b = [draw(st.integers(-3, 3)) for _ in range(r)]
+    return A, b
+
+
+@given(linear_systems(), st.sampled_from(["Z", "Q"]))
+@example(([[2]], [1]), "Z")
+@example(([[2]], [1]), "Q")
+@example(([[2, 0], [0, 3]], [1, 1]), "Z")
+@example(([[2, 0], [0, 3]], [1, 1]), "Q")
+@example(([[2, 0], [0, 3]], [4, -3]), "Z")
+@example(([[1, 1], [1, 3]], [0, 1]), "Z")     # remainder [[2]]
+@example(([[1, 1], [1, 3]], [0, 1]), "Q")
+@settings(max_examples=200, deadline=None)
+def test_sparse_solve_agrees_with_dense_smith(system, ring):
+    A, b = system
+    r, c = len(A), len(A[0])
+
+    def columns():
+        return [{i: A[i][j] for i in range(r) if A[i][j]} for j in range(c)]
+
+    dense = smith_normal_form(A)
+    got = homology._solve_sparse(columns(), b, ring)
+    assert (got is None) == (dense.solve(b, ring)[2] is not None)
+    if got is not None:
+        x, m = got
+        assert m >= 1 and (ring == "Q" or m == 1)
+        assert [sum(a * xj for a, xj in zip(row, x)) for row in A] == \
+            [m * bi for bi in b]
+    # the unit pivots and the remainder's divisors are A's divisors
+    pivots, rest = homology._eliminate_units(columns())
+    rows = sorted({i for col in rest.values() for i in col})
+    R = [[col.get(i, 0) for col in rest.values()] for i in rows]
+    assert [1] * len(pivots) + (smith_normal_form(R).elementary_divisors()
+                                if rest else []) == \
+        dense.elementary_divisors()
+
+
+def test_unit_pivots_give_a_window_its_whole_rank():
+    # a window's faces carry unit signs, and fill-in keeps finding
+    # units: the elimination leaves no remainder for the dense route
+    A = _window_matrix()
+    pivots, rest = homology._eliminate_units(
+        [{i: int(v) for i, v in enumerate(A[:, j]) if v}
+         for j in range(A.shape[1])])
+    assert rest == {} and len(pivots) == smith_normal_form(A).rank
+
+
+@pytest.mark.parametrize("A,b,forged", [
+    ([[2]], [1], [2]),                # divisibility: 2 b = 0 mod 2
+    ([[1], [1]], [1, 0], [1, 0])])    # out-of-image: (1, 0) A != 0
+def test_dual_witness_rejects_a_forged_row(A, b, forged):
+    s = smith_normal_form(A)
+    obstruction = s.solve(b, "Z")[2]
+    A = np.array(A, dtype=np.int64)
+    homology._check_dual_witness(s.U[obstruction["position"]], A, b,
+                                 obstruction)
+    with pytest.raises(RuntimeError, match="dual witness"):
+        homology._check_dual_witness(np.array(forged), A, b, obstruction)
+
+
+def test_window_rejects_a_forged_dual_witness(monkeypatch):
+    # every row of U past the rank gets twice the first pivot row added,
+    # which A does not annihilate; the point mass's obstruction value is
+    # odd, so it stays nonzero, and the row the dense route then reads is
+    # no valid witness
+    real = smith_normal_form
+
+    def forged(A):
+        s = real(A)
+        s.U = s.U.copy()
+        s.U[s.rank:] += 2 * s.U[0]
+        return s
+
+    c = Chain(Z, ZR, 1, 0)
+    c.add_at((0,), (), (1,))
+    assert is_boundary_window(c, 3, 3)["verdict"] is False
+    monkeypatch.setattr(homology, "smith_normal_form", forged)
+    with pytest.raises(RuntimeError, match="dual witness"):
+        is_boundary_window(c, 3, 3)
+
+
+def test_window_rejects_routes_that_disagree(monkeypatch):
+    # a sparse route that rules out a window the dense route solves
+    c = Chain(Z, ZR, 1, 1)
+    c.add_at((0,), ((1,),), (1,))
+    monkeypatch.setattr(homology, "_solve_sparse", lambda *args: None)
+    with pytest.raises(RuntimeError, match="disagree"):
+        is_boundary_window(boundary(c), 2, 2)
 
 
 # -- induced maps on homology ----------------------------------------------------

@@ -10,7 +10,12 @@ coupling scenarios (max degree 1), homology-finite tables over Z, Q and
 Z/2, and induced maps on group-ring homology at ranks 1 and 2.  The
 rank-2 homology-finite bodies were recorded while every rank-k table
 still Smith-reduced kron(d, I_k); the tables now read rank k off the
-rank-1 forms, and these pins hold them to the reduced kron route."""
+rank-1 forms, and these pins hold them to the reduced kron route.
+
+The negative window verdicts were recorded while every window was solved
+by one dense Smith form of the whole window; a negative verdict still
+takes that route for the obstruction it names, and these pins hold its
+position and value to what they were."""
 
 import hashlib
 import json
@@ -18,8 +23,10 @@ import json
 import pytest
 
 from coarsehom.cli import EXPERIMENTS, run_experiment
-from coarsehom.gallery import get_map
-from coarsehom.homology import induced_map_on_homology
+from coarsehom.complexes import boundary, random_chain
+from coarsehom.gallery import get_group, get_map
+from coarsehom.homology import induced_map_on_homology, is_boundary_window
+from coarsehom.rings import ring_from_name
 
 
 def _morita(group_a, group_b, scenario, max_degree):
@@ -146,6 +153,304 @@ PINNED_INDUCED = {
 }
 
 
+# (group, ring, seed, x_radius, tuple_radius) -> sha256 of the
+# negative window verdict of that sweep cycle (see _window_sweep)
+PINNED_NEGATIVE_WINDOWS = {
+    ("Z", "Z", 0, 1, 1):
+        "4bd3b01c2a14bb590e6bbbdb3c0cc4915c6ba54a56540c4c72f6bb0a1515fc11",
+    ("Z", "Z", 0, 2, 1):
+        "d5b1046ce1a8a93691b318cf5a617c2e4702adc14ecb09e4d765c1c0eb3e1d8e",
+    ("Z", "Z", 1, 1, 1):
+        "26f031b591d888b39ce4d80ca9c182de090a9c723c5261a3387c275eb1eb48dc",
+    ("Z", "Z", 1, 2, 1):
+        "2d232430147cc579a6bc51396d35567d4f41601b1dcf7dff684531087379104c",
+    ("Z", "Z", 2, 1, 1):
+        "da5468ed46ef07bf21dc136414d0eec6d26b2a8218d98c4abb8d43918c7e6710",
+    ("Z", "Z", 3, 1, 1):
+        "26f031b591d888b39ce4d80ca9c182de090a9c723c5261a3387c275eb1eb48dc",
+    ("Z", "Z", 3, 2, 1):
+        "2a109f254085cc026b214561c22d1b39b8ca72821629caba672d7927b12c216d",
+    ("Z", "Z", 4, 1, 1):
+        "4ae23b043c21194a8bebc3081de8973413b5af0db40976960b57e9d6c85d3258",
+    ("Z", "Z", 5, 1, 1):
+        "f949368d13ebaeb7271a0fb2331bd780187dc8b63ae6acb06cd6e61aeb4d8a00",
+    ("Z", "Z", 5, 2, 1):
+        "3df6adaf4b1cd001fc7fac6edbd64ae67a62ef2d6cd1d63c5e1734b99cc4be81",
+    ("Z", "Z", 6, 1, 1):
+        "6009a4f67a09a8b7376f828031cc15ca6188143dcc05fef9840af43a1f2072f3",
+    ("Z", "Z", 7, 1, 1):
+        "0647a10bd994ffd228a931168ca1d6866715561f9055c1d861526e759757e24a",
+    ("Z", "Z", 7, 2, 1):
+        "7c5da861057c8a09b3acccf5642f4c64d799cbc0d977b27fe14e6da2906b1df9",
+    ("Z", "Z", 8, 1, 1):
+        "85d3ffd1d493e4d85b9ab6d3d301b42cfe115c6101e23ca52a65561b831458b6",
+    ("Z", "Z", 9, 1, 1):
+        "c392c2598f4a0931fbe939a78a6eb6df122dbb601aafa823735c7e780908ab27",
+    ("Z", "Z", 9, 2, 1):
+        "75bc397118e6de27b73a49bd3f8469f8722ce34e1cba2b550926e2751c9a7f11",
+    ("Z", "Q", 0, 1, 1):
+        "4bd3b01c2a14bb590e6bbbdb3c0cc4915c6ba54a56540c4c72f6bb0a1515fc11",
+    ("Z", "Q", 0, 2, 1):
+        "d5b1046ce1a8a93691b318cf5a617c2e4702adc14ecb09e4d765c1c0eb3e1d8e",
+    ("Z", "Q", 1, 1, 1):
+        "26f031b591d888b39ce4d80ca9c182de090a9c723c5261a3387c275eb1eb48dc",
+    ("Z", "Q", 1, 2, 1):
+        "2d232430147cc579a6bc51396d35567d4f41601b1dcf7dff684531087379104c",
+    ("Z", "Q", 2, 1, 1):
+        "da5468ed46ef07bf21dc136414d0eec6d26b2a8218d98c4abb8d43918c7e6710",
+    ("Z", "Q", 3, 1, 1):
+        "26f031b591d888b39ce4d80ca9c182de090a9c723c5261a3387c275eb1eb48dc",
+    ("Z", "Q", 3, 2, 1):
+        "2a109f254085cc026b214561c22d1b39b8ca72821629caba672d7927b12c216d",
+    ("Z", "Q", 4, 1, 1):
+        "4ae23b043c21194a8bebc3081de8973413b5af0db40976960b57e9d6c85d3258",
+    ("Z", "Q", 5, 1, 1):
+        "f949368d13ebaeb7271a0fb2331bd780187dc8b63ae6acb06cd6e61aeb4d8a00",
+    ("Z", "Q", 5, 2, 1):
+        "3df6adaf4b1cd001fc7fac6edbd64ae67a62ef2d6cd1d63c5e1734b99cc4be81",
+    ("Z", "Q", 6, 1, 1):
+        "6009a4f67a09a8b7376f828031cc15ca6188143dcc05fef9840af43a1f2072f3",
+    ("Z", "Q", 7, 1, 1):
+        "0647a10bd994ffd228a931168ca1d6866715561f9055c1d861526e759757e24a",
+    ("Z", "Q", 7, 2, 1):
+        "7c5da861057c8a09b3acccf5642f4c64d799cbc0d977b27fe14e6da2906b1df9",
+    ("Z", "Q", 8, 1, 1):
+        "85d3ffd1d493e4d85b9ab6d3d301b42cfe115c6101e23ca52a65561b831458b6",
+    ("Z", "Q", 9, 1, 1):
+        "c392c2598f4a0931fbe939a78a6eb6df122dbb601aafa823735c7e780908ab27",
+    ("Z", "Q", 9, 2, 1):
+        "75bc397118e6de27b73a49bd3f8469f8722ce34e1cba2b550926e2751c9a7f11",
+    ("Dinf", "Z", 0, 1, 1):
+        "e6999db4b78a5393b1844c88b4a303618c15d9743e3159204b82ae5799d8db57",
+    ("Dinf", "Z", 0, 2, 1):
+        "4f07814092e87aaab46c5c3c644e7da85d2425dd428a3f18dba6a97e9138e611",
+    ("Dinf", "Z", 1, 1, 1):
+        "cfd8a44005c582ea377c6e195fe38418cefc7332651e0ebb9496c896d98e7042",
+    ("Dinf", "Z", 1, 2, 1):
+        "dc8673c29de9b861c872178d2689e386530423cb66695f994fb150d9ce6b482e",
+    ("Dinf", "Z", 3, 1, 1):
+        "83c39d249b38417c54608e0625024d2278f65ddd09976458e31cc88a484b9967",
+    ("Dinf", "Z", 4, 1, 1):
+        "74f19fc813013d7960e282168291ab88751525bb853565defa7a59d79eb83e97",
+    ("Dinf", "Z", 4, 2, 1):
+        "a60b912462e4ca7567be9d86b489720c94f720ff73e70dfab5d8288573774d6b",
+    ("Dinf", "Z", 5, 1, 1):
+        "5754588604677601059924b54d1e7f91eedd580120f3073872683c1419aad3c7",
+    ("Dinf", "Z", 5, 2, 1):
+        "588768f7b6953b7a3b0c38e18107b5609a25602718b8c5947ac9d562b8543dbe",
+    ("Dinf", "Z", 6, 1, 1):
+        "dc99425491269fe95904136542e01ebdaf70edecb43d4e9eb0e5cb3f57f38773",
+    ("Dinf", "Z", 6, 2, 1):
+        "3ca97c877c59038ba27d3159e5492264f429561a5b3113504a34930f32d8ad3f",
+    ("Dinf", "Z", 7, 1, 1):
+        "1e7f8b2af4a2d33a718c7d356c8c7342923f555d36390558753fdfa8baeea0e6",
+    ("Dinf", "Z", 7, 2, 1):
+        "224a504b124a681737a36d59e7cb696bc1b6ff46f7ffc90b98b075a3adfc1db3",
+    ("Dinf", "Z", 8, 1, 1):
+        "cbaadeb69f33c09391ab49ec59bca9fcc9445480a0c5189364bc16035ab152c9",
+    ("Dinf", "Z", 8, 2, 1):
+        "ed916496ec4cacc7c1726aa57adeb4afa82ded8743d23c0f94c4df127c8206cb",
+    ("Dinf", "Z", 9, 1, 1):
+        "a49d99339a1460e2dbcd8fbb89193d408187733b066a9745d7da532752562a09",
+    ("Dinf", "Z", 9, 2, 1):
+        "dd6c7ae9f7c4cbd917d5b38d16b86868e4d70115bafd3f34c66de2bfceebdb32",
+    ("Dinf", "Q", 0, 1, 1):
+        "e6999db4b78a5393b1844c88b4a303618c15d9743e3159204b82ae5799d8db57",
+    ("Dinf", "Q", 0, 2, 1):
+        "4f07814092e87aaab46c5c3c644e7da85d2425dd428a3f18dba6a97e9138e611",
+    ("Dinf", "Q", 1, 1, 1):
+        "cfd8a44005c582ea377c6e195fe38418cefc7332651e0ebb9496c896d98e7042",
+    ("Dinf", "Q", 1, 2, 1):
+        "dc8673c29de9b861c872178d2689e386530423cb66695f994fb150d9ce6b482e",
+    ("Dinf", "Q", 3, 1, 1):
+        "83c39d249b38417c54608e0625024d2278f65ddd09976458e31cc88a484b9967",
+    ("Dinf", "Q", 4, 1, 1):
+        "74f19fc813013d7960e282168291ab88751525bb853565defa7a59d79eb83e97",
+    ("Dinf", "Q", 4, 2, 1):
+        "a60b912462e4ca7567be9d86b489720c94f720ff73e70dfab5d8288573774d6b",
+    ("Dinf", "Q", 5, 1, 1):
+        "5754588604677601059924b54d1e7f91eedd580120f3073872683c1419aad3c7",
+    ("Dinf", "Q", 5, 2, 1):
+        "588768f7b6953b7a3b0c38e18107b5609a25602718b8c5947ac9d562b8543dbe",
+    ("Dinf", "Q", 6, 1, 1):
+        "dc99425491269fe95904136542e01ebdaf70edecb43d4e9eb0e5cb3f57f38773",
+    ("Dinf", "Q", 6, 2, 1):
+        "3ca97c877c59038ba27d3159e5492264f429561a5b3113504a34930f32d8ad3f",
+    ("Dinf", "Q", 7, 1, 1):
+        "1e7f8b2af4a2d33a718c7d356c8c7342923f555d36390558753fdfa8baeea0e6",
+    ("Dinf", "Q", 7, 2, 1):
+        "224a504b124a681737a36d59e7cb696bc1b6ff46f7ffc90b98b075a3adfc1db3",
+    ("Dinf", "Q", 8, 1, 1):
+        "cbaadeb69f33c09391ab49ec59bca9fcc9445480a0c5189364bc16035ab152c9",
+    ("Dinf", "Q", 8, 2, 1):
+        "ed916496ec4cacc7c1726aa57adeb4afa82ded8743d23c0f94c4df127c8206cb",
+    ("Dinf", "Q", 9, 1, 1):
+        "a49d99339a1460e2dbcd8fbb89193d408187733b066a9745d7da532752562a09",
+    ("Dinf", "Q", 9, 2, 1):
+        "dd6c7ae9f7c4cbd917d5b38d16b86868e4d70115bafd3f34c66de2bfceebdb32",
+    ("Z2", "Z", 0, 1, 1):
+        "d0fe43166d62e0646cb83478084f810e184298a8672cb4925a1cd4643eb50011",
+    ("Z2", "Z", 0, 2, 1):
+        "7ffa25503f079458a3f2a0d5637d139fb8beadae2250bc138fad8a896763de16",
+    ("Z2", "Z", 1, 1, 1):
+        "c8f46f90e51a31fc91902893b0a71c8a393c8b178da8dad3b419662f1b29efa5",
+    ("Z2", "Z", 1, 2, 1):
+        "ffb5604fa458beb5c127851dd9a1f2cf26968ded712f2cf7e80e81a7887f8d73",
+    ("Z2", "Z", 2, 1, 1):
+        "79677b9e5af390ab250620ed9fe766bf5268c8096a8f24dfa9c9481a126e2849",
+    ("Z2", "Z", 2, 2, 1):
+        "4c1fd4755c8fa2ceadac7b36ccca0f23336dbc899d2910b66b441a64109c2fbc",
+    ("Z2", "Z", 3, 1, 1):
+        "936369d7c2e1bd6b431769550f70e0ba86378e6e37c5b2dd3751cfa32673aa8d",
+    ("Z2", "Z", 3, 2, 1):
+        "5e7f92d1718e1e7f36f5e05f58bae61c433a934a8adff5e8b0e99439d21bb066",
+    ("Z2", "Z", 4, 1, 1):
+        "e957cca4fe6e7427441052655eb02d5a8a1ad2ebf12de0c28f3b44189098ca56",
+    ("Z2", "Z", 4, 2, 1):
+        "b6f085236cde494d3807496cf7c4ebd465657d7c5a150d2d669487774b1e1928",
+    ("Z2", "Z", 5, 1, 1):
+        "ae369602adb2d407a40023baadd0ff080eae8e62f6014e296dc6e127a6f61181",
+    ("Z2", "Z", 5, 2, 1):
+        "30d9494d1a5b8f09f7282167a70ff6c1f86ae8f0bc4b575a7e01406faa67b1d2",
+    ("Z2", "Z", 6, 1, 1):
+        "4b19b0ede29f555285ce86b65b802f551de83b060c31b3fbb7dab33bd6aefb50",
+    ("Z2", "Z", 6, 2, 1):
+        "0271730c24c64dd0e937875f84cd8bfb92c413bc74679abe8bd4d04f669344fd",
+    ("Z2", "Z", 7, 1, 1):
+        "a43c3953cd7dc7af9a51ae5411989b6dd7786b166b5313fa50c3e7e36243aef0",
+    ("Z2", "Z", 7, 2, 1):
+        "071d165b8354f076070064cea006488c9a7c015a3f1783fd64559f7314ce19e1",
+    ("Z2", "Z", 8, 1, 1):
+        "279c0cfdc6d7d954d97c26bc9fc374600a6aa521655f510f6a91e7986f882d99",
+    ("Z2", "Z", 8, 2, 1):
+        "5e7f92d1718e1e7f36f5e05f58bae61c433a934a8adff5e8b0e99439d21bb066",
+    ("Z2", "Z", 9, 1, 1):
+        "e21275d3c169c1cb5d7dfa5dffdd8b72d932abfa03b969526cd1dd3514cd4792",
+    ("Z2", "Z", 9, 2, 1):
+        "6281c3a30c0ae983f679e8649d2cf858cf77ca06264c97b1083b74c60622af5c",
+    ("Z2", "Q", 0, 1, 1):
+        "d0fe43166d62e0646cb83478084f810e184298a8672cb4925a1cd4643eb50011",
+    ("Z2", "Q", 0, 2, 1):
+        "7ffa25503f079458a3f2a0d5637d139fb8beadae2250bc138fad8a896763de16",
+    ("Z2", "Q", 1, 1, 1):
+        "c8f46f90e51a31fc91902893b0a71c8a393c8b178da8dad3b419662f1b29efa5",
+    ("Z2", "Q", 1, 2, 1):
+        "ffb5604fa458beb5c127851dd9a1f2cf26968ded712f2cf7e80e81a7887f8d73",
+    ("Z2", "Q", 2, 1, 1):
+        "79677b9e5af390ab250620ed9fe766bf5268c8096a8f24dfa9c9481a126e2849",
+    ("Z2", "Q", 2, 2, 1):
+        "4c1fd4755c8fa2ceadac7b36ccca0f23336dbc899d2910b66b441a64109c2fbc",
+    ("Z2", "Q", 3, 1, 1):
+        "936369d7c2e1bd6b431769550f70e0ba86378e6e37c5b2dd3751cfa32673aa8d",
+    ("Z2", "Q", 3, 2, 1):
+        "5e7f92d1718e1e7f36f5e05f58bae61c433a934a8adff5e8b0e99439d21bb066",
+    ("Z2", "Q", 4, 1, 1):
+        "e957cca4fe6e7427441052655eb02d5a8a1ad2ebf12de0c28f3b44189098ca56",
+    ("Z2", "Q", 4, 2, 1):
+        "b6f085236cde494d3807496cf7c4ebd465657d7c5a150d2d669487774b1e1928",
+    ("Z2", "Q", 5, 1, 1):
+        "ae369602adb2d407a40023baadd0ff080eae8e62f6014e296dc6e127a6f61181",
+    ("Z2", "Q", 5, 2, 1):
+        "30d9494d1a5b8f09f7282167a70ff6c1f86ae8f0bc4b575a7e01406faa67b1d2",
+    ("Z2", "Q", 6, 1, 1):
+        "4b19b0ede29f555285ce86b65b802f551de83b060c31b3fbb7dab33bd6aefb50",
+    ("Z2", "Q", 6, 2, 1):
+        "0271730c24c64dd0e937875f84cd8bfb92c413bc74679abe8bd4d04f669344fd",
+    ("Z2", "Q", 7, 1, 1):
+        "a43c3953cd7dc7af9a51ae5411989b6dd7786b166b5313fa50c3e7e36243aef0",
+    ("Z2", "Q", 7, 2, 1):
+        "071d165b8354f076070064cea006488c9a7c015a3f1783fd64559f7314ce19e1",
+    ("Z2", "Q", 8, 1, 1):
+        "279c0cfdc6d7d954d97c26bc9fc374600a6aa521655f510f6a91e7986f882d99",
+    ("Z2", "Q", 8, 2, 1):
+        "5e7f92d1718e1e7f36f5e05f58bae61c433a934a8adff5e8b0e99439d21bb066",
+    ("Z2", "Q", 9, 1, 1):
+        "e21275d3c169c1cb5d7dfa5dffdd8b72d932abfa03b969526cd1dd3514cd4792",
+    ("Z2", "Q", 9, 2, 1):
+        "6281c3a30c0ae983f679e8649d2cf858cf77ca06264c97b1083b74c60622af5c",
+    ("F2", "Z", 0, 1, 1):
+        "3bf35bfaee83d388449f0050877dcb9b48ab50bae70f8d248a591a44e02e2106",
+    ("F2", "Z", 0, 2, 1):
+        "ff408ad68b521b2891028fb0598838a223e1dcc75f8cd3d26256d3c8eecb898b",
+    ("F2", "Z", 1, 1, 1):
+        "13282f0dbcb913e9a8ca52341e8ac590aadfa9fa3375fd09a058112931cb96a5",
+    ("F2", "Z", 1, 2, 1):
+        "d869b89313549b12839b76245ec56890dd4aafbed4c394ed0fe402d527829a79",
+    ("F2", "Z", 2, 1, 1):
+        "19dc2ee4831b3f1d8fe1af4f4c240f34d4daa39be9fead0c925e9aff4f6339c5",
+    ("F2", "Z", 2, 2, 1):
+        "44a1dc10bc4e342293ae513d739bc5798b3158903fa091bba105abb254be8b77",
+    ("F2", "Z", 3, 1, 1):
+        "1c9a1f4a87ef08587dbed43b9b9343ec3faeb3a1798ebe9b3f1d22387dbaa4ae",
+    ("F2", "Z", 3, 2, 1):
+        "30f1ad8a7fe197281f79041ac384d311d706ca0e3ed696a41e9bcb19ce51b6bc",
+    ("F2", "Z", 4, 1, 1):
+        "8684d04ead4fd653e85e577dbfab8c2b98c699c7a861b09c35bbefb7c57d30d2",
+    ("F2", "Z", 4, 2, 1):
+        "ab3612435fb9d86fea24cf889393d39280d8f327517403d99256c29093cab81d",
+    ("F2", "Z", 5, 1, 1):
+        "0b80afec92e7c68c252827cf796c7ea8d87fb364ecf2b9599c7342efe0bafe54",
+    ("F2", "Z", 5, 2, 1):
+        "a8133a1e6c969c29a1c4f6ba72d4db774bdac5301651286fd65733cb65fa8aa8",
+    ("F2", "Z", 6, 1, 1):
+        "a04197de7a85f03056f1966d6b01d5597684f6174a967ccdc7009041b20e509d",
+    ("F2", "Z", 6, 2, 1):
+        "baad1101f3947a475dbdeecb9b7fcb71445c1637f3e8cfa0eea6a85439647bda",
+    ("F2", "Z", 7, 1, 1):
+        "d77938901ee89f48dbf307bec3315e99d366351d83de067002f156b7eeb468e4",
+    ("F2", "Z", 7, 2, 1):
+        "a86b1379b2f4265d4c7f550caba6dad96399dbed3685bbda470f8bfb4239b057",
+    ("F2", "Z", 8, 1, 1):
+        "8c71e315f522c056dc887350e651bcf69f774fa60661b23835142b54af4d184b",
+    ("F2", "Z", 8, 2, 1):
+        "8ae5774dbc24a4787961e58462e4fdd89be2e4d7b00b61f9c639d7f628f330eb",
+    ("F2", "Z", 9, 1, 1):
+        "025094cb1167549a70b490887daf02010a8f72c436797b3f9c97f5235df30f2b",
+    ("F2", "Z", 9, 2, 1):
+        "79882809eaa06c27efe23ab236b295bb04cb08609e2823937c67602366b8d49f",
+    ("F2", "Q", 0, 1, 1):
+        "3bf35bfaee83d388449f0050877dcb9b48ab50bae70f8d248a591a44e02e2106",
+    ("F2", "Q", 0, 2, 1):
+        "ff408ad68b521b2891028fb0598838a223e1dcc75f8cd3d26256d3c8eecb898b",
+    ("F2", "Q", 1, 1, 1):
+        "13282f0dbcb913e9a8ca52341e8ac590aadfa9fa3375fd09a058112931cb96a5",
+    ("F2", "Q", 1, 2, 1):
+        "d869b89313549b12839b76245ec56890dd4aafbed4c394ed0fe402d527829a79",
+    ("F2", "Q", 2, 1, 1):
+        "19dc2ee4831b3f1d8fe1af4f4c240f34d4daa39be9fead0c925e9aff4f6339c5",
+    ("F2", "Q", 2, 2, 1):
+        "44a1dc10bc4e342293ae513d739bc5798b3158903fa091bba105abb254be8b77",
+    ("F2", "Q", 3, 1, 1):
+        "1c9a1f4a87ef08587dbed43b9b9343ec3faeb3a1798ebe9b3f1d22387dbaa4ae",
+    ("F2", "Q", 3, 2, 1):
+        "30f1ad8a7fe197281f79041ac384d311d706ca0e3ed696a41e9bcb19ce51b6bc",
+    ("F2", "Q", 4, 1, 1):
+        "8684d04ead4fd653e85e577dbfab8c2b98c699c7a861b09c35bbefb7c57d30d2",
+    ("F2", "Q", 4, 2, 1):
+        "ab3612435fb9d86fea24cf889393d39280d8f327517403d99256c29093cab81d",
+    ("F2", "Q", 5, 1, 1):
+        "0b80afec92e7c68c252827cf796c7ea8d87fb364ecf2b9599c7342efe0bafe54",
+    ("F2", "Q", 5, 2, 1):
+        "a8133a1e6c969c29a1c4f6ba72d4db774bdac5301651286fd65733cb65fa8aa8",
+    ("F2", "Q", 6, 1, 1):
+        "a04197de7a85f03056f1966d6b01d5597684f6174a967ccdc7009041b20e509d",
+    ("F2", "Q", 6, 2, 1):
+        "baad1101f3947a475dbdeecb9b7fcb71445c1637f3e8cfa0eea6a85439647bda",
+    ("F2", "Q", 7, 1, 1):
+        "d77938901ee89f48dbf307bec3315e99d366351d83de067002f156b7eeb468e4",
+    ("F2", "Q", 7, 2, 1):
+        "a86b1379b2f4265d4c7f550caba6dad96399dbed3685bbda470f8bfb4239b057",
+    ("F2", "Q", 8, 1, 1):
+        "8c71e315f522c056dc887350e651bcf69f774fa60661b23835142b54af4d184b",
+    ("F2", "Q", 8, 2, 1):
+        "8ae5774dbc24a4787961e58462e4fdd89be2e4d7b00b61f9c639d7f628f330eb",
+    ("F2", "Q", 9, 1, 1):
+        "025094cb1167549a70b490887daf02010a8f72c436797b3f9c97f5235df30f2b",
+    ("F2", "Q", 9, 2, 1):
+        "79882809eaa06c27efe23ab236b295bb04cb08609e2823937c67602366b8d49f",
+}
+
+
 def _sha(obj):
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True).encode()).hexdigest()
@@ -169,3 +474,29 @@ def test_induced_map_report_pinned(case):
     name, rank = case
     assert _sha(induced_map_on_homology(get_map(name), 2, rank=rank)) == \
         PINNED_INDUCED[case]
+
+
+def _window_sweep():
+    """The negative verdicts of a window sweep, as the result a
+    window-boundary report carries: the boundary of the seeded degree-2
+    chain of radius 2 (one more than those reports draw at these
+    windows, so that some cycles leave the window), over Z and Q, solved
+    in the windows (1, 1) and (2, 1)."""
+    out = {}
+    for group in ("Z", "Dinf", "Z2", "F2"):
+        for ring in ("Z", "Q"):
+            for seed in range(10):
+                cycle = boundary(random_chain(
+                    get_group(group), ring_from_name(ring), 1, 2, 2,
+                    terms=3, seed=seed))
+                for x_radius, tuple_radius in ((1, 1), (2, 1)):
+                    res = is_boundary_window(cycle, x_radius, tuple_radius)
+                    if res["verdict"] is False:
+                        out[(group, ring, seed, x_radius, tuple_radius)] = \
+                            _sha({k: res[k] for k in
+                                  ("verdict", "window", "obstruction")})
+    return out
+
+
+def test_negative_window_verdicts_pinned():
+    assert _window_sweep() == PINNED_NEGATIVE_WINDOWS
