@@ -1,8 +1,10 @@
 """Integral, rational and mod-p homology tables for finite groups.
 
-One integer Smith normal form per boundary matrix serves every ring:
-the divisors give betti numbers and torsion over the integers, ranks
-over the rationals, and ranks prime to p over a prime field.
+One list of integer elementary divisors per boundary matrix serves
+every ring: the divisors give betti numbers and torsion over the
+integers, ranks over the rationals, and ranks prime to p over a prime
+field.  They are read off a certified elimination of the unit pivots
+and a Smith normal form of what it leaves.
 """
 
 from coarsehom.groups import cyclic_group, finite_dihedral

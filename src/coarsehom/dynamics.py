@@ -596,7 +596,7 @@ def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
     """Homology and cohomology of the transformation groupoid against
     its restriction to a full subset; Morita invariance says they must
     agree degree by degree.  Both tables of a groupoid read one list of
-    Smith forms, so the cohomology verdict follows from the homology
+    divisor forms, so the cohomology verdict follows from the homology
     one."""
     sub = set(subset)
     full = all(any(act(g, x) in sub for g in act.group.elements())

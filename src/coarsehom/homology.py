@@ -1,11 +1,20 @@
 """Exact integer linear algebra for finite chain complexes.
 
-Boundary matrices are assembled over explicit ordered bases and reduced
-by a Smith normal form with full change-of-basis certificates: the
-reduction returns U, V, V^-1 with U A V diagonal, every divisor dividing
-the next.  Everything downstream — betti numbers, torsion, kernel
-coordinates, boundary solving, induced maps on homology — is read off
-that one decomposition, so a verified certificate certifies the lot.
+Boundary matrices are assembled over explicit ordered bases as sparse
+columns of face sums.  Two reductions serve what callers read:
+
+- Homology and cohomology tables read elementary divisors alone.  The
+  unit (+-1) pivots of each boundary are eliminated on its sparse
+  columns (_eliminate_units), the elimination is replayed exactly
+  (_check_elimination), and only the small remainder it leaves goes to
+  the dense Smith form (_certified_divisors).
+- Kernel coordinates, span checks and induced maps on homology read the
+  change of basis itself: a Smith normal form with full certificates,
+  U, V, V^-1 with U A V diagonal, every divisor dividing the next.
+  Boundary windows solve on the sparse columns, and a negative window
+  verdict takes the dense form for the obstruction it names.
+
+Every certificate is checked before it is read.
 
 Nerve contract: every finite complex is the nerve of an action groupoid
 G⋉X on an ordered list of units X and an ordered list of elements of G.
@@ -375,6 +384,171 @@ def smith_normal_form(A) -> SNFResult:
     return SNFResult(U, V, Vinv, divisors, (r, c))
 
 
+# -- unit-pivot elimination on sparse columns ---------------------------------
+
+def _eliminate_units(columns):
+    """Eliminate the unit pivots of a sparse integer matrix by row
+    operations, the reduction pairs of Kaczynski-Mrozek-Slusarek.
+
+    columns holds one dict row -> nonzero int per column and is consumed.
+    Columns are taken by fewest current entries, ties to the lower index;
+    within a column the pivot is the +-1 entry whose row has the fewest
+    entries, ties to the lower row.  Each pivot (i, j) subtracts
+    multiples of row i from the other rows of column j, which clears
+    column j but for the pivot, and then retires row i and column j.
+    A column with no unit entry waits until a row operation changes it.
+
+    Returns (pivots, rest).  pivots lists, in elimination order,
+    (i, j, p, row, col): p = A_ij, row = {k: A_ik} over the other live
+    columns and col = {l: A_lj} over the other live rows, both as they
+    stood when (i, j) was taken; the row operations were
+    row_l -= A_lj p row_i.  rest maps each column left with an entry to
+    that column, over rows that were never a pivot row.
+    """
+    rows = {}
+    for j, col in enumerate(columns):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(columns) if col]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        n, j = heapq.heappop(heap)
+        col = columns[j]
+        if col is None or len(col) != n:
+            continue            # pivoted, or changed since it was pushed
+        units = [i for i, v in col.items() if v in (1, -1)]
+        if not units:
+            continue
+        i = min(units, key=lambda i: (len(rows[i]), i))
+        p = col.pop(i)
+        row = {k: columns[k].pop(i) for k in rows.pop(i) if k != j}
+        for l, a in col.items():
+            f = a * p
+            on_l = rows[l]
+            on_l.discard(j)
+            for k, v in row.items():
+                ck = columns[k]
+                w = ck.get(l, 0) - f * v
+                if w:
+                    ck[l] = w
+                    on_l.add(k)
+                else:
+                    del ck[l]
+                    on_l.discard(k)
+        columns[j] = None
+        pivots.append((i, j, p, row, col))
+        for k in row:
+            if columns[k]:
+                heapq.heappush(heap, (len(columns[k]), k))
+    return pivots, {j: col for j, col in enumerate(columns) if col}
+
+
+def _remainder(rest):
+    """The remainder of an elimination as a dense matrix (a list of
+    rows), over the rows that hold an entry, in increasing order, and the
+    columns of rest in order; and the position of each of those rows."""
+    at = {l: t for t, l in enumerate(sorted(
+        {l for col in rest.values() for l in col}))}
+    R = [[0] * len(rest) for _ in at]
+    for t, col in enumerate(rest.values()):
+        for l, v in col.items():
+            R[at[l]][t] = v
+    return R, at
+
+
+def _check_elimination(columns, pivots, rest):
+    """Replay the unit elimination (pivots, rest) of the matrix A given by
+    sparse columns, exactly; raise RuntimeError unless it proves
+    A ~ +-I_K ⊕ R, K = len(pivots) and R the remainder in rest.
+
+    With u_t = p_t col_t, L = I + sum_t u_t e_{i_t}^T, and F holding
+    p_t e_{j_t} + row_t in row i_t and rest in the other rows, the check
+    is A == L F entry for entry, and that:
+    - every p_t is +-1, and no pivot row or column recurs;
+    - col_t meets none of the rows i_0..i_t, so L is unit lower
+      triangular with the pivot rows first, in order;
+    - row_t meets none of the columns j_0..j_t, and rest none of the
+      pivot rows and columns, so F is block upper triangular: +-1 on the
+      diagonal of the pivot block, R below and right of it.
+    Unimodular row and column operations then take L F to +-I_K ⊕ R.
+    Indices are not range-checked: the identity holds over any index
+    set, and zero rows or columns outside A leave its divisors as they
+    are."""
+    done_rows, done_cols = set(), set()
+    # A - L F, column by column, which must vanish
+    diff = {k: dict(col) for k, col in enumerate(columns)}
+    for k, col in rest.items():
+        out = diff.setdefault(k, {})
+        for l, v in col.items():
+            out[l] = out.get(l, 0) - v
+    for i, j, p, row, col in pivots:
+        if p not in (1, -1) or i in done_rows or j in done_cols:
+            raise RuntimeError(f"unit elimination replay failed: pivot "
+                               f"({i}, {j}) is not a fresh unit")
+        done_rows.add(i)
+        done_cols.add(j)
+        if not (done_rows.isdisjoint(col) and done_cols.isdisjoint(row)):
+            raise RuntimeError(f"unit elimination replay failed: pivot "
+                               f"({i}, {j}) meets a retired row or column")
+        # column k of L F holds F_ik (e_i + u_t)
+        for k, v in ((j, p), *row.items()):
+            out = diff.setdefault(k, {})
+            out[i] = out.get(i, 0) - v
+            f = v * p
+            for l, a in col.items():
+                out[l] = out.get(l, 0) - a * f
+    if not (done_cols.isdisjoint(rest)
+            and all(done_rows.isdisjoint(col) for col in rest.values())):
+        raise RuntimeError("unit elimination replay failed: the remainder "
+                           "meets a pivot row or column")
+    if any(any(col.values()) for col in diff.values()):
+        raise RuntimeError("unit elimination replay failed: L F differs "
+                           "from the matrix")
+
+
+class DivisorForm:
+    """The shape and the nonzero elementary divisors of a matrix, with no
+    change-of-basis certificates: what a homology table reads."""
+
+    def __init__(self, shape, divisors):
+        self.shape = shape
+        self.divisors = divisors
+
+    def elementary_divisors(self):
+        return list(self.divisors)
+
+
+def _certified_divisors(columns, n_rows: int) -> DivisorForm:
+    """The elementary divisors of the n_rows x len(columns) matrix A given
+    by sparse integer columns (dicts row -> value, left as they are),
+    every one resting on an exact check.
+
+    The unit pivots are eliminated (_eliminate_units, on a copy) and the
+    elimination is replayed (_check_elimination), which proves
+    A ~ +-I_K ⊕ R.  The remainder R goes through _certified_smith in its
+    shorter orientation, R or R^T, which have the same divisors, so its
+    V V^-1 check is exact whenever R has at most 64 rows or columns.
+    The divisors are K ones, then those of R.
+
+    >>> A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    >>> columns = [{i: r[j] for i, r in enumerate(A)} for j in range(3)]
+    >>> _certified_divisors(columns, 3).elementary_divisors()
+    [2, 2, 156]
+    >>> _certified_divisors([{0: 1, 1: -1}, {1: 1, 2: -1}], 3).divisors
+    [1, 1]
+    """
+    pivots, rest = _eliminate_units([dict(col) for col in columns])
+    _check_elimination(columns, pivots, rest)
+    divisors = [1] * len(pivots)
+    if rest:
+        R, _ = _remainder(rest)
+        if len(rest) > len(R):
+            R = [list(r) for r in zip(*R)]
+        divisors += _certified_smith(R).elementary_divisors()
+    return DivisorForm((n_rows, len(columns)), divisors)
+
+
 # -- boundary matrices of nerves ---------------------------------------------
 
 class ChainBasis:
@@ -441,11 +615,17 @@ class Nerve:
         return _face_sum_matrix(col.points, row.index, self.faces), row, col
 
     def smiths(self, max_degree: int):
-        """The certified Smith forms of d_1..d_{N+1}, which every table
+        """The certified divisor forms of d_1..d_{N+1}, which every table
         of the nerve reads, at every rank: with coefficients of rank k
-        the complex is k copies of this one."""
-        return [_certified_smith(self.boundary(n)[0])
-                for n in range(1, max_degree + 2)]
+        the complex is k copies of this one.  Each boundary goes to
+        _certified_divisors as sparse columns; no dense matrix is built."""
+        forms = []
+        for n in range(1, max_degree + 2):
+            row = ChainBasis(self.points(n - 1))
+            forms.append(_certified_divisors(
+                _face_sum_columns(self.points(n), row.index, self.faces),
+                len(row)))
+        return forms
 
 
 def _module_nerve(group: Group, module: str) -> Nerve:
@@ -463,19 +643,36 @@ def _module_nerve(group: Group, module: str) -> Nerve:
     return Nerve(group, ["pt"], els, lambda g, x: x)
 
 
-def _face_sum_matrix(cols, row_index, faces):
-    """Alternating face sums over ordered bases: column key k gets sign
-    (-1)^i at row_index[f] for the i-th face f in faces(k)."""
-    rows, at, signs = [], [], []
-    for ci, key in enumerate(cols):
+def _face_sum_columns(cols, row_index, faces):
+    """Alternating face sums over ordered bases, as sparse columns: the
+    column of key k maps row_index[f] to the sum of the signs (-1)^i of
+    the i-th faces in faces(k) equal to f; zero sums are dropped."""
+    columns = []
+    for key in cols:
+        col = {}
         for i, f in enumerate(faces(key)):
-            rows.append(row_index[f])
-            at.append(ci)
-            signs.append(-1 if i & 1 else 1)
-    M = np.zeros((len(row_index), len(cols)), dtype=np.int64)
-    np.add.at(M, (np.array(rows, dtype=np.int64),
-                  np.array(at, dtype=np.int64)), signs)
+            r = row_index[f]
+            v = col.get(r, 0) + (-1 if i & 1 else 1)
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+        columns.append(col)
+    return columns
+
+
+def _dense(columns, n_rows: int):
+    """The n_rows x len(columns) int64 matrix of sparse columns."""
+    M = np.zeros((n_rows, len(columns)), dtype=np.int64)
+    M[[i for col in columns for i in col],
+      [j for j, col in enumerate(columns) for _ in col]] = \
+        [v for col in columns for v in col.values()]
     return M
+
+
+def _face_sum_matrix(cols, row_index, faces):
+    """The dense matrix of _face_sum_columns."""
+    return _dense(_face_sum_columns(cols, row_index, faces), len(row_index))
 
 
 def assemble_boundary_matrix(group: Group, degree: int,
@@ -531,15 +728,16 @@ def _certified_smith(A) -> SNFResult:
 def _homology_table(ring_name: str, smiths, rank: int = 1,
                     cohomology: bool = False):
     """Betti number and torsion in degrees 0..N of a finite free complex
-    with coefficients of rank k, read off the certified Smith forms of
-    the rank-1 boundaries d_1, ..., d_{N+1} (an iterable, consumed
-    once), d_n : C_n -> C_{n-1}; d_0 is zero.
+    with coefficients of rank k, read off certified forms of the rank-1
+    boundaries d_1, ..., d_{N+1} (an iterable, consumed once; each form
+    gives shape and elementary_divisors(), as DivisorForm and SNFResult
+    do), d_n : C_n -> C_{n-1}; d_0 is zero.
 
     The rank-k complex is k copies of the rank-1 one, so its homology is
     the k-th power: betti times k, and each torsion divisor k times in
     place, which is the divisor chain of kron(d_n, I_k).
 
-    One integer Smith form per boundary serves every ring: over Z the
+    One list of integer divisors per boundary serves every ring: over Z the
     divisors give betti and torsion, over Q only ranks matter, over a
     prime field Z/p ranks count divisors prime to p.  Cohomology reads
     the same forms: the coboundary d_n^T : C^{n-1} -> C^n has the
@@ -630,64 +828,6 @@ def h0_coinvariants(group: Group, ring_name: str = "Z",
 
 # -- boundary solving ----------------------------------------------------------
 
-def _eliminate_units(columns):
-    """Eliminate the unit pivots of a sparse integer matrix by row
-    operations, the reduction pairs of Kaczynski-Mrozek-Slusarek.
-
-    columns holds one dict row -> nonzero int per column and is consumed.
-    Columns are taken by fewest current entries, ties to the lower index;
-    within a column the pivot is the +-1 entry whose row has the fewest
-    entries, ties to the lower row.  Each pivot (i, j) subtracts
-    multiples of row i from the other rows of column j, which clears
-    column j but for the pivot, and then retires row i and column j.
-    A column with no unit entry waits until a row operation changes it.
-
-    Returns (pivots, rest).  pivots lists, in elimination order,
-    (i, j, p, row, col): p = A_ij, row = {k: A_ik} over the other live
-    columns and col = {l: A_lj} over the other live rows, both as they
-    stood when (i, j) was taken; the row operations were
-    row_l -= A_lj p row_i.  rest maps each column left with an entry to
-    that column, over rows that were never a pivot row.
-    """
-    rows = {}
-    for j, col in enumerate(columns):
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in enumerate(columns) if col]
-    heapq.heapify(heap)
-    pivots = []
-    while heap:
-        n, j = heapq.heappop(heap)
-        col = columns[j]
-        if col is None or len(col) != n:
-            continue            # pivoted, or changed since it was pushed
-        units = [i for i, v in col.items() if v in (1, -1)]
-        if not units:
-            continue
-        i = min(units, key=lambda i: (len(rows[i]), i))
-        p = col.pop(i)
-        row = {k: columns[k].pop(i) for k in rows.pop(i) if k != j}
-        for l, a in col.items():
-            f = a * p
-            on_l = rows[l]
-            on_l.discard(j)
-            for k, v in row.items():
-                ck = columns[k]
-                w = ck.get(l, 0) - f * v
-                if w:
-                    ck[l] = w
-                    on_l.add(k)
-                else:
-                    del ck[l]
-                    on_l.discard(k)
-        columns[j] = None
-        pivots.append((i, j, p, row, col))
-        for k in row:
-            if columns[k]:
-                heapq.heappush(heap, (len(columns[k]), k))
-    return pivots, {j: col for j, col in enumerate(columns) if col}
-
-
 def _solve_sparse(columns, b, ring_name):
     """Solve A x = m b over ring "Z" or "Q", A given by sparse columns
     (consumed by _eliminate_units); returns (x, m) with integer x and
@@ -710,12 +850,7 @@ def _solve_sparse(columns, b, ring_name):
     m = 1
     empty = set(range(len(b))).difference(i for i, *_ in pivots)
     if rest:
-        at = {l: t for t, l in enumerate(sorted(
-            {l for col in rest.values() for l in col}))}
-        R = [[0] * len(rest) for _ in at]
-        for t, col in enumerate(rest.values()):
-            for l, v in col.items():
-                R[at[l]][t] = v
+        R, at = _remainder(rest)
         y, m, obstruction = smith_normal_form(R).solve(
             [b[l] for l in at], ring_name)
         if obstruction is not None:
@@ -800,19 +935,8 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
             row_index.setdefault(f, len(row_index))
     for p in chain.data:
         row_index.setdefault(p, len(row_index))
-    # sparse columns: repeated faces summed, zero sums dropped, as in
-    # _face_sum_matrix
-    columns = []
-    for fs in faces:
-        col = {}
-        for i, f in enumerate(fs):
-            r = row_index[f]
-            v = col.get(r, 0) + (-1 if i & 1 else 1)
-            if v:
-                col[r] = v
-            else:
-                del col[r]
-        columns.append(col)
+    columns = _face_sum_columns(range(len(cols)), row_index,
+                                faces.__getitem__)
 
     # right-hand side; over Q clear denominators first
     scale = 1
@@ -873,19 +997,19 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     G, H = phi.source, phi.target
     nerve_G = _module_nerve(G, "group-ring")
     nerve_H = _module_nerve(H, "group-ring")
-    # the form of d_0 = 0, whose kernel is all of C_0, then the forms of
-    # d_1..d_{N+1} that H_n of each side is read off, as in every table
-    snf_G, snf_H = ([_certified_smith(nerve.boundary(0)[0])]
-                    + nerve.smiths(max_degree)
-                    for nerve in (nerve_G, nerve_H))
+    # d_0..d_{N+1} of each side and their certified Smith forms, whose
+    # V^-1 and kernel bases the maps are read in: d_0 = 0, whose kernel
+    # is all of C_0, then the forms H_n of each side is read off
+    d_G, d_H = ([nerve.boundary(n)[0] for n in range(max_degree + 2)]
+                for nerve in (nerve_G, nerve_H))
+    snf_G, snf_H = ([_certified_smith(d) for d in ds] for ds in (d_G, d_H))
     st_G, st_H = ([{"betti": row["betti"], "torsion": row["torsion"]}
                    for row in _homology_table("Z", snfs[1:], rank)]
                   for snfs in (snf_G, snf_H))
-    # d_0..d_{N+1} over Python ints, for the chain-map check and the
-    # presentations of the target
-    d_G, d_H = ([np.asarray(nerve.boundary(n)[0], dtype=object)
-                 for n in range(max_degree + 2)]
-                for nerve in (nerve_G, nerve_H))
+    # over Python ints, for the chain-map check and the presentations of
+    # the target
+    d_G, d_H = ([np.asarray(d, dtype=object) for d in ds]
+                for ds in (d_G, d_H))
 
     def chain_matrix(n):
         colb = ChainBasis(nerve_G.points(n))

@@ -269,22 +269,23 @@ def test_morita_restriction_agrees():
     assert mor["cohomology_full"] == mor["cohomology_restricted"]
 
 
-def _smith_inputs(monkeypatch):
-    """The matrices handed to smith_normal_form from here on."""
-    seen, real = [], homology.smith_normal_form
+def _table_inputs(monkeypatch):
+    """The matrices handed to the table reduction (_certified_divisors,
+    as sparse columns) from here on."""
+    seen, real = [], homology._certified_divisors
 
-    def spy(A):
-        seen.append(np.array(A))
-        return real(A)
+    def spy(columns, n_rows):
+        seen.append(homology._dense(columns, n_rows))
+        return real(columns, n_rows)
 
-    monkeypatch.setattr(homology, "smith_normal_form", spy)
+    monkeypatch.setattr(homology, "_certified_divisors", spy)
     return seen
 
 
 def test_morita_reduces_each_boundary_of_each_groupoid_once(monkeypatch):
     coup = dy.product_coupling(C4, C2)
     act = coup.combined_action()
-    seen = _smith_inputs(monkeypatch)
+    seen = _table_inputs(monkeypatch)
     assert dy.morita_invariance_check(act, coup.xbar, max_degree=1)["ok"]
     big = dy.action_groupoid(act)
     want = [gpd.nerve().boundary(n)[0]
@@ -301,7 +302,7 @@ def test_default_morita_report_makes_sixteen_smith_calls(monkeypatch):
     # 3 + 3 for the two translation groupoids and 3 + 3 for the two
     # restricted ones (max degree 2), then 2 + 2 for the Morita check
     # (max degree 1), whose tables of each groupoid share their forms
-    seen = _smith_inputs(monkeypatch)
+    seen = _table_inputs(monkeypatch)
     assert run_experiment({"experiment": "morita-check"})["body"]["pass"]
     assert len(seen) == 16
 

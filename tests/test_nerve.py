@@ -18,7 +18,8 @@ from coarsehom.cli import run_experiment
 from coarsehom.gallery import get_group, get_map, get_scenario
 from coarsehom.homology import (Nerve, _certified_smith, _homology_table,
                                 _rank_over, assemble_boundary_matrix,
-                                homology_finite, induced_map_on_homology)
+                                homology_finite, induced_map_on_homology,
+                                smith_normal_form)
 
 FINITE = ["triv", "Z/2", "Z/3", "Z/4", "Z/6", "D3", "Z/2xZ/2"]
 SCENARIOS = ["product-coupling", "z4-z2-twist", "dihedral-flip",
@@ -265,15 +266,16 @@ def test_rank_k_reads_the_divisor_chain_of_the_kron(A, rank):
             _homology_table(ring, [_certified_smith(M) for M in kron])
 
 
-def _smith_digests(monkeypatch):
-    """Digests of the matrices handed to smith_normal_form from here on."""
-    seen, real = [], homology.smith_normal_form
+def _table_digests(monkeypatch):
+    """Digests of the matrices handed to the table reduction
+    (_certified_divisors, as sparse columns) from here on."""
+    seen, real = [], homology._certified_divisors
 
-    def spy(A):
-        seen.append(_digest(A))
-        return real(A)
+    def spy(columns, n_rows):
+        seen.append(_digest(homology._dense(columns, n_rows)))
+        return real(columns, n_rows)
 
-    monkeypatch.setattr(homology, "smith_normal_form", spy)
+    monkeypatch.setattr(homology, "_certified_divisors", spy)
     return seen
 
 
@@ -283,9 +285,122 @@ def _smith_digests(monkeypatch):
     {"experiment": "homology-finite", "group": "Z/4", "module": "trivial",
      "max_degree": 3}], ids=["Z/3-group-ring", "Z/4-trivial"])
 def test_rank_two_report_reduces_the_rank_one_matrices(monkeypatch, config):
-    seen = _smith_digests(monkeypatch)
+    seen = _table_digests(monkeypatch)
     run_experiment(config)
     rank_one = list(seen)
     seen.clear()
     run_experiment(dict(config, rank=2))
     assert seen == rank_one and len(seen) == config["max_degree"] + 1
+
+
+# -- tables on the sparse unit-pivot front end --------------------------------
+
+def _columns(M):
+    """The sparse columns (dict row -> value) of a dense matrix."""
+    M = np.asarray(M)
+    return [{int(i): int(M[i, j]) for i in np.nonzero(M[:, j])[0]}
+            for j in range(M.shape[1])]
+
+
+def _pinned_matrix(key):
+    """The matrix a key of the pinned grid names, built as the pinned
+    tests build it."""
+    head, degree = key.rsplit(" d", 1)
+    if head in GROUPOIDS:
+        return GROUPOIDS[head].nerve().boundary(int(degree))[0]
+    name, module, _, rank = head.split(" ")
+    return assemble_boundary_matrix(get_group(name), int(degree),
+                                    module=module, rank=int(rank))["matrix"]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_front_end_divisors_match_the_dense_smith_form(key):
+    """Every pinned matrix: the group tables' and d_1..d_3 of each
+    groupoid of the gallery scenarios."""
+    M = _pinned_matrix(key)
+    assert _digest(M) == PINNED[key]
+    # the dense reference in its shorter orientation: same divisors,
+    # smaller certificates
+    dense = smith_normal_form(M.T if M.shape[1] > M.shape[0] else M)
+    form = homology._certified_divisors(_columns(M), M.shape[0])
+    assert form.shape == M.shape
+    assert form.elementary_divisors() == dense.elementary_divisors()
+
+
+def _forge_row(pivots, rest):
+    """One entry of the first recorded pivot row that has one, altered."""
+    for i, j, p, row, col in pivots:
+        if row:
+            k = next(iter(row))
+            row[k] += 1
+            return pivots, rest
+    raise AssertionError("no pivot row holds an entry")
+
+
+@pytest.mark.parametrize("forge", ["pivot-row", "other-matrix"])
+def test_forged_elimination_fails_the_replay(monkeypatch, forge):
+    d2 = GROUPOIDS["translation Z/4"].nerve().boundary(2)[0]
+    columns = _columns(d2)
+    real = homology._eliminate_units
+    if forge == "pivot-row":
+        monkeypatch.setattr(homology, "_eliminate_units",
+                            lambda cols: _forge_row(*real(cols)))
+    else:
+        # the elimination of another matrix of the same shape
+        other = _columns(np.roll(d2, 1, axis=0))
+        monkeypatch.setattr(homology, "_eliminate_units",
+                            lambda cols: real(other))
+    with pytest.raises(RuntimeError, match="replay"):
+        homology._certified_divisors(columns, d2.shape[0])
+
+
+@pytest.mark.parametrize("A, pivots, rest", [
+    # p = 2 is no unit, though L F == A
+    ([{0: 2}], [(0, 0, 2, {}, {})], {}),
+    # col meets its own pivot row: L = [[2]]
+    ([{0: 2}], [(0, 0, 1, {}, {0: 1})], {}),
+    # column 0 pivoted twice
+    ([{0: 1, 1: 1}], [(0, 0, 1, {}, {}), (1, 0, 1, {}, {})], {}),
+    # row 0 pivoted twice: [[1, 1]] has rank 1
+    ([{0: 1}, {0: 1}], [(0, 0, 1, {}, {}), (0, 1, 1, {}, {})], {}),
+    # the second pivot row meets the first pivot column: [[1, 1], [1, 1]]
+    # has rank 1
+    ([{0: 1, 1: 1}, {0: 1, 1: 1}],
+     [(0, 0, 1, {1: 1}, {}), (1, 1, 1, {0: 1}, {})], {}),
+    # the remainder meets the pivot row and column
+    ([{0: 3}], [(0, 0, 1, {}, {})], {0: {0: 2}}),
+], ids=["non-unit", "col-meets-pivot-row", "column-reused", "row-reused",
+        "row-meets-pivot-column", "rest-meets-pivots"])
+def test_replay_rejects_each_broken_structure(A, pivots, rest):
+    with pytest.raises(RuntimeError, match="replay"):
+        homology._check_elimination(A, pivots, rest)
+
+
+def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense boundary was built on a table path")
+
+    monkeypatch.setattr(homology, "_face_sum_matrix", dense)
+    monkeypatch.setattr(Nerve, "boundary", dense)
+    table = homology_finite(get_group("Z/6"), 4, module="trivial")
+    # Z, Z/6, 0, Z/6, 0
+    assert [(row["betti"], row["torsion"]) for row in table] == \
+        [(1, []), (0, [6]), (0, []), (0, [6]), (0, [])]
+
+
+def test_no_gallery_table_reaches_the_probe_check(monkeypatch):
+    widths, real = [], homology.SNFResult._verify_v_inverse
+
+    def spy(self, vimax):
+        widths.append(self.shape[1])
+        return real(self, vimax)
+
+    monkeypatch.setattr(homology.SNFResult, "_verify_v_inverse", spy)
+    for name in FINITE:
+        for module in ("group-ring", "trivial"):
+            homology_finite(get_group(name), 3, module=module)
+    for name, gpd in GROUPOIDS.items():
+        if name not in DEGREE_ONE_ONLY:
+            dy.groupoid_homology_finite(gpd, 3)
+    # remainders are reduced (D3 leaves one), all with an exact check
+    assert widths and max(widths) <= 64
