@@ -13,7 +13,8 @@ is exact and finite, so every claimed identity is verified pointwise.
 Every groupoid here is the transformation groupoid G⋉X of a finite
 action, possibly restricted to a subset of its units.  Its homology with
 constant coefficients is that of its nerve, assembled by the engine that
-builds the group tables (homology.Nerve); by Shapiro's lemma it is the
+builds the group tables (homology.Nerve) and read, as they are, on the
+normalized complex of that nerve; by Shapiro's lemma it is the
 group homology with coefficients Z[X].  Restricting to a full subset
 must not change it, and morita_invariance_check tests that.
 """

@@ -28,6 +28,15 @@ elements both in ball order, (word length, family sort key); groupoid
 tables take the units of the groupoid in the action's point order and
 the elements sorted by repr.  All matrices and reports refer to this
 order.
+
+Tables read the normalized complex of the nerve (Brown, Cohomology of
+Groups, GTM 87, I.5: the normalized bar resolution, the Moore complex of
+the nerve), which has the same homology: its basis is the nondegenerate
+points, those with no g_i the identity, in the order above, and a face
+whose merged product is the identity is dropped, the other faces keeping
+their signs.  Its d_n is the unnormalized d_n restricted to the rows and
+columns of nondegenerate points.  Boundary matrices, induced maps and the
+coinvariants row keep the unnormalized complex of every point.
 """
 
 from __future__ import annotations
@@ -567,7 +576,13 @@ class ChainBasis:
 class Nerve:
     """Nerve of the action groupoid G⋉X of a finite action (act(g, x) =
     g.x) on ordered lists of units and elements, with the points, order
-    and faces of the nerve contract above."""
+    and faces of the nerve contract above.
+
+    Two complexes are read off it.  boundary() gives the unnormalized
+    complex on every point, which assemble_boundary_matrix, induced maps
+    and the coinvariants row read.  smiths() reads the normalized complex
+    on the nondegenerate points (Brown, Cohomology of Groups, GTM 87,
+    I.5), which every table reads."""
 
     def __init__(self, group: Group, units, elements, act):
         self.group = group
@@ -595,19 +610,42 @@ class Nerve:
             self._walks.append(self._step(self._walks[-1]))
         return [(x, gvec) for x, gvec, _ in self._walks[degree]]
 
+    def nondegenerate_points(self, degree: int):
+        """The degree-n points with no identity g_i, in the order of the
+        contract: the basis of the normalized complex."""
+        e = self._e
+        return [p for p in self.points(degree) if e not in p[1]]
+
     def faces(self, point):
-        # face 0 moves x by the action; the others keep x and take the
-        # tuple parts of the group faces
+        """Faces 0..n of a degree-n point, face i at position i."""
+        return self._face_rule(point, None)
+
+    def normalized_faces(self, point):
+        """The faces of a nondegenerate point in the normalized complex:
+        faces(point) with each degenerate face None, a middle face whose
+        merged product is the identity.  The others keep their positions,
+        and so their signs; face 0 and the last face hold no identity."""
+        return self._face_rule(point, self._e)
+
+    def _face_rule(self, point, degenerate):
+        # face 0 moves x by the action; the others keep x.  A merged
+        # product equal to degenerate (the identity for the normalized
+        # complex, None for the unnormalized one) gives None
         x, gvec = point
-        rest = _faces(self.group, self._e, gvec)
-        return ([(self.back[(gvec[0], x)], gvec[1:])]
-                + [(x, fg) for _, fg in rest[1:]])
+        mul = self.group.mul
+        out = [(self.back[(gvec[0], x)], gvec[1:])]
+        for i in range(len(gvec) - 1):
+            g = mul(gvec[i], gvec[i + 1])
+            out.append(None if g == degenerate
+                       else (x, gvec[:i] + (g,) + gvec[i + 2:]))
+        out.append((x, gvec[:-1]))
+        return out
 
     def boundary(self, degree: int):
-        """(matrix, row basis, column basis) of the degree-n boundary
-        with coefficients of rank 1; degree 0 gives a 0 x dim matrix and
-        no row basis.  The row basis is read from the walks that reached
-        degree n."""
+        """(matrix, row basis, column basis) of the unnormalized degree-n
+        boundary with coefficients of rank 1; degree 0 gives a 0 x dim
+        matrix and no row basis.  The row basis is read from the walks
+        that reached degree n."""
         col = ChainBasis(self.points(degree))
         if degree == 0:
             return np.zeros((0, len(col)), dtype=np.int64), None, col
@@ -615,16 +653,21 @@ class Nerve:
         return _face_sum_matrix(col.points, row.index, self.faces), row, col
 
     def smiths(self, max_degree: int):
-        """The certified divisor forms of d_1..d_{N+1}, which every table
-        of the nerve reads, at every rank: with coefficients of rank k
-        the complex is k copies of this one.  Each boundary goes to
-        _certified_divisors as sparse columns; no dense matrix is built."""
+        """The certified divisor forms of the normalized boundaries
+        d_1..d_{N+1} (Brown, GTM 87, I.5), which every table of the nerve
+        reads, at every rank: with coefficients of rank k the complex is
+        k copies of this one.  Rows and columns are the nondegenerate
+        points; each boundary goes to _certified_divisors as sparse
+        columns, and no dense matrix is built."""
         forms = []
+        row = self.nondegenerate_points(0)
         for n in range(1, max_degree + 2):
-            row = ChainBasis(self.points(n - 1))
+            col = self.nondegenerate_points(n)
             forms.append(_certified_divisors(
-                _face_sum_columns(self.points(n), row.index, self.faces),
+                _face_sum_columns(col, {p: i for i, p in enumerate(row)},
+                                  self.normalized_faces),
                 len(row)))
+            row = col
         return forms
 
 
@@ -646,11 +689,14 @@ def _module_nerve(group: Group, module: str) -> Nerve:
 def _face_sum_columns(cols, row_index, faces):
     """Alternating face sums over ordered bases, as sparse columns: the
     column of key k maps row_index[f] to the sum of the signs (-1)^i of
-    the i-th faces in faces(k) equal to f; zero sums are dropped."""
+    the i-th faces in faces(k) equal to f; a face None is skipped, and
+    zero sums are dropped."""
     columns = []
     for key in cols:
         col = {}
         for i, f in enumerate(faces(key)):
+            if f is None:
+                continue        # a degenerate face, which has no row
             r = row_index[f]
             v = col.get(r, 0) + (-1 if i & 1 else 1)
             if v:

@@ -4,9 +4,10 @@ Everything here is implemented from first principles, without touching
 the package under test: closed-form homology of cyclic groups from the
 periodic resolution, induced-module vanishing for group-ring
 coefficients, free-group sphere counts, the closed form of the coarse
-inverse of doubling, and a from-scratch reduced-word enumerator for the
-free group.  Tests compare engine output against these.  Two exceptions
-use the package's objects: the reverse scan below is the pair-by-pair
+inverse of doubling, a from-scratch reduced-word enumerator for the free
+group, and the normalized boundary as a restriction of the unnormalized
+one.  Tests compare engine output against these.  Two exceptions use the
+package's objects: the reverse scan below is the pair-by-pair
 loop that the vectorized scan of check_coarse_embedding replaced, and it
 uses only the groups' ball, mul, inv and word_length; the reference
 chain operations at the end rebuild boundaries, induced maps, homotopies
@@ -45,6 +46,19 @@ def group_ring_homology(degree: int) -> dict:
     if degree == 0:
         return {"betti": 1, "torsion": []}
     return {"betti": 0, "torsion": []}
+
+
+def normalized_boundary(M, rows, cols, e):
+    """The normalized boundary (Brown, Cohomology of Groups, GTM 87,
+    I.5) read off the unnormalized boundary matrix M, whose rows and
+    columns are the points (x, gvec) in rows and cols: the degenerate
+    points, those with some g_i equal to the identity e, span a
+    subcomplex, and the normalized complex is the quotient by it, so its
+    boundary is M on the rows and columns of the other points, in their
+    order."""
+    keep_rows = [i for i, (_, gvec) in enumerate(rows) if e not in gvec]
+    keep_cols = [j for j, (_, gvec) in enumerate(cols) if e not in gvec]
+    return M[keep_rows][:, keep_cols]
 
 
 def doubling_inverse(y: int) -> int:

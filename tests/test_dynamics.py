@@ -288,11 +288,12 @@ def test_morita_reduces_each_boundary_of_each_groupoid_once(monkeypatch):
     seen = _table_inputs(monkeypatch)
     assert dy.morita_invariance_check(act, coup.xbar, max_degree=1)["ok"]
     big = dy.action_groupoid(act)
-    want = [gpd.nerve().boundary(n)[0]
+    e = act.group.identity()
+    want = [oracles.normalized_boundary(M, row.points, col.points, e)
             for gpd in (big, dy.restrict_groupoid(big, coup.xbar))
-            for n in (1, 2)]
-    # d_1, d_2 of the full groupoid, then of the restricted one; no
-    # transposes
+            for M, row, col in (gpd.nerve().boundary(n) for n in (1, 2))]
+    # the normalized d_1, d_2 of the full groupoid, then of the restricted
+    # one; no transposes
     assert len(seen) == len(want) == 4
     assert all(a.shape == b.shape and np.array_equal(a, b)
                for a, b in zip(seen, want))

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from coarsehom import dynamics as dy
 from coarsehom import homology
 from coarsehom.cli import run_experiment
@@ -20,6 +21,7 @@ from coarsehom.homology import (Nerve, _certified_smith, _homology_table,
                                 _rank_over, assemble_boundary_matrix,
                                 homology_finite, induced_map_on_homology,
                                 smith_normal_form)
+from test_perfbench_expect import expect
 
 FINITE = ["triv", "Z/2", "Z/3", "Z/4", "Z/6", "D3", "Z/2xZ/2"]
 SCENARIOS = ["product-coupling", "z4-z2-twist", "dihedral-flip",
@@ -266,13 +268,13 @@ def test_rank_k_reads_the_divisor_chain_of_the_kron(A, rank):
             _homology_table(ring, [_certified_smith(M) for M in kron])
 
 
-def _table_digests(monkeypatch):
-    """Digests of the matrices handed to the table reduction
-    (_certified_divisors, as sparse columns) from here on."""
+def _table_inputs(monkeypatch, read=lambda M: M):
+    """The matrices handed to the table reduction (_certified_divisors,
+    as sparse columns) from here on, each as read(matrix)."""
     seen, real = [], homology._certified_divisors
 
     def spy(columns, n_rows):
-        seen.append(_digest(homology._dense(columns, n_rows)))
+        seen.append(read(homology._dense(columns, n_rows)))
         return real(columns, n_rows)
 
     monkeypatch.setattr(homology, "_certified_divisors", spy)
@@ -285,7 +287,7 @@ def _table_digests(monkeypatch):
     {"experiment": "homology-finite", "group": "Z/4", "module": "trivial",
      "max_degree": 3}], ids=["Z/3-group-ring", "Z/4-trivial"])
 def test_rank_two_report_reduces_the_rank_one_matrices(monkeypatch, config):
-    seen = _table_digests(monkeypatch)
+    seen = _table_inputs(monkeypatch, _digest)
     run_experiment(config)
     rank_one = list(seen)
     seen.clear()
@@ -404,3 +406,107 @@ def test_no_gallery_table_reaches_the_probe_check(monkeypatch):
             dy.groupoid_homology_finite(gpd, 3)
     # remainders are reduced (D3 leaves one), all with an exact check
     assert widths and max(widths) <= 64
+
+
+# -- tables on the normalized complex -----------------------------------------
+
+def _assert_normalized(monkeypatch, nerve, max_degree):
+    """The matrices smiths(max_degree) hands the table reduction are the
+    normalized d_1..d_{N+1}: each the unnormalized boundary restricted to
+    the points with no identity (the oracle)."""
+    seen = _table_inputs(monkeypatch)
+    nerve.smiths(max_degree)
+    e = nerve.group.identity()
+    want = [oracles.normalized_boundary(M, row.points, col.points, e)
+            for M, row, col in (nerve.boundary(n)
+                                for n in range(1, max_degree + 2))]
+    assert len(seen) == len(want) == max_degree + 1
+    for got, ref in zip(seen, want):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("module", ["group-ring", "trivial"])
+@pytest.mark.parametrize("name", FINITE)
+def test_group_tables_reduce_the_normalized_boundaries(name, module,
+                                                       monkeypatch):
+    _assert_normalized(monkeypatch,
+                       homology._module_nerve(get_group(name), module), 2)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_groupoid_tables_reduce_the_normalized_boundaries(name,
+                                                          monkeypatch):
+    # to d_3 as the pinned grid goes, so d_2 for the dihedral-flip
+    # combined action
+    _assert_normalized(monkeypatch, GROUPOIDS[name].nerve(),
+                       len(_pinned(name)) - 1)
+
+
+def test_a_dropped_face_keeps_the_signs_after_it():
+    nerve = homology._module_nerve(get_group("Z/3"), "trivial")
+    # 1 + 2 = 0 merges to the identity; 2 + 2 = 1 does not
+    assert nerve.normalized_faces(("pt", (1, 2, 2))) == \
+        [("pt", (2, 2)), None, ("pt", (1, 1)), ("pt", (1, 2))]
+    assert nerve.faces(("pt", (1, 2, 2)))[1] == ("pt", (0, 2))
+    rows = {p: i for i, p in enumerate(nerve.nondegenerate_points(2))}
+    col, = homology._face_sum_columns([("pt", (1, 2, 2))], rows,
+                                      nerve.normalized_faces)
+    assert col == {rows[("pt", (2, 2))]: 1, rows[("pt", (1, 1))]: 1,
+                   rows[("pt", (1, 2))]: -1}
+
+
+RINGS = ("Z", "Q", "Z/2", "Z/3")
+
+
+def _unnormalized_forms(nerve, max_degree):
+    """Certified dense Smith forms of the unnormalized d_1..d_{N+1}, the
+    second route to every table."""
+    return [_certified_smith(nerve.boundary(n)[0])
+            for n in range(1, max_degree + 2)]
+
+
+@pytest.mark.parametrize("module", ["group-ring", "trivial"])
+@pytest.mark.parametrize("name", FINITE)
+def test_normalized_tables_equal_the_unnormalized_tables(name, module):
+    G = get_group(name)
+    # the unnormalized d_4 of an order-6 group ring is 1296 x 7776, whose
+    # dense certificates are too large for a unit test
+    max_degree = 2 if module == "group-ring" and len(G.elements()) == 6 \
+        else 3
+    forms = _unnormalized_forms(homology._module_nerve(G, module),
+                                max_degree)
+    for ring in RINGS:
+        assert homology_finite(G, max_degree, ring_name=ring,
+                               module=module) == \
+            _homology_table(ring, forms)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in GROUPOIDS if not name.startswith("translation ")))
+def test_normalized_groupoid_tables_equal_the_unnormalized_tables(name):
+    gpd = GROUPOIDS[name]
+    max_degree = 1 if name in DEGREE_ONE_ONLY else 2
+    forms = _unnormalized_forms(gpd.nerve(), max_degree)
+    for ring in RINGS:
+        assert dy.groupoid_homology_finite(gpd, max_degree,
+                                           ring_name=ring) == \
+            _homology_table(ring, forms)
+        assert dy.groupoid_cohomology_finite(gpd, max_degree,
+                                             ring_name=ring) == \
+            _homology_table(ring, forms, cohomology=True)
+
+
+def _rows(table):
+    return [(row["betti"], row["torsion"]) for row in table]
+
+
+def test_degree_four_and_five_tables_are_reachable(monkeypatch):
+    shapes = _table_inputs(monkeypatch, lambda M: M.shape)
+    assert _rows(homology_finite(get_group("Z/6"), 4, module="trivial")) \
+        == [(1, []), (0, [6]), (0, []), (0, [6]), (0, [])]
+    # d_5 : C_5 -> C_4 on the 5^5 and 5^4 walks with no identity
+    assert shapes[-1] == (625, 3125)
+    assert _rows(homology_finite(get_group("D3"), 4, module="trivial")) \
+        == [(1, []), (0, [2]), (0, []), (0, [6]), (0, [])]
+    assert homology_finite(get_group("Z/2xZ/2"), 5, module="trivial") == \
+        expect.homology_table("Z/2xZ/2", 5, "Z", "trivial", 1)
