@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -81,17 +80,17 @@ def _absmax(X) -> int:
     return max(int(X.max()), -int(X.min())) if X.size else 0
 
 
-def _product(X, Y, xmax, ymax):
+def _product(X, Y):
     """X @ Y, exactly: in int64 when both are integer arrays and
-    xmax ymax (inner size) < 2^63 proves every sum exact, xmax and ymax
-    being max|X| and max|Y|; else over Python ints (object dtype).
+    max|X| max|Y| (inner size) < 2^63 proves every sum exact, the maxima
+    being scanned on every call; else over Python ints (object dtype).
 
     Sums run over the nonzero entries of Y only (boundary matrices hold
     a few per column): pass s adds the s-th nonzero of every column
     that has one, so no temporary is larger than the product."""
     dtype = object
     if (X.dtype.kind in "iu" and Y.dtype.kind in "iu"
-            and xmax * ymax * X.shape[1] < 2 ** 63):
+            and _absmax(X) * _absmax(Y) * X.shape[1] < 2 ** 63):
         dtype = np.int64
     X = X.astype(dtype, copy=False)
     out = np.zeros((X.shape[0], Y.shape[1]), dtype=dtype)
@@ -119,19 +118,12 @@ class SNFResult:
         self.divisors = divisors
         self.shape = shape
         self.rank = sum(1 for d in divisors if d != 0)
-        self._maxima = {}
-
-    def _max(self, name):
-        """max|entry| of U, V or Vinv, scanned on first use by solve and
-        kernel_coordinates, which trust the certificates to stay as the
-        reduction left them; verify scans afresh on every call."""
-        if name not in self._maxima:
-            self._maxima[name] = _absmax(getattr(self, name))
-        return self._maxima[name]
 
     def _apply(self, name, w):
-        """U, V or Vinv times the vector w, exactly."""
-        return _matvec(getattr(self, name), w, self._max(name))
+        """U, V or Vinv times the vector w, exactly (_product), as a list
+        of Python ints."""
+        w = _as_int_matrix(np.array(w, dtype=object).reshape(-1, 1))
+        return _product(getattr(self, name), w)[:, 0].tolist()
 
     def elementary_divisors(self):
         return [int(d) for d in self.divisors if d != 0]
@@ -190,59 +182,24 @@ class SNFResult:
         return self._apply("V", y), m, None
 
     def verify(self, A) -> bool:
-        """Certificate check: U A == diag(divisors) V^-1, computed by
-        sparse accumulation, plus V V^-1 == identity (exact for small
-        sizes, random probes for large ones).  Together these give
-        U A V = D.  Each product runs in int64 when a bound on its
+        """Certificate check: U A == diag(divisors) V^-1 and
+        V V^-1 == identity, both exact at every size, which together
+        give U A V = D.  Each product runs in int64 when a bound on its
         entries proves that exact, else over Python ints; the bounds are
-        scanned once per call, so a certificate changed since the
-        reduction is checked as it stands."""
-        Arr = np.asarray(A)
-        vimax = _absmax(self.Vinv)
-        UA = _product(self.U, Arr, _absmax(self.U), _absmax(Arr))
+        scanned on every call, so a certificate changed since the
+        reduction is checked as it stands.  U is not shown unimodular:
+        a form with U and every divisor doubled passes."""
+        UA = _product(self.U, np.asarray(A))
         dtype = np.int64
-        if (self.Vinv.dtype == object
-                or max(self.divisors, default=0) * vimax >= 2 ** 63):
+        if (self.Vinv.dtype == object or max(self.divisors, default=0)
+                * _absmax(self.Vinv) >= 2 ** 63):
             dtype = object
         k = len(self.divisors)
         want = np.zeros(self.shape, dtype=dtype)
         want[:k] = (np.array(self.divisors, dtype=dtype)[:, None]
                     * self.Vinv[:k].astype(dtype, copy=False))
-        return bool(np.array_equal(UA, want)) and \
-            self._verify_v_inverse(vimax)
-
-    def _verify_v_inverse(self, vimax) -> bool:
-        c = self.shape[1]
-        vmax = _absmax(self.V)
-        if c <= 64:
-            return bool(np.array_equal(_product(self.V, self.Vinv, vmax,
-                                                vimax),
-                                       np.eye(c, dtype=np.int64)))
-        # stdlib random: loading numpy.random adds about 6 MB of
-        # resident memory to a process that has no other use for it
-        rng = random.Random(0)
-        for _ in range(3):
-            w = rng.choices(range(-9, 10), k=c)
-            if _matvec(self.V, _matvec(self.Vinv, w, vimax), vmax) != w:
-                return False
-        return True
-
-
-def _matvec(M, w, mmax):
-    """M w as a list of Python ints; in int64 when mmax = max|M| bounds
-    every sum below 2^62."""
-    r, c = M.shape
-    if c == 0:
-        return [0] * r
-    if M.dtype != object:
-        try:
-            wa = np.array(w, dtype=np.int64)
-        except OverflowError:
-            wa = None
-        if wa is not None and mmax * _absmax(wa) * c < 2 ** 62:
-            return (M @ wa).tolist()
-    return [sum(int(M[i, j]) * int(w[j]) for j in range(c) if w[j])
-            for i in range(r)]
+        return np.array_equal(UA, want) and np.array_equal(
+            _product(self.V, self.Vinv), np.eye(self.shape[1], dtype=np.int64))
 
 
 def _update_fits_int64(q, Vinv, cols) -> bool:
@@ -535,9 +492,9 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
 
     The unit pivots are eliminated (_eliminate_units, on a copy) and the
     elimination is replayed (_check_elimination), which proves
-    A ~ +-I_K ⊕ R.  The remainder R goes through _certified_smith in its
-    shorter orientation, R or R^T, which have the same divisors, so its
-    V V^-1 check is exact whenever R has at most 64 rows or columns.
+    A ~ +-I_K ⊕ R.  The remainder R goes through _certified_smith in the
+    orientation with fewer columns, R or R^T, which have the same
+    divisors: that keeps V and V^-1, and so their exact check, small.
     The divisors are K ones, then those of R.
 
     >>> A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
@@ -918,7 +875,7 @@ def _check_dual_witness(u, A, b, obstruction):
     the divisor for "divisibility", which rules one out over Z.  Raises
     RuntimeError when the witness does not hold."""
     u = np.asarray(u)[None, :]
-    uA = _product(u, A, _absmax(u), _absmax(A))[0]
+    uA = _product(u, A)[0]
     ub = sum(int(ui) * bi for ui, bi in zip(u[0], b))
     d = obstruction.get("divisor", 0)
     if d:
@@ -1052,15 +1009,11 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     st_G, st_H = ([{"betti": row["betti"], "torsion": row["torsion"]}
                    for row in _homology_table("Z", snfs[1:], rank)]
                   for snfs in (snf_G, snf_H))
-    # over Python ints, for the chain-map check and the presentations of
-    # the target
-    d_G, d_H = ([np.asarray(d, dtype=object) for d in ds]
-                for ds in (d_G, d_H))
 
     def chain_matrix(n):
         colb = ChainBasis(nerve_G.points(n))
         rowb = ChainBasis(nerve_H.points(n))
-        M = np.zeros((len(rowb), len(colb)), dtype=object)
+        M = np.zeros((len(rowb), len(colb)), dtype=np.int64)
         for ci, (x, gvec) in enumerate(colb.points):
             y, hvec = _image_point(phi, x, gvec)
             M[rowb.index[(y, hvec)], ci] += 1
@@ -1072,27 +1025,26 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
         sG, sH = snf_G[n], snf_H[n]
         chain_ok = True
         if n >= 1:
-            chain_ok = bool(np.all(d_H[n] @ D[n] == D[n - 1] @ d_G[n]))
+            chain_ok = np.array_equal(_product(d_H[n], D[n]),
+                                      _product(D[n - 1], d_G[n]))
 
         kerG = sG.kernel_basis()          # dimG x kG
         kG = kerG.shape[1]
         kH = sH.shape[1] - sH.rank
         # presentation of H_n(target): the next boundary in kernel
         # coordinates
-        P_H = (np.asarray(sH.Vinv, dtype=object)
-               @ d_H[n + 1])[sH.rank:, :]
+        P_H = _product(sH.Vinv[sH.rank:], d_H[n + 1])
 
         # push each source kernel generator through D_n, read in target
         # kernel coordinates
-        DK = D[n] @ np.asarray(kerG, dtype=object)
-        M_coords = (np.asarray(sH.Vinv, dtype=object) @ DK)
-        chain_ok = chain_ok and bool(np.all(M_coords[:sH.rank, :] == 0))
-        M = M_coords[sH.rank:, :]
+        M_coords = _product(sH.Vinv, _product(D[n], kerG))
+        chain_ok = chain_ok and not M_coords[:sH.rank].any()
+        M = M_coords[sH.rank:]
 
         if kH == 0:
             surjective = True
         else:
-            s = smith_normal_form(np.concatenate([M, P_H], axis=1))
+            s = _certified_smith(np.concatenate([M, P_H], axis=1))
             surjective = (s.rank == kH
                           and all(d == 1 for d in s.elementary_divisors()))
         iso = (st_G[n] == st_H[n]) and surjective and chain_ok

@@ -326,87 +326,14 @@ def translate_push_identity(phi: CoarseMap, h, f: FinSupFun, radius: int,
             "pieces": pieces}
 
 
-# -- coefficient families -----------------------------------------------------
-
-_FAMILIES = ("all-functions", "finite-support", "group-ring", "lp", "c0")
-
-
-class ModuleTag:
-    """Names a res-invariant coefficient family over a group.
-
-    family: one of "all-functions", "finite-support", "group-ring",
-    "lp" (params {"p": int >= 1}), "c0".  The tag does not store
-    functions; it names the module the transfer results land in.
-    """
-
-    def __init__(self, family: str, group: Group, params=None):
-        if family not in _FAMILIES:
-            raise InvalidElementError(
-                f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
-        if family == "lp":
-            if not params or "p" not in params or params["p"] < 1:
-                raise InvalidElementError("lp family needs params {'p': >=1}")
-        self.family = family
-        self.group = group
-        self.params = dict(params or {})
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleTag) and self.family == other.family
-                and self.group == other.group and self.params == other.params)
-
-    def __repr__(self):
-        extra = f", {self.params}" if self.params else ""
-        return f"ModuleTag({self.family} over {self.group.family}{extra})"
-
-    def to_json(self):
-        return {"family": self.family, "group": self.group.to_json(),
-                "params": self.params}
-
-
-def module_image_tag(tag: ModuleTag, phi: CoarseMap) -> ModuleTag:
-    """The pushforward module of a listed family is the same family over
-    the target group: transferring along a coarse embedding does not
-    change which of these coefficient modules one is in.
-    """
-    if tag.group != phi.source:
-        raise GroupMismatchError("tag group is not the source of the map")
-    return ModuleTag(tag.family, phi.target, tag.params)
-
-
-def phi_inv_membership(phi: CoarseMap, tag: ModuleTag, f: FinSupFun,
-                       radius: int) -> dict:
-    """Is f in the pulled-back module phi^{*-1}L?  By definition this
-    asks that phi^*(h.f) lies in L for every h; checked for h in
-    ball(radius) of the target, each pullback searched on a source ball
-    of the same radius scale.  Every listed family contains every
-    finitely supported function, so a pullback whose support is
-    certified finite is a member: the verdict is "member-up-to-radius",
-    or "inconclusive" when some pullback's support escapes its ball.
-    """
-    if tag.group != phi.source:
-        raise GroupMismatchError("tag must name a family over the source")
-    if f.group != phi.target:
-        raise GroupMismatchError("function must live on the target")
-    table = []
-    verdict = "member-up-to-radius"
-    for h in phi.target.ball(radius):
-        try:
-            pullback(phi, f.translate(h), 2 * radius + 2)
-        except ResourceLimitError:
-            table.append((h, "support-escapes"))
-            verdict = "inconclusive"
-        else:
-            table.append((h, "in-family"))
-    return {"verdict": verdict, "radius": radius, "table": table}
-
-
 # -- exact span checks over finite groups ------------------------------------
 #
-# Over a finite group every listed family is the full lattice of
-# functions, and module identities become statements about integer
-# spans: the smallest res-invariant submodule containing a family of
-# generators is spanned (over Z) by their translates and singleton
-# restrictions.  These helpers freeze that as matrix computations; the
+# Over a finite group the coefficient families of the paper (all
+# functions, finite support, group ring, l^p, c_0) are each the full
+# lattice of functions, and module identities become statements about
+# integer spans: the smallest res-invariant submodule containing a
+# family of generators is spanned (over Z) by their translates and
+# singleton restrictions.  These helpers freeze that as matrix computations; the
 # Smith engine lives above this module, hence the late imports.
 
 def _fun_to_vec(f: FinSupFun):

@@ -2,6 +2,7 @@
 closed-form oracles, the window boundary solver, and induced maps."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -72,9 +73,9 @@ def test_snf_certificates_and_chain(A):
     pytest.param((3, 5), False, True, id="int64-3x5"),
     pytest.param((4, 70), False, True, id="int64-4x70")])
 def test_snf_verify_rejects_a_changed_certificate(shape, big, int64):
-    # 70 columns take the random-probe check of V V^-1; big entries
-    # take the object-dtype path; an int64 matrix takes the int64
-    # products, an object one the Python-int sums
+    # 70 columns give a 70 x 70 V V^-1 product; big entries take the
+    # object-dtype path; an int64 matrix takes the int64 products, an
+    # object one the Python-int sums
     A = np.random.default_rng(7).integers(-9, 10, size=shape).astype(object)
     if big:
         A = A * 2 ** 40
@@ -85,6 +86,35 @@ def test_snf_verify_rejects_a_changed_certificate(shape, big, int64):
         assert s.verify(A)
         getattr(s, name)[0, 0] += 1
         assert not s.verify(A), name
+
+
+def test_snf_verify_rejects_a_wrong_inverse_that_random_probes_miss():
+    """A forged V^-1 that passes any check of V V^-1 w == w on the three
+    probe vectors w of random.Random(0).choices(range(-9, 10), k=70):
+    row rank of V^-1 plus a vector z orthogonal to all three.  U A ==
+    D V^-1 reads only the first rank rows of V^-1, so only an exact
+    V V^-1 == I rejects it."""
+    A = np.random.default_rng(7).integers(-9, 10, size=(4, 70))
+    s = smith_normal_form(A)
+    assert s.verify(A) and s.rank == 4
+    rng = random.Random(0)
+    probes = [rng.choices(range(-9, 10), k=70) for _ in range(3)]
+    # z on the first four coordinates: the cofactors of the 3 x 4 block
+    # of the probes, so z . w is the determinant of a matrix with a
+    # repeated row
+    block = [w[:4] for w in probes]
+
+    def det3(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    z = [(-1) ** j * det3([[r[i] for i in range(4) if i != j]
+                           for r in block]) for j in range(4)] + [0] * 66
+    assert any(z)
+    assert all(sum(a * b for a, b in zip(z, w)) == 0 for w in probes)
+    s.Vinv[s.rank] += np.array(z, dtype=s.Vinv.dtype)
+    assert not s.verify(A)
 
 
 def test_snf_verify_rescans_a_certificate_changed_after_use():
@@ -134,8 +164,7 @@ def test_product_matches_the_triple_loop(r, inner, c, bound, data):
     dtype = np.int64 if bound < 2 ** 63 else object
     Xa = np.array(X, dtype=object).reshape(r, inner).astype(dtype)
     Ya = np.array(Y, dtype=object).reshape(inner, c).astype(dtype)
-    got = homology._product(Xa, Ya, homology._absmax(Xa),
-                            homology._absmax(Ya))
+    got = homology._product(Xa, Ya)
     assert got.shape == (r, c) and got.tolist() == want
 
 
@@ -302,18 +331,19 @@ def test_snf_pivot_rule_pinned(name):
 @given(int_matrices())
 @settings(max_examples=50, deadline=None)
 def test_snf_kernel_annihilated(A):
-    s = smith_normal_form(A)
-    K = s.kernel_basis()
-    prod = np.asarray(A, dtype=object) @ np.asarray(K, dtype=object)
-    assert np.all(prod == 0)
-    # coordinates of a kernel vector round-trip through the basis
-    if K.shape[1]:
-        w = [int(t) for t in np.asarray(K, dtype=object) @
-             np.array([1] * K.shape[1], dtype=object)]
-        coords = s.kernel_coordinates(w)
-        back = np.asarray(K, dtype=object) @ np.array(list(coords),
-                                                      dtype=object)
-        assert [int(t) for t in back] == w
+    # scale 2^40 makes U, V and V^-1 object arrays and the kernel vector
+    # too large for int64: certificates are applied over Python ints
+    for scale in (1, 2 ** 40):
+        s = smith_normal_form(A * scale)
+        K = np.asarray(s.kernel_basis(), dtype=object)
+        assert np.all(np.asarray(A, dtype=object) @ K == 0)
+        # coordinates of a kernel vector round-trip through the basis
+        if K.shape[1]:
+            w = [int(t) for t in K @ np.array([scale ** 2] * K.shape[1],
+                                              dtype=object)]
+            coords = s.kernel_coordinates(w)
+            back = K @ np.array(list(coords), dtype=object)
+            assert [int(t) for t in back] == w
 
 
 @given(int_matrices(), st.data())
@@ -321,16 +351,19 @@ def test_snf_kernel_annihilated(A):
 def test_snf_solve_recovers_an_image(A, data):
     z = data.draw(st.lists(st.integers(-9, 9), min_size=A.shape[1],
                            max_size=A.shape[1]))
-    Ao = np.asarray(A, dtype=object)
-    b = [int(t) for t in Ao @ np.array(z, dtype=object)]
-    s = smith_normal_form(A)
-    x, m, obstruction = s.solve(b, "Z")
-    assert obstruction is None and m == 1
-    assert [int(t) for t in Ao @ np.array(x, dtype=object)] == b
-    x, m, obstruction = s.solve(b, "Q")
-    assert obstruction is None and m >= 1
-    assert [int(t) for t in Ao @ np.array(x, dtype=object)] == \
-        [m * t for t in b]
+    # scale 2^40 on A and on z makes U, V and V^-1 object arrays and b
+    # too large for int64: certificates are applied over Python ints
+    for scale in (1, 2 ** 40):
+        Ao = np.asarray(A, dtype=object) * scale
+        b = [int(t) for t in Ao @ np.array(z, dtype=object) * scale]
+        s = smith_normal_form(Ao)
+        x, m, obstruction = s.solve(b, "Z")
+        assert obstruction is None and m == 1
+        assert [int(t) for t in Ao @ np.array(x, dtype=object)] == b
+        x, m, obstruction = s.solve(b, "Q")
+        assert obstruction is None and m >= 1
+        assert [int(t) for t in Ao @ np.array(x, dtype=object)] == \
+            [m * t for t in b]
 
 
 def test_kernel_coordinates_rejects_non_kernel_vector():

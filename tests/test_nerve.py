@@ -390,24 +390,6 @@ def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
         [(1, []), (0, [6]), (0, []), (0, [6]), (0, [])]
 
 
-def test_no_gallery_table_reaches_the_probe_check(monkeypatch):
-    widths, real = [], homology.SNFResult._verify_v_inverse
-
-    def spy(self, vimax):
-        widths.append(self.shape[1])
-        return real(self, vimax)
-
-    monkeypatch.setattr(homology.SNFResult, "_verify_v_inverse", spy)
-    for name in FINITE:
-        for module in ("group-ring", "trivial"):
-            homology_finite(get_group(name), 3, module=module)
-    for name, gpd in GROUPOIDS.items():
-        if name not in DEGREE_ONE_ONLY:
-            dy.groupoid_homology_finite(gpd, 3)
-    # remainders are reduced (D3 leaves one), all with an exact check
-    assert widths and max(widths) <= 64
-
-
 # -- tables on the normalized complex -----------------------------------------
 
 def _assert_normalized(monkeypatch, nerve, max_degree):

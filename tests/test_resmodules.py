@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsehom.coarsemaps import CoarseMap, section
-from coarsehom.errors import GroupMismatchError, InvalidElementError, \
-    ResourceLimitError
+from coarsehom.errors import InvalidElementError, ResourceLimitError
 from coarsehom.gallery import get_map
 from coarsehom.groups import Group, IntLattice, cyclic_group
-from coarsehom.resmodules import FinSupFun, ModuleTag, delta, \
-    module_image_tag, phi_inv_membership, pull_push_identity, \
+from coarsehom.resmodules import FinSupFun, delta, pull_push_identity, \
     pull_span_identity, pullback, push_span_generators, pushforward, \
     spans_equal, translate_push_identity
 from coarsehom.rings import ring_from_name
@@ -126,29 +124,6 @@ def test_translate_push_identity_gallery():
             for h in phi.target.ball(1):
                 rep = translate_push_identity(phi, h, f, 4, sec)
                 assert rep["holds"], (name, g, h)
-
-
-def test_module_tags():
-    tag = ModuleTag("group-ring", Z)
-    assert module_image_tag(tag, get_map("z-double")).family == \
-        "group-ring"
-    with pytest.raises(GroupMismatchError):
-        module_image_tag(ModuleTag("group-ring", IntLattice(2)),
-                         get_map("z-double"))
-    with pytest.raises(InvalidElementError):
-        ModuleTag("lp", Z)
-    lp = ModuleTag("lp", Z, {"p": 2})
-    assert lp.params["p"] == 2
-    with pytest.raises(InvalidElementError):
-        ModuleTag("no-such-family", Z)
-
-
-def test_phi_inv_membership_certifies():
-    phi = get_map("z-double")
-    tag = ModuleTag("group-ring", phi.source)
-    f = delta(phi.target, ZR, 1, (6,))
-    rep = phi_inv_membership(phi, tag, f, 3)
-    assert rep["verdict"] == "member-up-to-radius"
 
 
 def test_pull_span_identity_finite_maps():
