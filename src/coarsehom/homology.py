@@ -7,7 +7,9 @@ columns of face sums.  Two reductions serve what callers read:
   unit (+-1) pivots of each boundary are eliminated on its sparse
   columns (_eliminate_units), the elimination is replayed exactly
   (_check_elimination), and only the small remainder it leaves goes to
-  the dense Smith form (_certified_divisors).
+  the dense Smith form (_certified_divisors).  A complex is reduced
+  bottom-up: each boundary is eliminated without the rows that the unit
+  pivots of the boundary below it settled (Nerve.smiths).
 - Kernel coordinates, span checks and induced maps on homology read the
   change of basis itself: a Smith normal form with full certificates,
   U, V, V^-1 with U A V diagonal, every divisor dividing the next.
@@ -475,11 +477,15 @@ def _check_elimination(columns, pivots, rest):
 
 class DivisorForm:
     """The shape and the nonzero elementary divisors of a matrix, with no
-    change-of-basis certificates: what a homology table reads."""
+    change-of-basis certificates: what a homology table reads.
+    pivot_columns holds the columns of the unit pivots that the exact
+    replay proved, which the next boundary of a complex may drop as rows
+    (Nerve.smiths)."""
 
-    def __init__(self, shape, divisors):
+    def __init__(self, shape, divisors, pivot_columns):
         self.shape = shape
         self.divisors = divisors
+        self.pivot_columns = pivot_columns
 
     def elementary_divisors(self):
         return list(self.divisors)
@@ -495,7 +501,13 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
     A ~ +-I_K ⊕ R.  The remainder R goes through _certified_smith in the
     orientation with fewer columns, R or R^T, which have the same
     divisors: that keeps V and V^-1, and so their exact check, small.
-    The divisors are K ones, then those of R.
+    The divisors are K ones, then those of R; the form also records the
+    K pivot columns, once the replay has passed.
+
+    The replay proves more: on the pivot rows I and pivot columns J,
+    A[I, J] = L[I, I] F[I, J], L[I, I] unit lower triangular and F[I, J]
+    upper triangular with +-1 on its diagonal (both in pivot order), so
+    A[I, J] is unimodular.  Nerve.smiths reads that.
 
     >>> A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     >>> columns = [{i: r[j] for i, r in enumerate(A)} for j in range(3)]
@@ -512,7 +524,8 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
         if len(rest) > len(R):
             R = [list(r) for r in zip(*R)]
         divisors += _certified_smith(R).elementary_divisors()
-    return DivisorForm((n_rows, len(columns)), divisors)
+    return DivisorForm((n_rows, len(columns)), divisors,
+                       frozenset(j for _, j, *_ in pivots))
 
 
 # -- boundary matrices of nerves ---------------------------------------------
@@ -550,28 +563,38 @@ class Nerve:
                      for g in self.elements for x in self.units}
         self._e = group.identity()
         self._unitset = set(self.units)
-        # the walks of degrees 0, 1, ... built so far: (x, gvec, last
-        # vertex), so each degree is walked once per nerve
+        # the walks of degrees 0, 1, ... built so far, (x, gvec, last
+        # vertex), so each degree is walked once per nerve: every walk,
+        # and on their own the nondegenerate walks, which are extended
+        # by the elements other than the identity only
         self._walks = [[(x, (), x) for x in self.units]]
+        self._nondegenerate = [self._walks[0]]
+        self._arrows = [g for g in self.elements if g != self._e]
 
-    def _step(self, walks):
-        """The walks one degree up: each walk extended by every element
-        that takes its last vertex to a unit."""
+    def _step(self, walks, elements):
+        """The walks one degree up: each walk extended by every one of
+        elements that takes its last vertex to a unit."""
         return [(x, gvec + (g,), y) for x, gvec, v in walks
-                for g in self.elements
+                for g in elements
                 if (y := self.back[(g, v)]) in self._unitset]
+
+    def _reach(self, walks, elements, degree: int):
+        """The points of walks[degree], stepping walks up by elements
+        as far as that."""
+        while len(walks) <= degree:
+            walks.append(self._step(walks[-1], elements))
+        return [(x, gvec) for x, gvec, _ in walks[degree]]
 
     def points(self, degree: int):
         """The degree-n points, in the order of the contract."""
-        while len(self._walks) <= degree:
-            self._walks.append(self._step(self._walks[-1]))
-        return [(x, gvec) for x, gvec, _ in self._walks[degree]]
+        return self._reach(self._walks, self.elements, degree)
 
     def nondegenerate_points(self, degree: int):
         """The degree-n points with no identity g_i, in the order of the
-        contract: the basis of the normalized complex."""
-        e = self._e
-        return [p for p in self.points(degree) if e not in p[1]]
+        contract: the basis of the normalized complex.  They are walked
+        on their own, by the elements other than the identity, so a
+        table never walks the degenerate points."""
+        return self._reach(self._nondegenerate, self._arrows, degree)
 
     def faces(self, point):
         """Faces 0..n of a degree-n point, face i at position i."""
@@ -614,17 +637,40 @@ class Nerve:
         d_1..d_{N+1} (Brown, GTM 87, I.5), which every table of the nerve
         reads, at every rank: with coefficients of rank k the complex is
         k copies of this one.  Rows and columns are the nondegenerate
-        points; each boundary goes to _certified_divisors as sparse
-        columns, and no dense matrix is built."""
+        points, and no dense matrix is built.
+
+        The complex is reduced bottom-up, as one complex: d_{n+1} goes
+        to _certified_divisors as sparse columns without the rows B_n,
+        the unit pivot columns of d_n, which are marked None in its row
+        index.  A dropped row stays in the row count, so each form keeps
+        the full normalized shape and the table reader is unchanged.
+
+        Dropping B_n keeps the divisors of d_{n+1}.  Let e_n be the
+        matrix d_n's elimination replayed (d_n without the rows B_{n-1}),
+        A_n its pivot rows, and P the projection that drops the
+        coordinates in B_n.  The replay proves that e_n[A_n, B_n] is a
+        unit lower triangular matrix times a +-1 upper triangular one, so
+        it is unimodular, and so is the change of basis
+        x -> (e_n[A_n, :] x, P x) of C_n: in the coordinates B_n, then
+        the others, it is block upper triangular with e_n[A_n, B_n] and
+        the identity on its diagonal.  Rows of d_n d_{n+1} = 0 give
+        e_n d_{n+1} = 0, so the change of basis turns d_{n+1} into
+        [0; P d_{n+1}], which has the divisors of P d_{n+1}.  Every table
+        already rests on d_n d_{n+1} = 0 (the tests check it).  B_n is
+        read only after the replay of d_n has passed, so a failed replay
+        raises RuntimeError before any row is dropped."""
         forms = []
-        row = self.nondegenerate_points(0)
+        row_index = {p: i for i, p in
+                     enumerate(self.nondegenerate_points(0))}
         for n in range(1, max_degree + 2):
             col = self.nondegenerate_points(n)
-            forms.append(_certified_divisors(
-                _face_sum_columns(col, {p: i for i, p in enumerate(row)},
-                                  self.normalized_faces),
-                len(row)))
-            row = col
+            form = _certified_divisors(
+                _face_sum_columns(col, row_index, self.normalized_faces),
+                len(row_index))
+            forms.append(form)
+            settled = form.pivot_columns
+            row_index = {p: None if j in settled else j
+                         for j, p in enumerate(col)}
         return forms
 
 
@@ -646,8 +692,9 @@ def _module_nerve(group: Group, module: str) -> Nerve:
 def _face_sum_columns(cols, row_index, faces):
     """Alternating face sums over ordered bases, as sparse columns: the
     column of key k maps row_index[f] to the sum of the signs (-1)^i of
-    the i-th faces in faces(k) equal to f; a face None is skipped, and
-    zero sums are dropped."""
+    the i-th faces in faces(k) equal to f; a face None, or one whose row
+    index is None (a row marked dropped), is skipped, zero sums are
+    dropped, and a face missing from row_index raises KeyError."""
     columns = []
     for key in cols:
         col = {}
@@ -655,6 +702,8 @@ def _face_sum_columns(cols, row_index, faces):
             if f is None:
                 continue        # a degenerate face, which has no row
             r = row_index[f]
+            if r is None:
+                continue
             v = col.get(r, 0) + (-1 if i & 1 else 1)
             if v:
                 col[r] = v

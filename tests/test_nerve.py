@@ -203,9 +203,9 @@ def _count_steps(monkeypatch):
     """The walk sizes each Nerve._step extends, from here on."""
     sizes, real = [], Nerve._step
 
-    def spy(self, walks):
+    def spy(self, walks, elements):
         sizes.append(len(walks))
-        return real(self, walks)
+        return real(self, walks, elements)
 
     monkeypatch.setattr(Nerve, "_step", spy)
     return sizes
@@ -233,9 +233,11 @@ def test_homology_report_walks_one_nerve(monkeypatch):
     report = run_experiment({"experiment": "homology-finite", "group": "Z/4",
                              "module": "trivial", "max_degree": 2})
     assert report["body"]["pass"]
-    # degrees 0, 1, 2 extended once each to reach d_3; the coinvariants
-    # row counts its components on the walks of degrees 0 and 1
-    assert sizes == [1, 4, 16]
+    # the nondegenerate walks of degrees 0, 1, 2 (1, 3 and 9 of them)
+    # extended once each to reach d_3, by the three elements other than
+    # the identity; then the coinvariants row counts its components on
+    # every walk of degrees 0 and 1, so degree 0 is extended once more
+    assert sizes == [1, 3, 9, 1]
 
 
 # -- rank k as k copies of the rank-1 complex ----------------------------------
@@ -395,24 +397,38 @@ def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
 def _assert_normalized(monkeypatch, nerve, max_degree):
     """The matrices smiths(max_degree) hands the table reduction are the
     normalized d_1..d_{N+1}: each the unnormalized boundary restricted to
-    the points with no identity (the oracle)."""
+    the points with no identity (the oracle), with the rows that are the
+    unit pivot columns of the boundary reduced before it zero.  Returns
+    the forms."""
     seen = _table_inputs(monkeypatch)
-    nerve.smiths(max_degree)
+    forms = nerve.smiths(max_degree)
     e = nerve.group.identity()
     want = [oracles.normalized_boundary(M, row.points, col.points, e)
             for M, row, col in (nerve.boundary(n)
                                 for n in range(1, max_degree + 2))]
-    assert len(seen) == len(want) == max_degree + 1
-    for got, ref in zip(seen, want):
+    assert len(seen) == len(want) == len(forms) == max_degree + 1
+    settled = frozenset()
+    for got, ref, form in zip(seen, want, forms):
+        ref = ref.copy()
+        ref[sorted(settled)] = 0
         assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert form.shape == ref.shape
+        settled = form.pivot_columns
+        assert settled <= set(range(ref.shape[1]))
+        assert len(settled) <= form.divisors.count(1)
+    return forms
 
 
 @pytest.mark.parametrize("module", ["group-ring", "trivial"])
 @pytest.mark.parametrize("name", FINITE)
 def test_group_tables_reduce_the_normalized_boundaries(name, module,
                                                        monkeypatch):
-    _assert_normalized(monkeypatch,
-                       homology._module_nerve(get_group(name), module), 2)
+    forms = _assert_normalized(
+        monkeypatch, homology._module_nerve(get_group(name), module), 2)
+    # rows of d_3 are dropped but for the trivial group and for Z/2 with
+    # trivial coefficients, whose normalized d_2 is [2]
+    assert (name == "triv" or (name, module) == ("Z/2", "trivial")
+            or forms[1].pivot_columns)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPOIDS))
@@ -492,3 +508,141 @@ def test_degree_four_and_five_tables_are_reachable(monkeypatch):
         == [(1, []), (0, [2]), (0, []), (0, [6]), (0, [])]
     assert homology_finite(get_group("Z/2xZ/2"), 5, module="trivial") == \
         expect.homology_table("Z/2xZ/2", 5, "Z", "trivial", 1)
+    # without the spy, which would build d_6 (3125 x 15625) dense
+    monkeypatch.undo()
+    for name, max_degree, module in [("Z/6", 5, "trivial"),
+                                     ("D3", 5, "trivial"),
+                                     ("Z/6", 4, "group-ring"),
+                                     ("D3", 4, "group-ring")]:
+        assert homology_finite(get_group(name), max_degree,
+                               module=module) == \
+            expect.homology_table(name, max_degree, "Z", module, 1)
+
+
+# -- the bottom-up reduction of the normalized complex ------------------------
+
+# the largest boundary the tests below read densely: d_3 of an order-6
+# group ring, 216 x 1296
+DENSE_CELLS = 216 * 1296
+TABLE_NERVES = sorted([f"{name} {module}" for name in FINITE
+                       for module in ("group-ring", "trivial")]
+                      + list(GROUPOIDS))
+
+
+def _table_nerve(key):
+    """A fresh nerve of TABLE_NERVES: a gallery group under a module, or
+    a gallery groupoid."""
+    if key in GROUPOIDS:
+        return GROUPOIDS[key].nerve()
+    name, module = key.split(" ")
+    return homology._module_nerve(get_group(name), module)
+
+
+def _boundary_columns(nerve, n, normalized):
+    """d_n as sparse columns over Python ints, and its row count.  It is
+    read off Nerve.boundary, through oracles.normalized_boundary for the
+    normalized complex, when the unnormalized d_n has at most
+    DENSE_CELLS entries; else it is built by the face rule that
+    Nerve.boundary reads (faces) or Nerve.smiths reads
+    (normalized_faces)."""
+    if len(nerve.points(n - 1)) * len(nerve.points(n)) <= DENSE_CELLS:
+        M, row, col = nerve.boundary(n)
+        if normalized:
+            M = oracles.normalized_boundary(M, row.points, col.points,
+                                            nerve.group.identity())
+        return _columns(M), M.shape[0]
+    points, faces = ((nerve.nondegenerate_points, nerve.normalized_faces)
+                     if normalized else (nerve.points, nerve.faces))
+    rows = {p: i for i, p in enumerate(points(n - 1))}
+    return homology._face_sum_columns(points(n), rows, faces), len(rows)
+
+
+def _compose(left, right):
+    """The sparse columns of L R, L and R given by sparse columns."""
+    out = []
+    for col in right:
+        acc = {}
+        for r, v in col.items():
+            for l, a in left[r].items():
+                acc[l] = acc.get(l, 0) + a * v
+        out.append({l: w for l, w in acc.items() if w})
+    return out
+
+
+@pytest.mark.parametrize("key", TABLE_NERVES)
+def test_boundaries_compose_to_zero(key):
+    """d_n d_{n+1} = 0 exactly, over Python ints, on the unnormalized
+    and the normalized complex, up to d_4: the premise of the bottom-up
+    reduction.  d_4 of the dihedral-flip combined action (20736 x 248832
+    unnormalized) is left out."""
+    nerve = _table_nerve(key)
+    top = 3 if key == "dihedral-flip combined" else 4
+    for normalized in (False, True):
+        below, _ = _boundary_columns(nerve, 1, normalized)
+        for n in range(2, top + 1):
+            above, n_rows = _boundary_columns(nerve, n, normalized)
+            assert n_rows == len(below)
+            assert not any(_compose(below, above))
+            below = above
+
+
+def _full_normalized_form(nerve, n):
+    """A certified form of the whole normalized d_n, no row dropped: its
+    dense Smith form when it has at most DENSE_CELLS entries, else the
+    sparse front end on every row (for d_4 of the order-6 group rings,
+    750 x 3750, and d_3 of the product-coupling and z4-z2-twist combined
+    actions, 392 x 2744, whose dense V would hold 14M and 7.5M
+    entries)."""
+    rows = {p: i for i, p in enumerate(nerve.nondegenerate_points(n - 1))}
+    columns = homology._face_sum_columns(nerve.nondegenerate_points(n),
+                                         rows, nerve.normalized_faces)
+    if len(rows) * len(columns) <= DENSE_CELLS:
+        return _certified_smith(homology._dense(columns, len(rows)))
+    return homology._certified_divisors(columns, len(rows))
+
+
+@pytest.mark.parametrize("key", TABLE_NERVES)
+def test_bottom_up_tables_equal_the_full_normalized_tables(key):
+    """Tables read off smiths, which drops the rows each reduction
+    settled, equal tables read off certified forms of the whole
+    normalized d_n: each group to degree 3, each groupoid as far as the
+    pinned grid goes."""
+    max_degree = len(_pinned(key)) - 1 if key in GROUPOIDS else 3
+    nerve = _table_nerve(key)
+    want = [_full_normalized_form(nerve, n)
+            for n in range(1, max_degree + 2)]
+    got = nerve.smiths(max_degree)
+    assert [form.shape for form in got] == [form.shape for form in want]
+    for ring in RINGS:
+        for cohomology in (False, True):
+            assert _homology_table(ring, got, cohomology=cohomology) == \
+                _homology_table(ring, want, cohomology=cohomology)
+    if key in GROUPOIDS:
+        # and through the groupoid API
+        assert dy.groupoid_cohomology_finite(
+            GROUPOIDS[key], max_degree, ring_name="Z/2") == \
+            _homology_table("Z/2", want, cohomology=True)
+    else:
+        name, module = key.split(" ")
+        assert homology_finite(get_group(name), max_degree,
+                               module=module) == _homology_table("Z", want)
+
+
+def test_a_forged_first_elimination_fails_before_any_row_is_dropped(
+        monkeypatch):
+    nerve = homology._module_nerve(get_group("Z/4"), "group-ring")
+    real = homology._eliminate_units
+    monkeypatch.setattr(homology, "_eliminate_units",
+                        lambda cols: _forge_row(*real(cols)))
+    row_indices, real_sums = [], homology._face_sum_columns
+
+    def spy(cols, row_index, faces):
+        row_indices.append(dict(row_index))
+        return real_sums(cols, row_index, faces)
+
+    monkeypatch.setattr(homology, "_face_sum_columns", spy)
+    with pytest.raises(RuntimeError, match="replay"):
+        nerve.smiths(2)
+    # d_1 alone was assembled, on every row
+    assert len(row_indices) == 1
+    assert None not in row_indices[0].values()
