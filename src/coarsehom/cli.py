@@ -143,6 +143,22 @@ _CLOSE_PAIRS = [("z-double", "z-double-shift"),
                 ("z-identity", "z-parity-shift")]
 
 
+def _homotopy_failures(group, k, rhs, count, radius, seed, stride):
+    """Seeded chains c on group (degrees 0..2, seeds seed + stride * i +
+    degree) failing boundary(k(c)) + k(boundary(c)) == rhs(c)."""
+    fails = 0
+    for i in range(count):
+        for degree in (0, 1, 2):
+            c = random_chain(group, ring_from_name("Z"), 1, degree, radius,
+                             terms=3, seed=seed + stride * i + degree)
+            lhs = boundary(k(c))
+            if degree >= 1:
+                lhs = lhs + k(boundary(c))
+            if lhs != rhs(c):
+                fails += 1
+    return fails
+
+
 def _exp_homotopy_suite(config):
     pairs = config.get("pairs", _CLOSE_PAIRS)
     count = int(config.get("chains", 25))
@@ -151,36 +167,21 @@ def _exp_homotopy_suite(config):
     verdicts = []
     for pa, pb in pairs:
         phi, psi = get_map(pa), get_map(pb)
-        fails = 0
-        for i in range(count):
-            for degree in (0, 1, 2):
-                c = random_chain(phi.source, ring_from_name("Z"), 1,
-                                 degree, radius, terms=3,
-                                 seed=seed + 31 * i + degree)
-                lhs = boundary(homotopy_k(phi, psi, c))
-                if degree >= 1:
-                    lhs = lhs + homotopy_k(phi, psi, boundary(c))
-                rhs = induced_chain_map(psi, c) - induced_chain_map(phi, c)
-                if lhs != rhs:
-                    fails += 1
+        fails = _homotopy_failures(
+            phi.source, lambda c: homotopy_k(phi, psi, c),
+            lambda c: induced_chain_map(psi, c) - induced_chain_map(phi, c),
+            count, radius, seed, 31)
         verdicts.append({"name": f"homotopy-{pa}-vs-{pb}",
                          "pass": fails == 0,
                          "result": {"chains": count, "failures": fails}})
     phi = get_map(config.get("omega_map", "z-double"))
     om, _ = omega(phi, int(config.get("prefix_radius", 8)),
                   enum_cap=_cap())
-    fails = 0
-    for i in range(count):
-        for degree in (0, 1, 2):
-            c = random_chain(phi.target, ring_from_name("Z"), 1,
-                             degree, radius, terms=3,
-                             seed=seed + 77 * i + degree)
-            lhs = boundary(homotopy_l(phi, om, c))
-            if degree >= 1:
-                lhs = lhs + homotopy_l(phi, om, boundary(c))
-            rhs = induced_chain_map(compose(phi, om), c) - c
-            if lhs != rhs:
-                fails += 1
+    phi_om = compose(phi, om)
+    fails = _homotopy_failures(
+        phi.target, lambda c: homotopy_l(phi, om, c),
+        lambda c: induced_chain_map(phi_om, c) - c,
+        count, radius, seed, 77)
     verdicts.append({"name": "omega-homotopy-to-identity",
                      "pass": fails == 0,
                      "result": {"chains": count, "failures": fails}})

@@ -30,19 +30,18 @@ import random
 from .coarsemaps import CoarseMap, compose, identity_map
 from .errors import GroupMismatchError, InvalidElementError
 from .groups import Group
-from .resmodules import FinSupFun
-from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, \
-    vec_scale
+from .resmodules import FinSupFun, FinitelySupported
+from .rings import Ring, ring_from_name, vec_add, vec_neg, vec_zero
 
 
-class Chain:
+class Chain(FinitelySupported):
     """Finitely supported degree-n chain, stored by points (x, gvec).
 
     Input is validated where it enters: the item setter, ``points=``,
     ``add_at`` and ``from_json``.  The chain operations of this module
     build their points by group operations on points already checked, so
     they write through ``_acc`` without re-validating, or copy entries
-    verbatim.  No zero vector is ever stored.
+    verbatim.
 
     >>> from .groups import IntLattice
     >>> from .rings import Integers
@@ -66,6 +65,9 @@ class Chain:
             for (x, gvec), v in points.items():
                 self[x, gvec] = v
 
+    def _module(self):
+        return self.group, self.ring, self.rank, self.degree
+
     def __setitem__(self, key, v):
         x, gvec = key
         self.group.check_element(x)
@@ -81,22 +83,8 @@ class Chain:
         self.data.pop((x, gvec), None)
         self._acc((x, gvec), v)
 
-    def _acc(self, key, v):
-        """Add v at key and drop the key if the sum is zero.  Trusts key
-        to be a point of this chain and v a normalized vector of its
-        rank."""
-        cur = self.data.get(key)
-        if cur is not None:
-            v = vec_add(self.ring, cur, v)
-        if vec_is_zero(self.ring, v):
-            self.data.pop(key, None)
-        else:
-            self.data[key] = v
-
     def __getitem__(self, key):
-        return self.data.get(tuple(key),
-                             tuple(self.ring.zero()
-                                   for _ in range(self.rank)))
+        return self.data.get(tuple(key), vec_zero(self.ring, self.rank))
 
     def add_at(self, x, gvec, v):
         cur = self.data.get((x, gvec))
@@ -104,14 +92,6 @@ class Chain:
             self[x, gvec] = v
         else:
             self[x, gvec] = vec_add(self.ring, cur, v)
-
-    def is_zero(self):
-        return not self.data
-
-    def _check_compatible(self, other):
-        if (self.group != other.group or self.ring != other.ring
-                or self.rank != other.rank or self.degree != other.degree):
-            raise GroupMismatchError("chains are not compatible")
 
     def _with(self, data, group=None, degree=None):
         """A chain over the same ring and rank (and by default the same
@@ -121,37 +101,6 @@ class Chain:
                     self.rank, self.degree if degree is None else degree)
         out.data = data
         return out
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = self.copy()
-        for p, v in other.data.items():
-            out._acc(p, v)
-        return out
-
-    def __neg__(self):
-        return self._with({p: vec_neg(self.ring, v)
-                           for p, v in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = self.ring.normalize(c)
-        out = self._with({})
-        for p, v in self.data.items():
-            out._acc(p, vec_scale(self.ring, c, v))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return (self.group == other.group and self.ring == other.ring
-                and self.rank == other.rank and self.degree == other.degree
-                and self.data == other.data)
-
-    def copy(self):
-        return self._with(dict(self.data))
 
     def __repr__(self):
         return (f"Chain(deg={self.degree}, {self.ring.name}^{self.rank}, "
@@ -327,8 +276,7 @@ class Cochain:
 
     def is_zero_on_window(self, radius: int) -> bool:
         zero = Cochain(self.group, self.ring, self.rank, self.degree,
-                       lambda gvec, x: tuple(self.ring.zero()
-                                             for _ in range(self.rank)))
+                       lambda gvec, x: vec_zero(self.ring, self.rank))
         return self.equal_on_window(zero, radius)
 
 
@@ -344,7 +292,7 @@ def coboundary(f: Cochain) -> Cochain:
     ring = f.ring
 
     def rule(gvec, x):
-        acc = tuple(ring.zero() for _ in range(f.rank))
+        acc = vec_zero(ring, f.rank)
         for i, (fx, fg) in enumerate(_faces(f.group, x, gvec)):
             v = f.value(fg, fx)
             acc = vec_add(ring, acc, v if i % 2 == 0 else vec_neg(ring, v))
@@ -356,14 +304,20 @@ def coboundary(f: Cochain) -> Cochain:
 
 # -- induced maps --------------------------------------------------------------
 
-def _image_point(phi: CoarseMap, x, gvec):
-    """Image of the point (x, gvec) under the entrywise arrow map
-    phi1(x, g) = (phi(x), phi(x) phi(g^-1 x)^-1)."""
-    G, T = phi.source, phi.target
+def _vertices(G: Group, x, gvec):
+    """The vertex walk x_0 = x, x_i = g_i^-1 x_{i-1} of the point
+    (x, gvec)."""
     xs = [x]
     for g in gvec:
         xs.append(G.mul(G.inv(g), xs[-1]))
-    vals = [phi(t) for t in xs]
+    return xs
+
+
+def _image_point(phi: CoarseMap, x, gvec):
+    """Image of the point (x, gvec) under the entrywise arrow map
+    phi1(x, g) = (phi(x), phi(x) phi(g^-1 x)^-1)."""
+    T = phi.target
+    vals = [phi(t) for t in _vertices(phi.source, x, gvec)]
     hvec = tuple(T.mul(vals[i], T.inv(vals[i + 1])) for i in range(len(gvec)))
     return vals[0], hvec
 
@@ -410,11 +364,9 @@ def _homotopy_points(phi: CoarseMap, psi: CoarseMap, x, gvec):
     where the comparison arrow is theta(x_h) = (phi(x_h),
     phi(x_h) psi(x_h)^-1).  Sign of slot h is (-1)^(h+1).
     """
-    G, T = phi.source, phi.target
+    T = phi.target
     n = len(gvec)
-    xs = [x]
-    for g in gvec:
-        xs.append(G.mul(G.inv(g), xs[-1]))
+    xs = _vertices(phi.source, x, gvec)
     fv = [phi(t) for t in xs]
     pv = [psi(t) for t in xs]
     out = []
@@ -465,7 +417,7 @@ def homotopy_k_cochain(phi: CoarseMap, psi: CoarseMap, f: Cochain) -> Cochain:
     ring = f.ring
 
     def rule(gvec, x):
-        acc = tuple(ring.zero() for _ in range(f.rank))
+        acc = vec_zero(ring, f.rank)
         for y, hvec, sign in _homotopy_points(phi, psi, x, gvec):
             v = f.value(hvec, y)
             acc = vec_add(ring, acc, v if sign > 0 else vec_neg(ring, v))

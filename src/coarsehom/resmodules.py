@@ -22,13 +22,78 @@ from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, \
     vec_scale, vec_zero
 
 
-class FinSupFun:
+class FinitelySupported:
+    """Sparse store of a finitely supported function into R^rank: `data`
+    maps each key of the support to its value, a nonzero normalized
+    vector, and no zero vector is ever stored.
+
+    Holds the module operations of chains and functions alike.  A
+    subclass validates its keys where input enters, names its module
+    in ``_module()`` and builds instances over it in ``_with(data)``;
+    the operations here are trusted to write only keys and vectors
+    already checked.
+    """
+
+    __hash__ = None      # mutable
+
+    def _module(self):
+        raise NotImplementedError
+
+    def _acc(self, key, v):
+        """Add v at key and drop the key if the sum is zero.  Trusts key
+        to be a point of this function and v a normalized vector of its
+        rank."""
+        cur = self.data.get(key)
+        if cur is not None:
+            v = vec_add(self.ring, cur, v)
+        if vec_is_zero(self.ring, v):
+            self.data.pop(key, None)
+        else:
+            self.data[key] = v
+
+    def is_zero(self):
+        return not self.data
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other._module() != self._module():
+            raise GroupMismatchError(
+                f"{type(self).__name__} + {type(other).__name__}: the "
+                f"operands live over different modules")
+        out = self.copy()
+        for key, v in other.data.items():
+            out._acc(key, v)
+        return out
+
+    def __neg__(self):
+        return self._with({key: vec_neg(self.ring, v)
+                           for key, v in self.data.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = self.ring.normalize(c)
+        out = self._with({})
+        for key, v in self.data.items():
+            out._acc(key, vec_scale(self.ring, c, v))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, FinitelySupported):
+            return NotImplemented
+        return (type(other) is type(self) and other._module() == self._module()
+                and self.data == other.data)
+
+    def copy(self):
+        return self._with(dict(self.data))
+
+
+class FinSupFun(FinitelySupported):
     """Finitely supported function from a group into R^rank.
 
-    Like Chain: validated where input enters (the item setter, ``data=``,
+    Validated where input enters (the item setter, ``data=``,
     ``from_json`` and the element of ``translate``), trusted inside.  The
-    operations write through ``_acc`` or copy entries verbatim, and no
-    zero vector is ever stored.
+    operations write through ``_acc`` or copy entries verbatim.
 
     >>> from .groups import IntLattice
     >>> from .rings import Integers
@@ -55,7 +120,10 @@ class FinSupFun:
             for g, v in data.items():
                 self[g] = v
 
-    # -- dict-like access, zero entries are never stored ------------------
+    def _module(self):
+        return self.group, self.ring, self.rank
+
+    # -- dict-like access ---------------------------------------------------
     def __getitem__(self, g):
         return self.data.get(g, vec_zero(self.ring, self.rank))
 
@@ -70,17 +138,6 @@ class FinSupFun:
         self.data.pop(g, None)
         self._acc(g, v)
 
-    def _acc(self, g, v):
-        """Add v at g and drop g if the sum is zero.  Trusts g to be an
-        element and v a normalized vector of the right rank."""
-        cur = self.data.get(g)
-        if cur is not None:
-            v = vec_add(self.ring, cur, v)
-        if vec_is_zero(self.ring, v):
-            self.data.pop(g, None)
-        else:
-            self.data[g] = v
-
     def _with(self, data, group=None):
         """A function over the same module (or the same ring and rank over
         another group) holding data, whose entries are trusted to be
@@ -92,47 +149,6 @@ class FinSupFun:
 
     def support(self):
         return sorted(self.data, key=self.group.order_key)
-
-    def is_zero(self):
-        return not self.data
-
-    def _check_compatible(self, other):
-        if (self.group != other.group or self.ring != other.ring
-                or self.rank != other.rank):
-            raise GroupMismatchError("functions live over different modules")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = self.copy()
-        for g, v in other.data.items():
-            out._acc(g, v)
-        return out
-
-    def __neg__(self):
-        return self._with({g: vec_neg(self.ring, v)
-                           for g, v in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = self.ring.normalize(c)
-        out = self._with({})
-        for g, v in self.data.items():
-            out._acc(g, vec_scale(self.ring, c, v))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, FinSupFun):
-            return NotImplemented
-        return (self.group == other.group and self.ring == other.ring
-                and self.rank == other.rank and self.data == other.data)
-
-    def __hash__(self):
-        raise TypeError("FinSupFun is mutable, not hashable")
-
-    def copy(self):
-        return self._with(dict(self.data))
 
     def __repr__(self):
         items = ", ".join(f"{g}:{v}" for g, v in

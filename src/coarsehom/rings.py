@@ -21,19 +21,20 @@ class Ring:
         raise NotImplementedError
 
     def zero(self):
-        raise NotImplementedError
+        return self.normalize(0)
 
     def one(self):
-        raise NotImplementedError
+        return self.normalize(1)
 
+    # ints and Fractions carry the arithmetic; Z/m overrides it to reduce
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def is_zero(self, a):
         return a == self.zero()
@@ -67,21 +68,6 @@ class Integers(Ring):
             raise TypeError(f"not an integer: {v!r}")
         return v
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
 
 class Rationals(Ring):
     name = "Q"
@@ -89,21 +75,6 @@ class Rationals(Ring):
 
     def normalize(self, v):
         return Fraction(v)
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def invert(self, a):
         if a == 0:
@@ -133,12 +104,6 @@ class IntegersMod(Ring):
         if isinstance(v, bool) or not isinstance(v, int):
             raise TypeError(f"not an integer: {v!r}")
         return v % self.m
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.m
 
     def add(self, a, b):
         return (a + b) % self.m

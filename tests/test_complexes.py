@@ -201,6 +201,19 @@ def test_degree_mismatch_raises():
         c + c2
 
 
+def test_chain_and_function_do_not_mix():
+    # a chain's keys are points (x, gvec), a function's are elements: a
+    # sum of the two would store a key that was never validated
+    c = Chain(Z, ZR, 1, 1, {((0,), ((1,),)): (1,)})
+    f = FinSupFun(Z, ZR, 1, {(0,): (1,)})
+    with pytest.raises(GroupMismatchError):
+        f + c
+    with pytest.raises(GroupMismatchError):
+        c + f
+    assert f != c and c != f
+    assert not f == c and not c == f
+
+
 def test_random_chain_deterministic():
     a = random_chain(Z, ZR, 1, 2, 3, terms=5, seed=99)
     b = random_chain(Z, ZR, 1, 2, 3, terms=5, seed=99)

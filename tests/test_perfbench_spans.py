@@ -36,6 +36,15 @@ def test_span_path_resolves(name):
     assert callable(obj), name
 
 
+def test_tracer_binds_every_span():
+    # the tracer reads a method from its own class's __dict__, so a
+    # method inherited from a base class resolves by getattr above but
+    # fails here, as it would fail a traced run
+    bound = {attr for _, attr, _, _ in tracer.Tracer()._collect()}
+    assert bound >= {path.split(".")[-1]
+                     for _, path, _, _ in tracer.SPANS.values()}
+
+
 def test_size_functions_read_library_results():
     A = [[2, 4], [6, 8]]
     assert tracer._smith((A,), {}, smith_normal_form(A)) == \

@@ -42,6 +42,14 @@ def test_mod_arithmetic_frozen():
     assert R.normalize(-1) == 4
 
 
+@pytest.mark.parametrize("name, zero, one", [
+    ("Z", 0, 1), ("Q", Fraction(0), Fraction(1)), ("Z/2", 0, 1)])
+def test_zero_and_one_are_normalized_scalars(name, zero, one):
+    R = ring_from_name(name)
+    assert (R.zero(), R.one()) == (zero, one)
+    assert type(R.zero()) is type(zero) and type(R.one()) is type(one)
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_mod_ring_laws(a, b, c):
     R = ring_from_name("Z/7")
