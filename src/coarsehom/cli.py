@@ -332,21 +332,18 @@ EXPERIMENTS = list(_TABLE)
 
 
 def _jsonable(value):
-    """Reports must serialize: tuples become lists, sets sorted lists,
-    everything else must already be JSON-friendly."""
+    """Reports must serialize: tuples become lists, sets sorted lists;
+    numbers (bool is an int), strings and None pass through, anything
+    else becomes its str."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted((_jsonable(v) for v in value), key=repr)
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return value
-    return str(value) if not isinstance(value, str) else value
+    return str(value)
 
 
 def run_experiment(config: dict) -> dict:

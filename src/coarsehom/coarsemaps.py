@@ -30,13 +30,12 @@ class CoarseMap:
     below, never assumed.
     """
 
-    def __init__(self, source: Group, target: Group, rule, name=None,
-                 witness=None):
+    def __init__(self, source: Group, target: Group, rule, name=None):
         self.source = source
         self.target = target
         self.rule = rule
         self.name = name or "unnamed"
-        self.witness = witness
+        self.witness = None       # set by section()
         self._cache = {}
 
     def __call__(self, g):
@@ -249,11 +248,15 @@ def check_coarse_embedding(phi: CoarseMap, r: int) -> dict:
     return report
 
 
-def closeness(phi: CoarseMap, psi: CoarseMap, r: int, cap: int = 64) -> dict:
+_CLOSENESS_CAP = 64
+
+
+def closeness(phi: CoarseMap, psi: CoarseMap, r: int) -> dict:
     """Are phi and psi close?  Compares difference sets at r//2 and r.
 
     On success returns the finite decomposition of ball(r) by the value
-    h = psi(x) phi(x)^-1, so that psi = h_i phi on each piece.
+    h = psi(x) phi(x)^-1, so that psi = h_i phi on each piece; more than
+    _CLOSENESS_CAP values count as not close.
     """
     if phi.source != psi.source or phi.target != psi.target:
         raise GroupMismatchError("closeness needs maps with equal groups")
@@ -269,13 +272,13 @@ def closeness(phi: CoarseMap, psi: CoarseMap, r: int, cap: int = 64) -> dict:
     d_h = diffs(r // 2)
     d_r = diffs(r)
     stable = set(d_h) == set(d_r)
-    if stable and len(d_r) <= cap:
+    if stable and len(d_r) <= _CLOSENESS_CAP:
         order = sorted(d_r, key=T.order_key)
         return {"verdict": "close", "radius": r,
                 "pieces": [(h, d_r[h]) for h in order]}
     return {"verdict": "not-close-at-radius", "radius": r,
             "size_at_half": len(d_h), "size_at_full": len(d_r),
-            "cap": cap}
+            "cap": _CLOSENESS_CAP}
 
 
 # -- constructive toolkit ---------------------------------------------------
@@ -350,8 +353,7 @@ class DomainDecomposition:
         return seen == set(G.ball(self.radius))
 
 
-def decompose_domain(phi: CoarseMap, r: int,
-                     sec: SectionData | None = None) -> DomainDecomposition:
+def decompose_domain(phi: CoarseMap, r: int) -> DomainDecomposition:
     """Disjointify the translate cover and split pieces by displacement.
 
     Every x in ball(r) is written as x = f (g_i x)^-1-free…, concretely:
@@ -362,8 +364,7 @@ def decompose_domain(phi: CoarseMap, r: int,
     g_1 = h_1 = e.
     """
     G, T = phi.source, phi.target
-    if sec is None:
-        sec = section(phi, r)
+    sec = section(phi, r)
     Xset = set(sec.X)
     cover = [f for f in sec.F if f != G.identity()]
     cover.insert(0, G.identity())
@@ -460,12 +461,11 @@ class OmegaMap(CoarseMap):
         return sorted(out, key=G.order_key)
 
 
-def omega(phi: CoarseMap, prefix: int, source_radius: int | None = None,
-          enum_cap: int = 10000):
+def omega(phi: CoarseMap, prefix: int, enum_cap: int = 10000):
     """Coarse inverse on ball(prefix) of the target, plus its partition.
 
-    source_radius bounds how much of the image of phi is known; the
-    default 2*prefix + 2 is enough for every built-in map.  All points
+    The image of phi is known on phi(ball(2*prefix + 2)), which is
+    enough for every built-in map.  All points
     of ball(prefix) are resolved eagerly so the returned partition
     already covers the ball; resolution extends lazily beyond it.
 
@@ -476,9 +476,7 @@ def omega(phi: CoarseMap, prefix: int, source_radius: int | None = None,
     >>> [h for h, _ in part.block_items()]
     [(0,), (1,)]
     """
-    if source_radius is None:
-        source_radius = 2 * prefix + 2
-    sec = section(phi, source_radius)
+    sec = section(phi, 2 * prefix + 2)
     om = OmegaMap(phi, sec, enum_cap=enum_cap)
     for y in phi.target.ball(prefix):
         om(y)

@@ -10,6 +10,13 @@ equivalences: a bijection between full subsets of the two systems that
 intertwines the restricted transformation groupoids.  Everything here
 is exact and finite, so every claimed identity is verified pointwise.
 
+A coupling is symmetric in its two groups: read the right H-action as
+the left action h.w = w h^-1 (Coupling.hact) and swap Xbar and Ybar, and
+Omega is a coupling of H and G.  So each half of the dictionary is
+written once, for X with G, and run again with the roles swapped for Y
+with H: the orbit couple's two sides (_half), the per-side identities
+of the validators, and the pieces of the Kakutani rebuild.
+
 Every groupoid here is the transformation groupoid G⋉X of a finite
 action, possibly restricted to a subset of its units.  Its homology with
 constant coefficients is that of its nerve, assembled by the engine that
@@ -71,6 +78,12 @@ class FiniteAction:
             out.append(sorted(orb, key=repr))
         return out
 
+    def is_full(self, subset):
+        """Does the subset meet every orbit?"""
+        sub = set(subset)
+        return all(any(self.table[(g, x)] in sub
+                       for g in self.group.elements()) for x in self.points)
+
     def is_free(self):
         e = self.group.identity()
         for g in self.group.elements():
@@ -102,15 +115,16 @@ class Coupling:
     def ract(self, w, h):
         return self.right[(w, h)]
 
+    def hact(self, h, w):
+        """h.w = w h^-1: the right action read as a left H-action."""
+        return self.right[(w, self.H.inv(h))]
+
     def combined_action(self) -> FiniteAction:
         """(g, h).w = g w h^-1 as a left action of G x H."""
         P = ProductGroup(self.G, self.H)
-
-        def act(gh, w):
-            g, h = gh
-            return self.lact(g, self.ract(w, self.H.inv(h)))
-
-        return FiniteAction(P, self.points, act)
+        return FiniteAction(P, self.points,
+                            lambda gh, w: self.lact(gh[0],
+                                                    self.hact(gh[1], w)))
 
     def validate(self) -> dict:
         G, H = self.G, self.H
@@ -119,27 +133,36 @@ class Coupling:
             for g in G.elements() for h in H.elements()
             for w in self.points)
         # left action axioms come with the FiniteAction construction
-        lact = FiniteAction(G, self.points, lambda g, w: self.lact(g, w))
+        FiniteAction(G, self.points, self.lact)
         ract_ok = all(
             self.ract(self.ract(w, h1), h2) == self.ract(w, H.mul(h1, h2))
             for h1 in H.elements() for h2 in H.elements()
             for w in self.points) and all(
             self.ract(w, H.identity()) == w for w in self.points)
         free = self.combined_action().is_free()
-        ybar_set = set(self.ybar)
-        ok_ybar = all(
-            sum(1 for g in G.elements()
-                if self.lact(G.inv(g), w) in ybar_set) == 1
-            for w in self.points)
-        xbar_set = set(self.xbar)
-        ok_xbar = all(
-            sum(1 for h in H.elements()
-                if self.ract(w, H.inv(h)) in xbar_set) == 1
-            for w in self.points)
+        ok_ybar = _fundamental(G, self.lact, self.ybar, self.points)
+        ok_xbar = _fundamental(H, self.hact, self.xbar, self.points)
         return {"commuting": ok_comm, "right_action": ract_ok,
                 "free": free, "ybar_fundamental": ok_ybar,
                 "xbar_fundamental": ok_xbar,
                 "ok": ok_comm and ract_ok and free and ok_ybar and ok_xbar}
+
+
+def _fundamental(group, act, domain, points) -> bool:
+    """Every point is g.d for exactly one g in the group and d in the
+    domain: its orbit meets the domain once."""
+    dset = set(domain)
+    return all(sum(act(g, w) in dset for g in group.elements()) == 1
+               for w in points)
+
+
+def _holds(identity) -> bool:
+    """all() over the instances of an identity; an instance that reads a
+    table outside its domain fails it instead of raising."""
+    try:
+        return all(identity)
+    except KeyError:
+        return False
 
 
 class OrbitCouple:
@@ -163,26 +186,10 @@ class OrbitCouple:
         self.h_map = dict(h_map)
 
     def validate(self) -> dict:
-        G, H = self.G, self.H
-        X, Y = self.actX.points, self.actY.points
-        ok_p = all(self.p[self.actX(g, x)]
-                   == self.actY(self.a[(g, x)], self.p[x])
-                   for g in G.elements() for x in X)
-        ok_q = all(self.q[self.actY(h, y)]
-                   == self.actX(self.b[(h, y)], self.q[y])
-                   for h in H.elements() for y in Y)
-        ok_qp = all(self.q[self.p[x]] == self.actX(self.g_map[x], x)
-                    for x in X)
-        ok_pq = all(self.p[self.q[y]] == self.actY(self.h_map[y], y)
-                    for y in Y)
-        ok_cocycle_a = all(
-            self.a[(G.mul(g1, g2), x)]
-            == H.mul(self.a[(g1, self.actX(g2, x))], self.a[(g2, x)])
-            for g1 in G.elements() for g2 in G.elements() for x in X)
-        ok_cocycle_b = all(
-            self.b[(H.mul(h1, h2), y)]
-            == G.mul(self.b[(h1, self.actY(h2, y))], self.b[(h2, y)])
-            for h1 in H.elements() for h2 in H.elements() for y in Y)
+        ok_p, ok_qp, ok_cocycle_a = _couple_side(
+            self.actX, self.actY, self.p, self.a, self.g_map, self.q)
+        ok_q, ok_pq, ok_cocycle_b = _couple_side(
+            self.actY, self.actX, self.q, self.b, self.h_map, self.p)
         return {"orbit_map_p": ok_p, "orbit_map_q": ok_q,
                 "qp_identity": ok_qp, "pq_identity": ok_pq,
                 "cocycle_a": ok_cocycle_a, "cocycle_b": ok_cocycle_b,
@@ -190,63 +197,60 @@ class OrbitCouple:
                            ok_cocycle_a, ok_cocycle_b])}
 
 
-def coupling_to_couple(coup: Coupling) -> OrbitCouple:
-    """Orbit couple of a coupling.
+def _couple_side(act, other, p, a, g_map, q):
+    """One side's identities: p(g.x) = a(g,x).p(x), q(p(x)) =
+    g_map(x).x and the cocycle a(g1 g2, x) = a(g1, g2.x) a(g2, x)."""
+    G, H, X = act.group, other.group, act.points
+    orbit = _holds(p[act(g, x)] == other(a[(g, x)], p[x])
+                   for g in G.elements() for x in X)
+    closing = _holds(q[p[x]] == act(g_map[x], x) for x in X)
+    cocycle = _holds(
+        a[(G.mul(g1, g2), x)] == H.mul(a[(g1, act(g2, x))], a[(g2, x)])
+        for g1 in G.elements() for g2 in G.elements() for x in X)
+    return orbit, closing, cocycle
 
-    p(x) is the unique point of Gx meeting Ybar, written gamma(x) x;
-    the G-action on Xbar is g.x = g x alpha(g,x)^-1 where alpha(g,x) is
-    the unique right translate bringing gx back into Xbar; symmetrically
-    q, eta, beta on the other side.  The cocycles of the couple are
-    a = alpha and b(h, y) = beta(y, h^-1)^-1; the closing maps are
-    g_map = gamma and h_map = eta^-1.
+
+def _unique(candidates, what):
+    if len(candidates) != 1:
+        raise InvalidElementError(
+            f"{what}: expected exactly one solution, got "
+            f"{len(candidates)} (is the input valid?)")
+    return candidates[0]
+
+
+def _half(G, H, on_G, on_H, X, Y):
+    """The G side of the orbit couple of a coupling on which G acts by
+    on_G and H by on_H, X being the fundamental domain of H and Y that
+    of G.
+
+    gamma(x) is the unique g with g x in Y, and p(x) = gamma(x) x;
+    alpha(g, x) is the unique h with h.(g x) in X, and the G-action on X
+    is g.x = alpha(g,x).(g x).  Returns that action, p, alpha and gamma.
     """
-    G, H = coup.G, coup.H
-    X, Y = coup.xbar, coup.ybar
     Xset, Yset = set(X), set(Y)
-
-    def unique(candidates, what):
-        if len(candidates) != 1:
-            raise InvalidElementError(
-                f"{what}: expected exactly one candidate, got "
-                f"{len(candidates)} (is the input a valid coupling?)")
-        return candidates[0]
-
-    gamma = {x: unique([g for g in G.elements()
-                        if coup.lact(g, x) in Yset], "gamma") for x in X}
-    p = {x: coup.lact(gamma[x], x) for x in X}
-    alpha = {}
+    gamma = {x: _unique([g for g in G.elements() if on_G(g, x) in Yset],
+                        "gamma") for x in X}
+    p = {x: on_G(gamma[x], x) for x in X}
+    alpha, table = {}, {}
     for g in G.elements():
         for x in X:
-            gx = coup.lact(g, x)
-            alpha[(g, x)] = unique(
-                [h for h in H.elements()
-                 if coup.ract(gx, H.inv(h)) in Xset], "alpha")
+            gx = on_G(g, x)
+            h = _unique([h for h in H.elements() if on_H(h, gx) in Xset],
+                        "alpha")
+            alpha[(g, x)] = h
+            table[(g, x)] = on_H(h, gx)
+    return FiniteAction(G, X, table), p, alpha, gamma
 
-    def actX(g, x):
-        return coup.ract(coup.lact(g, x), H.inv(alpha[(g, x)]))
 
-    eta = {y: unique([h for h in H.elements()
-                      if coup.ract(y, h) in Xset], "eta") for y in Y}
-    q = {y: coup.ract(y, eta[y]) for y in Y}
-    beta = {}
-    for h in H.elements():
-        for y in Y:
-            yh = coup.ract(y, h)
-            beta[(y, h)] = unique(
-                [g for g in G.elements()
-                 if coup.lact(G.inv(g), yh) in Yset], "beta")
-
-    def actY(h, y):
-        return coup.ract(coup.lact(G.inv(beta[(y, H.inv(h))]), y),
-                         H.inv(h))
-
-    AX = FiniteAction(G, X, actX)
-    AY = FiniteAction(H, Y, actY)
-    a = {(g, x): alpha[(g, x)] for g in G.elements() for x in X}
-    b = {(h, y): G.inv(beta[(y, H.inv(h))])
-         for h in H.elements() for y in Y}
-    g_map = dict(gamma)
-    h_map = {y: H.inv(eta[y]) for y in Y}
+def coupling_to_couple(coup: Coupling) -> OrbitCouple:
+    """Orbit couple of a coupling: the G side on Xbar, with cocycle
+    a = alpha and closing map g_map = gamma (see _half), and the same
+    construction for the swapped coupling, H on Ybar by hact, giving q,
+    b and h_map."""
+    AX, p, a, g_map = _half(coup.G, coup.H, coup.lact, coup.hact,
+                            coup.xbar, coup.ybar)
+    AY, q, b, h_map = _half(coup.H, coup.G, coup.hact, coup.lact,
+                            coup.ybar, coup.xbar)
     return OrbitCouple(AX, AY, p, q, a, b, g_map, h_map)
 
 
@@ -346,36 +350,29 @@ class KakutaniData:
         self.blocks = blocks or {}
 
     def validate(self) -> dict:
-        G, H = self.actX.group, self.actY.group
-        Aset, Bset = set(self.A), set(self.B)
-        full_A = all(any(self.actX(g, x) in Aset for g in G.elements())
-                     for x in self.actX.points)
-        full_B = all(any(self.actY(h, y) in Bset for h in H.elements())
-                     for y in self.actY.points)
         bij = (sorted(self.phi.keys(), key=repr) == self.A
                and sorted(set(self.phi.values()), key=repr) == self.B)
         phi_inv = {v: k for k, v in self.phi.items()}
-        ok_a = True
-        for g in G.elements():
-            for x in self.A:
-                gx = self.actX(g, x)
-                if gx in Aset:
-                    h = self.a_prime.get((g, x))
-                    if h is None or self.phi[gx] != self.actY(h, self.phi[x]):
-                        ok_a = False
-        ok_b = True
-        for h in H.elements():
-            for y in self.B:
-                hy = self.actY(h, y)
-                if hy in Bset:
-                    g = self.b_prime.get((h, y))
-                    if g is None or phi_inv[hy] != self.actX(g, phi_inv[y]):
-                        ok_b = False
+        full_A, ok_a = _kakutani_side(self.actX, self.actY, self.A,
+                                      self.phi, self.a_prime)
+        full_B, ok_b = _kakutani_side(self.actY, self.actX, self.B,
+                                      phi_inv, self.b_prime)
         iso = _restriction_groupoid_iso_check(self)
         return {"full_A": full_A, "full_B": full_B, "phi_bijective": bij,
                 "intertwines_forward": ok_a, "intertwines_backward": ok_b,
                 "groupoid_iso": iso,
                 "ok": all([full_A, full_B, bij, ok_a, ok_b, iso])}
+
+
+def _kakutani_side(act, other, A, phi, a_prime):
+    """One side's checks: A meets every orbit, and phi(g.x) =
+    a'(g,x).phi(x) whenever x and g.x lie in A."""
+    Aset = set(A)
+    full = act.is_full(A)
+    intertwines = _holds(phi[act(g, x)] == other(a_prime[(g, x)], phi[x])
+                         for g in act.group.elements() for x in A
+                         if act(g, x) in Aset)
+    return full, intertwines
 
 
 def _restriction_groupoid_iso_check(kak: KakutaniData) -> bool:
@@ -395,10 +392,10 @@ def _restriction_groupoid_iso_check(kak: KakutaniData) -> bool:
         h = kak.a_prime.get((g, src))
         if h is None:
             return False
-        arrow = (kak.phi[x], h)
+        arrow = (kak.phi.get(x), h)
         if arrow not in arrows_B:
             return False
-        if kak.actY(H.inv(h), kak.phi[x]) != kak.phi[src]:
+        if kak.actY(H.inv(h), arrow[0]) != kak.phi.get(src):
             return False
         image[(x, g)] = arrow
     if len(set(image.values())) != len(arrows_A) or \
@@ -474,50 +471,48 @@ def kakutani_to_couple(kak: KakutaniData) -> OrbitCouple:
     which is unambiguous for free actions; validate() re-checks all the
     identities afterwards.
     """
-    G, H = kak.actX.group, kak.actY.group
-    X, Y = kak.actX.points, kak.actY.points
     if not (kak.actX.is_free() and kak.actY.is_free()):
         raise InvalidElementError(
             "rebuilding a couple by search needs free actions")
     phi_inv = {v: k for k, v in kak.phi.items()}
-
-    def carve(points, act, group, base):
-        baseset = set(base)
-        remaining = set(points)
-        piece_of = {}
-        for gamma in group.elements():
-            block = [x for x in points
-                     if x in remaining
-                     and act(group.inv(gamma), x) in baseset]
-            for x in block:
-                piece_of[x] = gamma
-            remaining -= set(block)
-        if remaining:
-            raise InvalidElementError(
-                "the base subset is not full: translates miss "
-                f"{sorted(remaining, key=repr)}")
-        return piece_of
-
-    piece_X = carve(X, kak.actX, G, kak.A)
-    piece_Y = carve(Y, kak.actY, H, kak.B)
-    p = {x: kak.phi[kak.actX(G.inv(piece_X[x]), x)] for x in X}
-    q = {y: phi_inv[kak.actY(H.inv(piece_Y[y]), y)] for y in Y}
-
-    def search(group_out, act_out, lhs, rhs):
-        found = [k for k in group_out.elements()
-                 if act_out(k, rhs) == lhs]
-        if len(found) != 1:
-            raise InvalidElementError(
-                "cocycle search did not find a unique solution")
-        return found[0]
-
-    a = {(g, x): search(H, kak.actY, p[kak.actX(g, x)], p[x])
-         for g in G.elements() for x in X}
-    b = {(h, y): search(G, kak.actX, q[kak.actY(h, y)], q[y])
-         for h in H.elements() for y in Y}
-    g_map = {x: search(G, kak.actX, q[p[x]], x) for x in X}
-    h_map = {y: search(H, kak.actY, p[q[y]], y) for y in Y}
+    into_A, into_B = _carve(kak.actX, kak.A), _carve(kak.actY, kak.B)
+    p = {x: kak.phi[s] for x, s in into_A.items()}
+    q = {y: phi_inv[s] for y, s in into_B.items()}
+    a, g_map = _search_side(kak.actX, kak.actY, p, q)
+    b, h_map = _search_side(kak.actY, kak.actX, q, p)
     return OrbitCouple(kak.actX, kak.actY, p, q, a, b, g_map, h_map)
+
+
+def _carve(act, base):
+    """x -> gamma^-1.x, where gamma is the first element in the group
+    order with gamma^-1.x in the base: the pieces X_gamma are carved
+    greedily inside gamma.base."""
+    group, baseset = act.group, set(base)
+    into = {}
+    for x in act.points:
+        for gamma in group.elements():
+            s = act(group.inv(gamma), x)
+            if s in baseset:
+                into[x] = s
+                break
+    missing = [x for x in act.points if x not in into]
+    if missing:
+        raise InvalidElementError(
+            f"the base subset is not full: translates miss {missing}")
+    return into
+
+
+def _search_side(act, other, p, q):
+    """The cocycle a(g, x) and closing map g_map(x) of one side, each the
+    unique group element solving its identity."""
+    def search(act_out, lhs, rhs):
+        return _unique([k for k in act_out.group.elements()
+                        if act_out(k, rhs) == lhs], "cocycle search")
+
+    a = {(g, x): search(other, p[act(g, x)], p[x])
+         for g in act.group.elements() for x in act.points}
+    g_map = {x: search(act, q[p[x]], x) for x in act.points}
+    return a, g_map
 
 
 # -- finite groupoids and their (co)homology ----------------------------------
@@ -600,9 +595,7 @@ def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
     divisor forms, so the cohomology verdict follows from the homology
     one."""
     sub = set(subset)
-    full = all(any(act(g, x) in sub for g in act.group.elements())
-               for x in act.points)
-    if not full:
+    if not act.is_full(sub):
         raise InvalidElementError(
             "the subset must meet every orbit (be full)")
     _check_homology_ring(ring_name)
@@ -632,15 +625,9 @@ def translation_action(G: Group) -> FiniteAction:
 
 def product_coupling(G: Group, H: Group) -> Coupling:
     """Omega = G x H, G on the left coordinate, H on the right; the
-    fundamental domains are the coordinate axes."""
-    points = [(a, b) for a in G.elements() for b in H.elements()]
-    left = {(g, (a, b)): (G.mul(g, a), b)
-            for g in G.elements() for (a, b) in points}
-    right = {((a, b), h): (a, H.mul(b, h))
-             for (a, b) in points for h in H.elements()}
-    xbar = [(a, H.identity()) for a in G.elements()]
-    ybar = [(G.identity(), b) for b in H.elements()]
-    return Coupling(G, H, points, left, right, xbar, ybar)
+    fundamental domains are the coordinate axes.  This is the twisted
+    coupling with rho constant at the identity."""
+    return twisted_coupling(G, H, {b: G.identity() for b in H.elements()})
 
 
 def twisted_coupling(G: Group, H: Group, rho: dict) -> Coupling:

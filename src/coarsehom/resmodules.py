@@ -257,20 +257,18 @@ def pullback(phi: CoarseMap, f: FinSupFun, radius: int) -> FinSupFun:
     return out
 
 
-def pull_push_identity(phi: CoarseMap, f: FinSupFun, radius: int,
-                       fiber_radius: int | None = None) -> dict:
+def pull_push_identity(phi: CoarseMap, f: FinSupFun, radius: int) -> dict:
     """Check phi^* phi_* f = sum over pieces X_i of 1_{X_i} * (sum of
     g^-1.f over g in F_i), where F_i x = fiber of phi(x) and X_i groups
     the x in ball(radius) with equal translate set F_i.
 
-    Fibers are read off ball(fiber_radius), default 2*radius + 2;
+    Fibers are read off ball(fiber_radius), fiber_radius = 2*radius + 2;
     honesty caveat: a fiber escaping that ball would be missed, which
     for a certified coarse map cannot happen once the ball is larger
     than radius plus the maximal fiber spread.
     """
     G = phi.source
-    if fiber_radius is None:
-        fiber_radius = 2 * radius + 2
+    fiber_radius = 2 * radius + 2
     fib = phi.fibers_on_ball(fiber_radius)
     lhs = {}          # x -> value of phi^*(phi_* f)(x)
     push = pushforward(phi, f)

@@ -58,6 +58,32 @@ def test_couple_identities(name, maker):
                   "cocycle_a": True, "cocycle_b": True, "ok": True}, name
 
 
+def flipped(coup):
+    """The same space as a coupling of H and G: left (h, w) -> w h^-1,
+    right (w, g) -> g^-1 w, Xbar and Ybar swapped."""
+    G, H = coup.G, coup.H
+    left = {(h, w): coup.ract(w, H.inv(h))
+            for h in H.elements() for w in coup.points}
+    right = {(w, g): coup.lact(G.inv(g), w)
+             for w in coup.points for g in G.elements()}
+    return dy.Coupling(H, G, coup.points, left, right, coup.ybar, coup.xbar)
+
+
+@pytest.mark.parametrize("name,maker", COUPLING_MAKERS)
+def test_flipped_coupling_swaps_the_halves(name, maker):
+    # the couple of the flipped coupling is the couple with its X and Y
+    # halves exchanged; on the skew coupling the two halves differ
+    coup = maker()
+    assert flipped(coup).validate()["ok"], name
+    c = dy.coupling_to_couple(coup)
+    f = dy.coupling_to_couple(flipped(coup))
+    assert (f.actX.points, f.actY.points) == (c.actY.points, c.actX.points)
+    assert f.actX.table == c.actY.table, name
+    assert f.actY.table == c.actX.table, name
+    assert (f.p, f.a, f.g_map) == (c.q, c.b, c.h_map), name
+    assert (f.q, f.b, f.h_map) == (c.p, c.a, c.g_map), name
+
+
 def test_skew_couple_frozen_tables():
     sc = dy.coupling_to_couple(skew_coupling())
     assert sc.p == {(0, 0): (0, 0), (1, 1): (0, 1),
@@ -131,6 +157,15 @@ def other_point(points, current):
         if cand != current:
             return cand
     raise AssertionError("point set too small to mutate")
+
+
+def test_orbit_map_missing_a_point_fails_instead_of_raising():
+    sc = dy.coupling_to_couple(skew_coupling())
+    p = {x: y for x, y in sc.p.items() if x != (0, 0)}
+    assert rebuilt(sc, p=p).validate() == {
+        "orbit_map_p": False, "orbit_map_q": True, "qp_identity": False,
+        "pq_identity": False, "cocycle_a": True, "cocycle_b": True,
+        "ok": False}
 
 
 def test_every_table_entry_is_checked():
@@ -218,6 +253,19 @@ def test_kakutani_mutation_detected():
                              {(0, 0): (0, 1), (3, 1): (0, 0)},
                              kak.a_prime, kak.b_prime, kak.blocks)
     assert not broken.validate()["ok"]
+
+
+@pytest.mark.parametrize("phi", [{(0, 0): (0, 0)},
+                                 {(0, 0): (0, 0), (3, 1): (0, 0)}],
+                         ids=["partial", "not-injective"])
+def test_kakutani_bad_phi_fails_instead_of_raising(phi):
+    kak = dy.couple_to_kakutani(dy.coupling_to_couple(skew_coupling()))
+    v = dy.KakutaniData(kak.actX, kak.actY, kak.A, kak.B, phi,
+                        kak.a_prime, kak.b_prime, kak.blocks).validate()
+    assert list(v) == ["full_A", "full_B", "phi_bijective",
+                       "intertwines_forward", "intertwines_backward",
+                       "groupoid_iso", "ok"]
+    assert not v["phi_bijective"] and not v["ok"]
 
 
 # -- groupoids and their (co)homology ---------------------------------------------

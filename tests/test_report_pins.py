@@ -6,8 +6,11 @@ nerve walked its lower degrees again for each basis.  The tables now
 read one form per boundary, so these pins hold the reports to what they
 were: the eight CLI defaults, morita-check on the group pairs of the
 benchmark's homology-tables menu (max degree 2) and on the three
-coupling scenarios (max degree 1), homology-finite tables over Z, Q and
-Z/2, and induced maps on group-ring homology at ranks 1 and 2.  The
+coupling scenarios (max degree 1), dynamics-roundtrip on every scenario,
+homology-finite tables over Z, Q and Z/2, and induced maps on group-ring
+homology at ranks 1 and 2.  The dynamics-roundtrip bodies of the three
+non-default scenarios were recorded while coupling_to_couple and the
+validators still spelled out the G side and the H side separately.  The
 rank-2 homology-finite bodies were recorded while every rank-k table
 still Smith-reduced kron(d, I_k); the tables now read rank k off the
 rank-1 forms, and these pins hold them to the reduced kron route.
@@ -55,6 +58,15 @@ PINNED_BODIES = {
     "default-dynamics-roundtrip": (
         {"experiment": "dynamics-roundtrip"},
         "016dae25809fcb2cbd9b12e370f2feaa350a37220d13710397dc14e21f2e12f5"),
+    "dynamics-roundtrip-z4-z2-twist": (
+        {"experiment": "dynamics-roundtrip", "scenario": "z4-z2-twist"},
+        "dc937a795df3986addf22c62783ef192835473798445a1d00e8b1fe167d7d472"),
+    "dynamics-roundtrip-dihedral-flip": (
+        {"experiment": "dynamics-roundtrip", "scenario": "dihedral-flip"},
+        "6cedec0cae80a412e6cbb9f1cc63cd961e7d381b1c474a13959dfd1b237563f9"),
+    "dynamics-roundtrip-z4-z2-kakutani": (
+        {"experiment": "dynamics-roundtrip", "scenario": "z4-z2-kakutani"},
+        "e02c6bc87b6f77658c75fee46d61531cb3b1fa63778d771311e17b580b3c3ac7"),
     "default-homology-finite": (
         {"experiment": "homology-finite"},
         "a125ba35857635dd69308ffe4b66b0c6c256b243479a9cd4504676ee68e51e67"),
