@@ -139,7 +139,9 @@ class Coupling:
             for h1 in H.elements() for h2 in H.elements()
             for w in self.points) and all(
             self.ract(w, H.identity()) == w for w in self.points)
-        free = self.combined_action().is_free()
+        # (g, h).w = g w h^-1 is an action only when both tables are
+        # actions that commute; otherwise freeness fails with them
+        free = ok_comm and ract_ok and self.combined_action().is_free()
         ok_ybar = _fundamental(G, self.lact, self.ybar, self.points)
         ok_xbar = _fundamental(H, self.hact, self.xbar, self.points)
         return {"commuting": ok_comm, "right_action": ract_ok,
@@ -204,7 +206,9 @@ def _couple_side(act, other, p, a, g_map, q):
     orbit = _holds(p[act(g, x)] == other(a[(g, x)], p[x])
                    for g in G.elements() for x in X)
     closing = _holds(q[p[x]] == act(g_map[x], x) for x in X)
-    cocycle = _holds(
+    # a value outside H fails the cocycle before H.mul reads it
+    cocycle = _holds(H.is_element(a[(g, x)])
+                     for g in G.elements() for x in X) and _holds(
         a[(G.mul(g1, g2), x)] == H.mul(a[(g1, act(g2, x))], a[(g2, x)])
         for g1 in G.elements() for g2 in G.elements() for x in X)
     return orbit, closing, cocycle

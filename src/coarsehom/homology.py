@@ -6,10 +6,14 @@ columns of face sums.  Two reductions serve what callers read:
 - Homology and cohomology tables read elementary divisors alone.  The
   unit (+-1) pivots of each boundary are eliminated on its sparse
   columns (_eliminate_units), the elimination is replayed exactly
-  (_check_elimination), and only the small remainder it leaves goes to
-  the dense Smith form (_certified_divisors).  A complex is reduced
-  bottom-up: each boundary is eliminated without the rows that the unit
-  pivots of the boundary below it settled (Nerve.smiths).
+  (_check_elimination), and only the small remainder it leaves goes on:
+  one column to an exact gcd certificate, wider ones to the dense Smith
+  form (_certified_divisors).  A complex is reduced bottom-up: each
+  boundary is eliminated without the rows that the unit pivots of the
+  boundary below it settled (Nerve.smiths).  Nerve.smiths walks the
+  nerve on integer tables of the action and the product, each point an
+  integer code whose order is the contract order below, and computes
+  faces from codes.
 - Kernel coordinates, span checks and induced maps on homology read the
   change of basis itself: a Smith normal form with full certificates,
   U, V, V^-1 with U A V diagonal, every divisor dividing the next.
@@ -372,23 +376,37 @@ def _eliminate_units(columns):
     stood when (i, j) was taken; the row operations were
     row_l -= A_lj p row_i.  rest maps each column left with an entry to
     that column, over rows that were never a pivot row.
+
+    The queue holds each key (entries, column), as the integer
+    entries * len(columns) + column, at most once while it is pending: a
+    column a pivot row changes is queued under its new entry count unless
+    that key already waits.  A key popped for a column whose count has
+    moved since is skipped.
     """
     rows = {}
     for j, col in enumerate(columns):
         for i in col:
             rows.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in enumerate(columns) if col]
+    base = len(columns)
+    heap = [len(col) * base + j for j, col in enumerate(columns) if col]
     heapq.heapify(heap)
+    queued = set(heap)
     pivots = []
     while heap:
-        n, j = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        queued.remove(key)
+        n, j = divmod(key, base)
         col = columns[j]
         if col is None or len(col) != n:
-            continue            # pivoted, or changed since it was pushed
-        units = [i for i, v in col.items() if v in (1, -1)]
-        if not units:
+            continue            # pivoted, or changed since it was queued
+        i = None
+        for r, v in col.items():
+            if v == 1 or v == -1:
+                size = len(rows[r])
+                if i is None or size < least or (size == least and r < i):
+                    i, least = r, size
+        if i is None:
             continue
-        i = min(units, key=lambda i: (len(rows[i]), i))
         p = col.pop(i)
         row = {k: columns[k].pop(i) for k in rows.pop(i) if k != j}
         for l, a in col.items():
@@ -408,7 +426,10 @@ def _eliminate_units(columns):
         pivots.append((i, j, p, row, col))
         for k in row:
             if columns[k]:
-                heapq.heappush(heap, (len(columns[k]), k))
+                key = len(columns[k]) * base + k
+                if key not in queued:
+                    queued.add(key)
+                    heapq.heappush(heap, key)
     return pivots, {j: col for j, col in enumerate(columns) if col}
 
 
@@ -475,6 +496,37 @@ def _check_elimination(columns, pivots, rest):
                            "from the matrix")
 
 
+def _bezout(v):
+    """(g, c): g = gcd of the integers v, g >= 0, and integers c with
+    sum c_i v_i == g, by the extended Euclidean algorithm folded over v."""
+    g, c = 0, []
+    for a in v:
+        # s g + t a = gcd(g, a), by Euclid on (g, a)
+        r0, r1, s0, s1, t0, t1 = g, a, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if r0 < 0:
+            r0, s0, t0 = -r0, -s0, -t0
+        if s0 != 1:
+            c = [s0 * ci for ci in c]
+        c.append(t0)
+        g = r0
+    return g, c
+
+
+def _check_gcd(v, g, c):
+    """Certify that g is the one elementary divisor of the column v:
+    raise RuntimeError unless g > 0, g divides every entry and
+    sum c_i v_i == g.  Then the ideal of the entries is (g)."""
+    if not (g > 0 and all(a % g == 0 for a in v)
+            and sum(ci * a for ci, a in zip(c, v)) == g):
+        raise RuntimeError(f"gcd certificate failed for a column of "
+                           f"{len(v)} entries")
+
+
 class DivisorForm:
     """The shape and the nonzero elementary divisors of a matrix, with no
     change-of-basis certificates: what a homology table reads.
@@ -498,9 +550,11 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
 
     The unit pivots are eliminated (_eliminate_units, on a copy) and the
     elimination is replayed (_check_elimination), which proves
-    A ~ +-I_K ⊕ R.  The remainder R goes through _certified_smith in the
-    orientation with fewer columns, R or R^T, which have the same
-    divisors: that keeps V and V^-1, and so their exact check, small.
+    A ~ +-I_K ⊕ R.  The remainder R is read in the orientation with
+    fewer columns, R or R^T, which have the same divisors.  One column v
+    has the one divisor gcd(v), certified by Bezout coefficients
+    (_check_gcd); wider remainders go through _certified_smith, whose
+    V and V^-1, and so their exact check, the orientation keeps small.
     The divisors are K ones, then those of R; the form also records the
     K pivot columns, once the replay has passed.
 
@@ -523,7 +577,13 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
         R, _ = _remainder(rest)
         if len(rest) > len(R):
             R = [list(r) for r in zip(*R)]
-        divisors += _certified_smith(R).elementary_divisors()
+        if len(R[0]) == 1:
+            v = [r[0] for r in R]
+            g, c = _bezout(v)
+            _check_gcd(v, g, c)
+            divisors.append(g)
+        else:
+            divisors += _certified_smith(R).elementary_divisors()
     return DivisorForm((n_rows, len(columns)), divisors,
                        frozenset(j for _, j, *_ in pivots))
 
@@ -632,12 +692,34 @@ class Nerve:
         row = ChainBasis(self.points(degree - 1))
         return _face_sum_matrix(col.points, row.index, self.faces), row, col
 
+    def _tables(self):
+        """The action and the product as integer tables over the
+        positions of the units and elements: back[g][x] is the position
+        of g^-1.x among the units, or -1 when it is no unit; mul[g][h]
+        is the position of gh among the elements; and the position of
+        the identity."""
+        unit_at = {x: i for i, x in enumerate(self.units)}
+        at = {g: i for i, g in enumerate(self.elements)}
+        back = [[unit_at.get(self.back[(g, x)], -1) for x in self.units]
+                for g in self.elements]
+        mul = [[at[self.group.mul(g, h)] for h in self.elements]
+               for g in self.elements]
+        return back, mul, at[self._e]
+
     def smiths(self, max_degree: int):
         """The certified divisor forms of the normalized boundaries
         d_1..d_{N+1} (Brown, GTM 87, I.5), which every table of the nerve
         reads, at every rank: with coefficients of rank k the complex is
         k copies of this one.  Rows and columns are the nondegenerate
         points, and no dense matrix is built.
+
+        The nerve is walked on integer tables (_tables), indexed once per
+        call.  A nondegenerate point (x, (g_1..g_n)) is its code
+        x |E|^n + sum_i g_i |E|^(n-i), x and g_i standing for their
+        positions among the units and the elements, so codes increase in
+        the order of the contract and each point keeps its row and
+        column.  Faces are computed from codes (_face_code_columns);
+        no point or face tuple is built.
 
         The complex is reduced bottom-up, as one complex: d_{n+1} goes
         to _certified_divisors as sparse columns without the rows B_n,
@@ -659,18 +741,24 @@ class Nerve:
         already rests on d_n d_{n+1} = 0 (the tests check it).  B_n is
         read only after the replay of d_n has passed, so a failed replay
         raises RuntimeError before any row is dropped."""
+        back, mul, e = self._tables()
+        size = len(self.elements)
+        arrows = [g for g in range(size) if g != e]
+        # the nondegenerate walks of the current degree, (code, last
+        # vertex), in the order of the contract
+        walks = [(x, x) for x in range(len(self.units))]
         forms = []
-        row_index = {p: i for i, p in
-                     enumerate(self.nondegenerate_points(0))}
+        row_index = {x: x for x, _ in walks}
         for n in range(1, max_degree + 2):
-            col = self.nondegenerate_points(n)
+            walks = _step_codes(walks, arrows, back, size)
+            codes = [code for code, _ in walks]
             form = _certified_divisors(
-                _face_sum_columns(col, row_index, self.normalized_faces),
+                _face_code_columns(codes, n, row_index, back, mul, e),
                 len(row_index))
             forms.append(form)
             settled = form.pivot_columns
-            row_index = {p: None if j in settled else j
-                         for j, p in enumerate(col)}
+            row_index = {code: None if j in settled else j
+                         for j, code in enumerate(codes)}
         return forms
 
 
@@ -692,9 +780,9 @@ def _module_nerve(group: Group, module: str) -> Nerve:
 def _face_sum_columns(cols, row_index, faces):
     """Alternating face sums over ordered bases, as sparse columns: the
     column of key k maps row_index[f] to the sum of the signs (-1)^i of
-    the i-th faces in faces(k) equal to f; a face None, or one whose row
-    index is None (a row marked dropped), is skipped, zero sums are
-    dropped, and a face missing from row_index raises KeyError."""
+    the i-th faces in faces(k) equal to f; a face None (a degenerate face
+    of Nerve.normalized_faces) is skipped, zero sums are dropped, and a
+    face missing from row_index raises KeyError."""
     columns = []
     for key in cols:
         col = {}
@@ -702,10 +790,58 @@ def _face_sum_columns(cols, row_index, faces):
             if f is None:
                 continue        # a degenerate face, which has no row
             r = row_index[f]
-            if r is None:
-                continue
             v = col.get(r, 0) + (-1 if i & 1 else 1)
             if v:
+                col[r] = v
+            else:
+                del col[r]
+        columns.append(col)
+    return columns
+
+
+def _step_codes(walks, arrows, back, size: int):
+    """The walks one degree up on the integer tables of Nerve.smiths:
+    each (code, last vertex v) extended by every g of arrows (element
+    positions, in order) with back[g][v] a unit, as
+    (code |E| + g, back[g][v]), |E| = size."""
+    return [(code * size + g, y) for code, v in walks
+            for g in arrows if (y := back[g][v]) >= 0]
+
+
+def _face_code_columns(codes, n: int, row_index, back, mul, e):
+    """The normalized d_n of a nerve as sparse columns, on the integer
+    tables and codes of Nerve.smiths: the column of each degree-n code
+    maps row_index[f] to the sum of the signs (-1)^i of its faces i of
+    code f.  Face codes are computed by divmod arithmetic, face n first:
+    a middle face whose merged product is the identity e is skipped
+    before its code is formed, a face whose row index is None (a row
+    marked dropped) is skipped, and zero sums are dropped."""
+    size = len(mul)
+    columns = []
+    for code in codes:
+        # face n drops g_n; face i = n-1, ..., 1 merges g_i g_{i+1},
+        # their digits read off the low end of the code: q is the code
+        # of (x, g_1..g_i), h = g_{i+1} and low = |E|^(n-1-i), so the
+        # face keeps the last n-1-i digits, code % low; face 0 moves x
+        q, h = divmod(code, size)
+        r = row_index[q]
+        col = {} if r is None else {r: -1 if n & 1 else 1}
+        sign = 1 if n & 1 else -1
+        low = 1
+        for _ in range(n - 1):
+            q, g = divmod(q, size)
+            m = mul[g][h]
+            if m != e and (r := row_index[(q * size + m) * low
+                                          + code % low]) is not None:
+                if v := col.get(r, 0) + sign:
+                    col[r] = v
+                else:
+                    del col[r]
+            low *= size
+            h = g
+            sign = -sign
+        if (r := row_index[back[h][q] * low + code % low]) is not None:
+            if v := col.get(r, 0) + 1:
                 col[r] = v
             else:
                 del col[r]

@@ -343,3 +343,19 @@ def test_finite_group_reports_enumerate_each_group_once(monkeypatch, config,
     # elements() of a finite group is its whole ball, served from the
     # memo, so each group instance enumerates once
     assert len(runs) == count
+
+
+def test_homotopy_suite_builds_one_composite(monkeypatch):
+    from coarsehom import cli, coarsemaps, complexes
+    calls, real = [], coarsemaps.compose
+
+    def spy(psi, phi):
+        calls.append((psi.name, phi.name))
+        return real(psi, phi)
+
+    for module in (cli, coarsemaps, complexes):
+        monkeypatch.setattr(module, "compose", spy)
+    report = run_experiment({"experiment": "homotopy-suite"})
+    assert report["body"]["pass"]
+    # phi . omega once for the report, not once per chain
+    assert len(calls) == 1

@@ -168,6 +168,24 @@ def test_orbit_map_missing_a_point_fails_instead_of_raising():
         "ok": False}
 
 
+def test_a_right_table_that_is_no_action_fails_instead_of_raising():
+    coup = skew_coupling()
+    coup.right[((0, 0), 1)] = (1, 1)
+    assert coup.validate() == {
+        "commuting": False, "right_action": False, "free": False,
+        "ybar_fundamental": True, "xbar_fundamental": False, "ok": False}
+
+
+def test_a_cocycle_value_outside_the_group_fails_instead_of_raising():
+    sc = dy.coupling_to_couple(skew_coupling())
+    a = dict(sc.a)
+    a[(1, (0, 0))] = "zz"
+    assert rebuilt(sc, a=a).validate() == {
+        "orbit_map_p": False, "orbit_map_q": True, "qp_identity": True,
+        "pq_identity": True, "cocycle_a": False, "cocycle_b": True,
+        "ok": False}
+
+
 def test_every_table_entry_is_checked():
     sc = dy.coupling_to_couple(skew_coupling())
     assert sc.validate()["ok"]

@@ -7,6 +7,7 @@ lemma, H_*(G; Z[X]) = H_*(G⋉X)."""
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -200,14 +201,20 @@ def test_cohomology_equals_the_transposed_route(name):
 # -- one walk per degree -------------------------------------------------------
 
 def _count_steps(monkeypatch):
-    """The walk sizes each Nerve._step extends, from here on."""
-    sizes, real = [], Nerve._step
+    """The walk sizes each Nerve._step, and each step of the integer
+    walks of Nerve.smiths (_step_codes), extends, from here on."""
+    sizes, real, real_codes = [], Nerve._step, homology._step_codes
 
     def spy(self, walks, elements):
         sizes.append(len(walks))
         return real(self, walks, elements)
 
+    def spy_codes(walks, *tables):
+        sizes.append(len(walks))
+        return real_codes(walks, *tables)
+
     monkeypatch.setattr(Nerve, "_step", spy)
+    monkeypatch.setattr(homology, "_step_codes", spy_codes)
     return sizes
 
 
@@ -378,6 +385,98 @@ def test_forged_elimination_fails_the_replay(monkeypatch, forge):
 def test_replay_rejects_each_broken_structure(A, pivots, rest):
     with pytest.raises(RuntimeError, match="replay"):
         homology._check_elimination(A, pivots, rest)
+
+
+def _pivot_digest(pivots):
+    """sha256 of the pivot sequence [(i, j, p), ...] of an elimination."""
+    return hashlib.sha256(json.dumps(
+        [[i, j, p] for i, j, p, *_ in pivots]).encode()).hexdigest()
+
+
+def test_pivot_sequences_pinned(monkeypatch):
+    """The pivot sequences of two eliminations, frozen from the
+    elimination that re-queued every column of each pivot row: the
+    unnormalized d_2 of the Z/4 translation groupoid (13 pivots), and
+    the window of the window-boundary report on Z, radii (2, 2), seed 0
+    (125 columns, 53 pivots)."""
+    d2 = GROUPOIDS["translation Z/4"].nerve().boundary(2)[0]
+    pivots, rest = homology._eliminate_units(_columns(d2))
+    assert (len(pivots), rest) == (13, {})
+    assert _pivot_digest(pivots) == \
+        "65653088646047ce9fe3e3c1c74c60c0ec6c02fd69155648dae26477453a5a80"
+    windows, real = [], homology._eliminate_units
+
+    def spy(columns):
+        windows.append([dict(col) for col in columns])
+        return real(columns)
+
+    monkeypatch.setattr(homology, "_eliminate_units", spy)
+    run_experiment({"experiment": "window-boundary", "group": "Z",
+                    "ring": "Z", "x_radius": 2, "tuple_radius": 2,
+                    "seed": 0})
+    window, = windows
+    pivots, rest = real(window)
+    assert (len(window), len(pivots), rest) == (125, 53, {})
+    assert _pivot_digest(pivots) == \
+        "0b3f6e07f21f66a3d39d71342abd970ba8ee6a162d3abeaf37a67f3be5e9b782"
+
+
+@pytest.mark.parametrize("v, g, c", [
+    # 2g divides nothing it should: 4 does not divide 2
+    ([2, 4], 4, [2, 0]),
+    # g divides every entry, but 1 * 4 + 1 * 6 = 10 is not g
+    ([4, 6], 2, [1, 1]),
+    # g = 0 with a matching sum: the zero ideal is no divisor
+    ([0, 0], 0, [0, 0]),
+], ids=["doubled-divisor", "wrong-bezout", "zero-divisor"])
+def test_gcd_certificate_rejects_each_forgery(v, g, c):
+    with pytest.raises(RuntimeError, match="gcd certificate"):
+        homology._check_gcd(v, g, c)
+
+
+def test_one_column_remainders_take_the_gcd_certificate(monkeypatch):
+    real = homology._certified_smith
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(homology, "_certified_smith", spy)
+    # no unit: a 3 x 1 remainder, and its transpose's orientation
+    assert homology._certified_divisors([{0: 6, 1: 4, 2: -10}], 3) \
+        .divisors == [2]
+    assert homology._certified_divisors([{0: 6}, {0: 4}, {0: -10}], 1) \
+        .divisors == [2]
+    assert calls == []
+    # a unit pivot, then the 1 x 1 remainder [4] left by [[1, 2], [1, 6]]
+    assert homology._certified_divisors([{0: 1, 1: 1}, {0: 2, 1: 6}], 2) \
+        .divisors == [1, 4]
+    assert calls == []
+    # two columns each way go to the dense form
+    assert homology._certified_divisors([{0: 2, 1: 4}, {0: 4, 1: 2}], 2) \
+        .divisors == [2, 6]
+    assert len(calls) == 1
+
+
+def test_a_forged_gcd_fails_the_one_column_remainder(monkeypatch):
+    real = homology._bezout
+
+    def doubled(v):
+        g, c = real(v)
+        return 2 * g, [2 * ci for ci in c]
+
+    monkeypatch.setattr(homology, "_bezout", doubled)
+    with pytest.raises(RuntimeError, match="gcd certificate"):
+        homology._certified_divisors([{0: 6, 1: 4}], 2)
+
+
+@pytest.mark.parametrize("v", [[5], [-5], [0, 3], [6, 4, -10], [0, 0, 7],
+                               [12, 18, 8], [-7, 91, 35, 3 * 2 ** 70]])
+def test_bezout_certifies_the_gcd(v):
+    g, c = homology._bezout(v)
+    homology._check_gcd(v, g, c)
+    assert g == math.gcd(*v)
 
 
 def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
@@ -634,15 +733,68 @@ def test_a_forged_first_elimination_fails_before_any_row_is_dropped(
     real = homology._eliminate_units
     monkeypatch.setattr(homology, "_eliminate_units",
                         lambda cols: _forge_row(*real(cols)))
-    row_indices, real_sums = [], homology._face_sum_columns
+    row_indices, real_sums = [], homology._face_code_columns
 
-    def spy(cols, row_index, faces):
+    def spy(codes, n, row_index, *tables):
         row_indices.append(dict(row_index))
-        return real_sums(cols, row_index, faces)
+        return real_sums(codes, n, row_index, *tables)
 
-    monkeypatch.setattr(homology, "_face_sum_columns", spy)
+    monkeypatch.setattr(homology, "_face_code_columns", spy)
     with pytest.raises(RuntimeError, match="replay"):
         nerve.smiths(2)
     # d_1 alone was assembled, on every row
     assert len(row_indices) == 1
     assert None not in row_indices[0].values()
+
+
+def _code(nerve, point):
+    """The code of a point on the integer tables of Nerve.smiths."""
+    x, gvec = point
+    code = nerve.units.index(x)
+    for g in gvec:
+        code = code * len(nerve.elements) + nerve.elements.index(g)
+    return code
+
+
+@pytest.mark.parametrize("key", TABLE_NERVES)
+def test_code_faces_equal_the_point_faces(key):
+    """The integer walks and face assembly of smiths against the
+    object-keyed reference, to d_3: the codes are those of
+    nondegenerate_points, in order, and each normalized d_n, no row
+    dropped, equals _face_sum_columns over normalized_faces."""
+    nerve = _table_nerve(key)
+    back, mul, e = nerve._tables()
+    size = len(nerve.elements)
+    arrows = [g for g in range(size) if g != e]
+    walks = [(x, x) for x in range(len(nerve.units))]
+    for n in range(1, 4):
+        walks = homology._step_codes(walks, arrows, back, size)
+        codes = [code for code, _ in walks]
+        points = nerve.nondegenerate_points(n)
+        assert codes == [_code(nerve, p) for p in points]
+        below = nerve.nondegenerate_points(n - 1)
+        rows = {p: i for i, p in enumerate(below)}
+        assert homology._face_code_columns(
+            codes, n, {_code(nerve, p): i for p, i in rows.items()},
+            back, mul, e) == \
+            homology._face_sum_columns(points, rows, nerve.normalized_faces)
+
+
+def test_tables_build_no_point_or_face_tuple(monkeypatch):
+    """smiths reads neither the object-keyed walks nor their faces: a
+    group table and a groupoid table, each equal to the one read before
+    those are taken away."""
+    gpd = GROUPOIDS["z4-z2-kakutani X kakutani"]
+    want = (homology_finite(get_group("D3"), 3, module="group-ring"),
+            dy.groupoid_homology_finite(gpd, 2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a table read an object-keyed point or face")
+
+    for name in ("nondegenerate_points", "normalized_faces", "_face_rule",
+                 "_step"):
+        monkeypatch.setattr(Nerve, name, forbidden)
+    monkeypatch.setattr(homology, "_face_sum_columns", forbidden)
+    assert homology_finite(get_group("D3"), 3, module="group-ring") == \
+        want[0]
+    assert dy.groupoid_homology_finite(gpd, 2) == want[1]
