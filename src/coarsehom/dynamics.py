@@ -128,20 +128,17 @@ class Coupling:
 
     def validate(self) -> dict:
         G, H = self.G, self.H
-        ok_comm = all(
+        ok_comm = _holds(
             self.lact(g, self.ract(w, h)) == self.ract(self.lact(g, w), h)
             for g in G.elements() for h in H.elements()
             for w in self.points)
-        # left action axioms come with the FiniteAction construction
-        FiniteAction(G, self.points, self.lact)
-        ract_ok = all(
-            self.ract(self.ract(w, h1), h2) == self.ract(w, H.mul(h1, h2))
-            for h1 in H.elements() for h2 in H.elements()
-            for w in self.points) and all(
-            self.ract(w, H.identity()) == w for w in self.points)
+        lact_ok = _holds(_action_axioms(G, self.lact, self.points))
+        # the right table is an action exactly when hact is a left one
+        ract_ok = _holds(_action_axioms(H, self.hact, self.points))
         # (g, h).w = g w h^-1 is an action only when both tables are
         # actions that commute; otherwise freeness fails with them
-        free = ok_comm and ract_ok and self.combined_action().is_free()
+        free = (ok_comm and lact_ok and ract_ok
+                and self.combined_action().is_free())
         ok_ybar = _fundamental(G, self.lact, self.ybar, self.points)
         ok_xbar = _fundamental(H, self.hact, self.xbar, self.points)
         return {"commuting": ok_comm, "right_action": ract_ok,
@@ -165,6 +162,20 @@ def _holds(identity) -> bool:
         return all(identity)
     except KeyError:
         return False
+
+
+def _action_axioms(group, act, points):
+    """The left action axioms on the finite table act, one truth value
+    each, for _holds: every value is a point, the identity fixes every
+    point, and g.(h.w) == (gh).w."""
+    els = group.elements()
+    table = {(g, w): act(g, w) for g in els for w in points}
+    yield set(points).issuperset(table.values())
+    e = group.identity()
+    yield [table[(e, w)] for w in points] == list(points)
+    pairs = [(g, h, group.mul(g, h)) for g in els for h in els]
+    yield ([table[(g, table[(h, w)])] for g, h, _ in pairs for w in points]
+           == [table[(gh, w)] for _, _, gh in pairs for w in points])
 
 
 class OrbitCouple:

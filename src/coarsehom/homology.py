@@ -10,10 +10,7 @@ columns of face sums.  Two reductions serve what callers read:
   one column to an exact gcd certificate, wider ones to the dense Smith
   form (_certified_divisors).  A complex is reduced bottom-up: each
   boundary is eliminated without the rows that the unit pivots of the
-  boundary below it settled (Nerve.smiths).  Nerve.smiths walks the
-  nerve on integer tables of the action and the product, each point an
-  integer code whose order is the contract order below, and computes
-  faces from codes.
+  boundary below it settled (Nerve.smiths).
 - Kernel coordinates, span checks and induced maps on homology read the
   change of basis itself: a Smith normal form with full certificates,
   U, V, V^-1 with U A V diagonal, every divisor dividing the next.
@@ -33,7 +30,9 @@ face i has sign (-1)^i.  Group tables take X = G under left translation
 elements both in ball order, (word length, family sort key); groupoid
 tables take the units of the groupoid in the action's point order and
 the elements sorted by repr.  All matrices and reports refer to this
-order.
+order.  A Nerve holds one representation of it: integer tables of the
+action and the product, each point an integer code whose order is this
+order, and one face rule on codes that serves both complexes below.
 
 Tables read the normalized complex of the nerve (Brown, Cohomology of
 Groups, GTM 87, I.5: the normalized bar resolution, the Moore complex of
@@ -606,120 +605,95 @@ class ChainBasis:
 class Nerve:
     """Nerve of the action groupoid G⋉X of a finite action (act(g, x) =
     g.x) on ordered lists of units and elements, with the points, order
-    and faces of the nerve contract above.
+    and faces of the nerve contract above, on integer tables built once:
+    back[g][x], the unit position of g^-1.x or -1, and mul[g][h], the
+    position of gh, over the positions of units and elements.  A point
+    (x, (g_1..g_n)) is its code x |E|^n + sum_i g_i |E|^(n-i), so codes
+    follow the contract order.  Walks (code, last vertex) are kept per
+    degree, so each is walked once per nerve on each complex: the
+    unnormalized one extends by every element, the normalized one by
+    every element but the identity.  Both read their faces through one
+    face rule (_face_code_columns).
 
-    Two complexes are read off it.  boundary() gives the unnormalized
-    complex on every point, which assemble_boundary_matrix, induced maps
-    and the coinvariants row read.  smiths() reads the normalized complex
-    on the nondegenerate points (Brown, Cohomology of Groups, GTM 87,
-    I.5), which every table reads."""
+    boundary() and points() give the unnormalized complex on every point,
+    which assemble_boundary_matrix, induced maps and the coinvariants row
+    read.  smiths() reads the normalized complex on the nondegenerate
+    points (Brown, Cohomology of Groups, GTM 87, I.5), which every table
+    reads."""
 
     def __init__(self, group: Group, units, elements, act):
         self.group = group
         self.units = list(units)
         self.elements = list(elements)
-        # (g, x) -> g^-1.x, computed once
-        self.back = {(g, x): act(group.inv(g), x)
-                     for g in self.elements for x in self.units}
-        self._e = group.identity()
-        self._unitset = set(self.units)
-        # the walks of degrees 0, 1, ... built so far, (x, gvec, last
-        # vertex), so each degree is walked once per nerve: every walk,
-        # and on their own the nondegenerate walks, which are extended
-        # by the elements other than the identity only
-        self._walks = [[(x, (), x) for x in self.units]]
-        self._nondegenerate = [self._walks[0]]
-        self._arrows = [g for g in self.elements if g != self._e]
+        unit_at = {x: i for i, x in enumerate(self.units)}
+        at = {g: i for i, g in enumerate(self.elements)}
+        self._back = [[unit_at.get(act(group.inv(g), x), -1)
+                       for x in self.units] for g in self.elements]
+        self._mul = [[at[group.mul(g, h)] for h in self.elements]
+                     for g in self.elements]
+        self._e = at[group.identity()]
+        # the walks of degrees 0, 1, ... built so far on each complex,
+        # keyed by the element it does not extend by: None for the
+        # unnormalized complex, the identity for the normalized one
+        start = [(x, x) for x in range(len(self.units))]
+        self._walks = {None: [start], self._e: [start]}
 
-    def _step(self, walks, elements):
-        """The walks one degree up: each walk extended by every one of
-        elements that takes its last vertex to a unit."""
-        return [(x, gvec + (g,), y) for x, gvec, v in walks
-                for g in elements
-                if (y := self.back[(g, v)]) in self._unitset]
+    def _walk(self, degree: int, skip):
+        """The degree-n walks (code, last vertex) of the complex that
+        extends by every element but skip, in the order of the
+        contract."""
+        walks = self._walks[skip]
+        if len(walks) <= degree:
+            arrows = [g for g in range(len(self.elements)) if g != skip]
+            while len(walks) <= degree:
+                walks.append(_step_codes(walks[-1], arrows, self._back,
+                                         len(self.elements)))
+        return walks[degree]
 
-    def _reach(self, walks, elements, degree: int):
-        """The points of walks[degree], stepping walks up by elements
-        as far as that."""
-        while len(walks) <= degree:
-            walks.append(self._step(walks[-1], elements))
-        return [(x, gvec) for x, gvec, _ in walks[degree]]
+    def _rows(self, degree: int, skip):
+        """The row index of the degree-n codes of that complex: code ->
+        position."""
+        return {code: i for i, (code, _) in enumerate(self._walk(degree,
+                                                                 skip))}
+
+    def _columns(self, degree: int, row_index, skip):
+        """d_n of the complex that extends by every element but skip, as
+        sparse columns over row_index (code -> row, None for a dropped
+        row): a middle face merging to skip is degenerate and skipped."""
+        codes = [code for code, _ in self._walk(degree, skip)]
+        return _face_code_columns(codes, degree, row_index, self._back,
+                                  self._mul, skip)
 
     def points(self, degree: int):
-        """The degree-n points, in the order of the contract."""
-        return self._reach(self._walks, self.elements, degree)
-
-    def nondegenerate_points(self, degree: int):
-        """The degree-n points with no identity g_i, in the order of the
-        contract: the basis of the normalized complex.  They are walked
-        on their own, by the elements other than the identity, so a
-        table never walks the degenerate points."""
-        return self._reach(self._nondegenerate, self._arrows, degree)
-
-    def faces(self, point):
-        """Faces 0..n of a degree-n point, face i at position i."""
-        return self._face_rule(point, None)
-
-    def normalized_faces(self, point):
-        """The faces of a nondegenerate point in the normalized complex:
-        faces(point) with each degenerate face None, a middle face whose
-        merged product is the identity.  The others keep their positions,
-        and so their signs; face 0 and the last face hold no identity."""
-        return self._face_rule(point, self._e)
-
-    def _face_rule(self, point, degenerate):
-        # face 0 moves x by the action; the others keep x.  A merged
-        # product equal to degenerate (the identity for the normalized
-        # complex, None for the unnormalized one) gives None
-        x, gvec = point
-        mul = self.group.mul
-        out = [(self.back[(gvec[0], x)], gvec[1:])]
-        for i in range(len(gvec) - 1):
-            g = mul(gvec[i], gvec[i + 1])
-            out.append(None if g == degenerate
-                       else (x, gvec[:i] + (g,) + gvec[i + 2:]))
-        out.append((x, gvec[:-1]))
+        """The degree-n points (x, (g_1..g_n)), in the order of the
+        contract, decoded from the codes of the unnormalized walk."""
+        size = len(self.elements)
+        out = []
+        for code, _ in self._walk(degree, None):
+            gvec = []
+            for _ in range(degree):
+                code, g = divmod(code, size)
+                gvec.append(self.elements[g])
+            out.append((self.units[code], tuple(reversed(gvec))))
         return out
 
     def boundary(self, degree: int):
         """(matrix, row basis, column basis) of the unnormalized degree-n
         boundary with coefficients of rank 1; degree 0 gives a 0 x dim
-        matrix and no row basis.  The row basis is read from the walks
-        that reached degree n."""
+        matrix and no row basis."""
         col = ChainBasis(self.points(degree))
         if degree == 0:
             return np.zeros((0, len(col)), dtype=np.int64), None, col
-        row = ChainBasis(self.points(degree - 1))
-        return _face_sum_matrix(col.points, row.index, self.faces), row, col
-
-    def _tables(self):
-        """The action and the product as integer tables over the
-        positions of the units and elements: back[g][x] is the position
-        of g^-1.x among the units, or -1 when it is no unit; mul[g][h]
-        is the position of gh among the elements; and the position of
-        the identity."""
-        unit_at = {x: i for i, x in enumerate(self.units)}
-        at = {g: i for i, g in enumerate(self.elements)}
-        back = [[unit_at.get(self.back[(g, x)], -1) for x in self.units]
-                for g in self.elements]
-        mul = [[at[self.group.mul(g, h)] for h in self.elements]
-               for g in self.elements]
-        return back, mul, at[self._e]
+        rows = self._rows(degree - 1, None)
+        return (_dense(self._columns(degree, rows, None), len(rows)),
+                ChainBasis(self.points(degree - 1)), col)
 
     def smiths(self, max_degree: int):
         """The certified divisor forms of the normalized boundaries
         d_1..d_{N+1} (Brown, GTM 87, I.5), which every table of the nerve
         reads, at every rank: with coefficients of rank k the complex is
         k copies of this one.  Rows and columns are the nondegenerate
-        points, and no dense matrix is built.
-
-        The nerve is walked on integer tables (_tables), indexed once per
-        call.  A nondegenerate point (x, (g_1..g_n)) is its code
-        x |E|^n + sum_i g_i |E|^(n-i), x and g_i standing for their
-        positions among the units and the elements, so codes increase in
-        the order of the contract and each point keeps its row and
-        column.  Faces are computed from codes (_face_code_columns);
-        no point or face tuple is built.
+        codes, and no dense matrix is built.
 
         The complex is reduced bottom-up, as one complex: d_{n+1} goes
         to _certified_divisors as sparse columns without the rows B_n,
@@ -741,20 +715,13 @@ class Nerve:
         already rests on d_n d_{n+1} = 0 (the tests check it).  B_n is
         read only after the replay of d_n has passed, so a failed replay
         raises RuntimeError before any row is dropped."""
-        back, mul, e = self._tables()
-        size = len(self.elements)
-        arrows = [g for g in range(size) if g != e]
-        # the nondegenerate walks of the current degree, (code, last
-        # vertex), in the order of the contract
-        walks = [(x, x) for x in range(len(self.units))]
         forms = []
-        row_index = {x: x for x, _ in walks}
+        row_index = self._rows(0, self._e)
         for n in range(1, max_degree + 2):
-            walks = _step_codes(walks, arrows, back, size)
-            codes = [code for code, _ in walks]
+            codes = [code for code, _ in self._walk(n, self._e)]
             form = _certified_divisors(
-                _face_code_columns(codes, n, row_index, back, mul, e),
-                len(row_index))
+                _face_code_columns(codes, n, row_index, self._back,
+                                   self._mul, self._e), len(row_index))
             forms.append(form)
             settled = form.pivot_columns
             row_index = {code: None if j in settled else j
@@ -780,15 +747,12 @@ def _module_nerve(group: Group, module: str) -> Nerve:
 def _face_sum_columns(cols, row_index, faces):
     """Alternating face sums over ordered bases, as sparse columns: the
     column of key k maps row_index[f] to the sum of the signs (-1)^i of
-    the i-th faces in faces(k) equal to f; a face None (a degenerate face
-    of Nerve.normalized_faces) is skipped, zero sums are dropped, and a
-    face missing from row_index raises KeyError."""
+    the i-th faces in faces(k) equal to f; zero sums are dropped, and a
+    face missing from row_index raises KeyError.  Windows read it."""
     columns = []
     for key in cols:
         col = {}
         for i, f in enumerate(faces(key)):
-            if f is None:
-                continue        # a degenerate face, which has no row
             r = row_index[f]
             v = col.get(r, 0) + (-1 if i & 1 else 1)
             if v:
@@ -800,8 +764,8 @@ def _face_sum_columns(cols, row_index, faces):
 
 
 def _step_codes(walks, arrows, back, size: int):
-    """The walks one degree up on the integer tables of Nerve.smiths:
-    each (code, last vertex v) extended by every g of arrows (element
+    """The walks of a nerve one degree up on its integer tables: each
+    (code, last vertex v) extended by every g of arrows (element
     positions, in order) with back[g][v] a unit, as
     (code |E| + g, back[g][v]), |E| = size."""
     return [(code * size + g, y) for code, v in walks
@@ -809,13 +773,15 @@ def _step_codes(walks, arrows, back, size: int):
 
 
 def _face_code_columns(codes, n: int, row_index, back, mul, e):
-    """The normalized d_n of a nerve as sparse columns, on the integer
-    tables and codes of Nerve.smiths: the column of each degree-n code
-    maps row_index[f] to the sum of the signs (-1)^i of its faces i of
-    code f.  Face codes are computed by divmod arithmetic, face n first:
-    a middle face whose merged product is the identity e is skipped
-    before its code is formed, a face whose row index is None (a row
-    marked dropped) is skipped, and zero sums are dropped."""
+    """d_n of a nerve as sparse columns, on its integer tables and codes
+    (Nerve): the column of each degree-n code maps row_index[f] to the
+    sum of the signs (-1)^i of its faces i of code f.  Face codes are
+    computed by divmod arithmetic, face n first.  e is the degenerate
+    product: the identity's position for the normalized complex, whose
+    middle faces merging to it are skipped before their codes are
+    formed, or None for the unnormalized complex, which skips none.  A
+    face whose row index is None (a row marked dropped) is skipped, and
+    zero sums are dropped."""
     size = len(mul)
     columns = []
     for code in codes:
@@ -992,11 +958,12 @@ def _component_count(n: int, joins) -> int:
 def _coinvariants_row(row: dict, nerve: Nerve, rank: int) -> dict:
     """The h0_coinvariants report from row, the degree-0 row of the
     homology table read off the nerve."""
-    points = {p: i for i, p in enumerate(nerve.points(0))}
-    # components of the points, then one copy per coefficient index
+    # components of the units joined by the faces of each degree-1 code
+    # (a column of d_1 with no entry joins a unit to itself), then one
+    # copy per coefficient index
     orbits = rank * _component_count(
-        len(points), ([points[f] for f in nerve.faces(p)]
-                      for p in nerve.points(1)))
+        len(nerve.units),
+        (list(col) for col in nerve._columns(1, nerve._rows(0, None), None)))
     return dict(row, orbit_count=orbits,
                 agrees=row["betti"] == orbits and not row["torsion"])
 

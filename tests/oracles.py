@@ -6,13 +6,16 @@ periodic resolution, induced-module vanishing for group-ring
 coefficients, free-group sphere counts, the closed form of the coarse
 inverse of doubling, a from-scratch reduced-word enumerator for the free
 group, and the normalized boundary as a restriction of the unnormalized
-one.  Tests compare engine output against these.  Two exceptions use the
-package's objects: the reverse scan below is the pair-by-pair
+one.  Tests compare engine output against these.  Three exceptions use
+the package's objects: the reverse scan below is the pair-by-pair
 loop that the vectorized scan of check_coarse_embedding replaced, and it
 uses only the groups' ball, mul, inv and word_length; the reference
-chain operations at the end rebuild boundaries, induced maps, homotopies
-and function sums from their formulas, writing every term through the
-validating public setters (Chain.add_at, FinSupFun item assignment).
+nerve walks the points of an action groupoid's nerve and builds their
+faces on objects, from the group's mul, inv and identity and the action
+alone; the reference chain operations at the end rebuild boundaries,
+induced maps, homotopies and function sums from their formulas, writing
+every term through the validating public setters (Chain.add_at,
+FinSupFun item assignment).
 """
 
 
@@ -59,6 +62,68 @@ def normalized_boundary(M, rows, cols, e):
     keep_rows = [i for i, (_, gvec) in enumerate(rows) if e not in gvec]
     keep_cols = [j for j, (_, gvec) in enumerate(cols) if e not in gvec]
     return M[keep_rows][:, keep_cols]
+
+
+class ReferenceNerve:
+    """The nerve of the action groupoid G⋉X of act (act(g, x) = g.x) on
+    ordered lists of units and elements, walked on objects: the points
+    (x, (g_1..g_n)) with every vertex x_i = g_i^-1.x_{i-1} a unit,
+    ordered by x, then by each g_i in element order, and their faces.
+    g^-1.x is act(inv(g), x) and products are mul, computed where they
+    are read."""
+
+    def __init__(self, group, units, elements, act):
+        self.group = group
+        self.units = list(units)
+        self.elements = list(elements)
+        self.act = act
+        # walks (x, gvec, last vertex) of degrees 0, 1, ..., keyed by
+        # whether the identity is left out
+        start = [(x, (), x) for x in self.units]
+        self._walks = {False: [start], True: [start]}
+
+    def points(self, degree: int, nondegenerate: bool = False):
+        """The degree-n points, or only those with no g_i the identity."""
+        G, unitset = self.group, set(self.units)
+        walks = self._walks[nondegenerate]
+        while len(walks) <= degree:
+            walks.append([(x, gvec + (g,), y) for x, gvec, v in walks[-1]
+                          for g in self.elements
+                          if not (nondegenerate and g == G.identity())
+                          and (y := self.act(G.inv(g), v)) in unitset])
+        return [(x, gvec) for x, gvec, _ in walks[degree]]
+
+    def faces(self, point, normalized: bool = False):
+        """Faces 0..n of a degree-n point, face i at position i: face 0
+        is (g_1^-1.x, (g_2..g_n)), face i < n merges g_i g_{i+1}, face n
+        drops g_n.  normalized: a middle face whose merged product is the
+        identity is None, a degenerate face of the normalized complex."""
+        G = self.group
+        x, gvec = point
+        out = [(self.act(G.inv(gvec[0]), x), gvec[1:])]
+        for i in range(len(gvec) - 1):
+            g = G.mul(gvec[i], gvec[i + 1])
+            out.append(None if normalized and g == G.identity()
+                       else (x, gvec[:i] + (g,) + gvec[i + 2:]))
+        out.append((x, gvec[:-1]))
+        return out
+
+    def columns(self, degree: int, normalized: bool = False):
+        """d_n as sparse columns (dict row -> nonzero sum of the signs
+        (-1)^i of the faces i on that row, a face None skipped) over the
+        degree n-1 points, and its row count: the unnormalized complex,
+        or the normalized one on the nondegenerate points."""
+        rows = {p: i for i, p in enumerate(self.points(degree - 1,
+                                                       normalized))}
+        out = []
+        for p in self.points(degree, normalized):
+            col = {}
+            for i, f in enumerate(self.faces(p, normalized)):
+                if f is not None:
+                    r = rows[f]
+                    col[r] = col.get(r, 0) + (-1) ** i
+            out.append({r: v for r, v in col.items() if v})
+        return out, len(rows)
 
 
 def doubling_inverse(y: int) -> int:

@@ -176,6 +176,17 @@ def test_a_right_table_that_is_no_action_fails_instead_of_raising():
         "ybar_fundamental": True, "xbar_fundamental": False, "ok": False}
 
 
+@pytest.mark.parametrize("value", [(3, 0), "zz"], ids=["point", "no-point"])
+def test_a_left_table_that_is_no_action_fails_instead_of_raising(value):
+    """1.(0, 0) sent elsewhere: to (3, 0), which breaks g.(h.w) ==
+    (gh).w, or out of the space."""
+    coup = skew_coupling()
+    coup.left[(1, (0, 0))] = value
+    assert coup.validate() == {
+        "commuting": False, "right_action": True, "free": False,
+        "ybar_fundamental": True, "xbar_fundamental": True, "ok": False}
+
+
 def test_a_cocycle_value_outside_the_group_fails_instead_of_raising():
     sc = dy.coupling_to_couple(skew_coupling())
     a = dict(sc.a)

@@ -201,20 +201,15 @@ def test_cohomology_equals_the_transposed_route(name):
 # -- one walk per degree -------------------------------------------------------
 
 def _count_steps(monkeypatch):
-    """The walk sizes each Nerve._step, and each step of the integer
-    walks of Nerve.smiths (_step_codes), extends, from here on."""
-    sizes, real, real_codes = [], Nerve._step, homology._step_codes
+    """The walk sizes each step of a nerve's walks (_step_codes), on
+    either complex, extends, from here on."""
+    sizes, real = [], homology._step_codes
 
-    def spy(self, walks, elements):
+    def spy(walks, *tables):
         sizes.append(len(walks))
-        return real(self, walks, elements)
+        return real(walks, *tables)
 
-    def spy_codes(walks, *tables):
-        sizes.append(len(walks))
-        return real_codes(walks, *tables)
-
-    monkeypatch.setattr(Nerve, "_step", spy)
-    monkeypatch.setattr(homology, "_step_codes", spy_codes)
+    monkeypatch.setattr(homology, "_step_codes", spy)
     return sizes
 
 
@@ -243,7 +238,8 @@ def test_homology_report_walks_one_nerve(monkeypatch):
     # the nondegenerate walks of degrees 0, 1, 2 (1, 3 and 9 of them)
     # extended once each to reach d_3, by the three elements other than
     # the identity; then the coinvariants row counts its components on
-    # every walk of degrees 0 and 1, so degree 0 is extended once more
+    # the faces of every degree-1 code, so degree 0 is extended once
+    # more, by every element
     assert sizes == [1, 3, 9, 1]
 
 
@@ -540,14 +536,19 @@ def test_groupoid_tables_reduce_the_normalized_boundaries(name,
 
 
 def test_a_dropped_face_keeps_the_signs_after_it():
+    """The oracle's faces of one point, and its column in the normalized
+    d_3 that smiths reads, built by the code face rule."""
     nerve = homology._module_nerve(get_group("Z/3"), "trivial")
+    ref = _reference("Z/3 trivial")
     # 1 + 2 = 0 merges to the identity; 2 + 2 = 1 does not
-    assert nerve.normalized_faces(("pt", (1, 2, 2))) == \
+    assert ref.faces(("pt", (1, 2, 2)), normalized=True) == \
         [("pt", (2, 2)), None, ("pt", (1, 1)), ("pt", (1, 2))]
-    assert nerve.faces(("pt", (1, 2, 2)))[1] == ("pt", (0, 2))
-    rows = {p: i for i, p in enumerate(nerve.nondegenerate_points(2))}
-    col, = homology._face_sum_columns([("pt", (1, 2, 2))], rows,
-                                      nerve.normalized_faces)
+    assert ref.faces(("pt", (1, 2, 2)))[1] == ("pt", (0, 2))
+    rows = {p: i for i, p in enumerate(ref.points(2, nondegenerate=True))}
+    col, = homology._face_code_columns(
+        [_code(nerve, ("pt", (1, 2, 2)))], 3,
+        {_code(nerve, p): i for p, i in rows.items()},
+        nerve._back, nerve._mul, nerve._e)
     assert col == {rows[("pt", (2, 2))]: 1, rows[("pt", (1, 1))]: 1,
                    rows[("pt", (1, 2))]: -1}
 
@@ -637,23 +638,38 @@ def _table_nerve(key):
     return homology._module_nerve(get_group(name), module)
 
 
-def _boundary_columns(nerve, n, normalized):
+def _reference(key):
+    """The object-keyed oracle of the nerve of a TABLE_NERVES key, built
+    from the group, units, elements and action that nerve is built from:
+    for a group, its elements in ball order acting on themselves
+    ("group-ring") or on one point ("trivial"); for a groupoid, its
+    units and the elements sorted by repr."""
+    if key in GROUPOIDS:
+        gpd = GROUPOIDS[key]
+        G = gpd.action.group
+        return oracles.ReferenceNerve(G, gpd.units,
+                                      sorted(G.elements(), key=repr),
+                                      gpd.action)
+    name, module = key.split(" ")
+    G = get_group(name)
+    if module == "group-ring":
+        return oracles.ReferenceNerve(G, G.elements(), G.elements(), G.mul)
+    return oracles.ReferenceNerve(G, ["pt"], G.elements(), lambda g, x: x)
+
+
+def _boundary_columns(nerve, ref, n, normalized):
     """d_n as sparse columns over Python ints, and its row count.  It is
     read off Nerve.boundary, through oracles.normalized_boundary for the
     normalized complex, when the unnormalized d_n has at most
-    DENSE_CELLS entries; else it is built by the face rule that
-    Nerve.boundary reads (faces) or Nerve.smiths reads
-    (normalized_faces)."""
-    if len(nerve.points(n - 1)) * len(nerve.points(n)) <= DENSE_CELLS:
+    DENSE_CELLS entries; else it is built by the object-keyed oracle
+    ref of the same nerve."""
+    if len(ref.points(n - 1)) * len(ref.points(n)) <= DENSE_CELLS:
         M, row, col = nerve.boundary(n)
         if normalized:
             M = oracles.normalized_boundary(M, row.points, col.points,
                                             nerve.group.identity())
         return _columns(M), M.shape[0]
-    points, faces = ((nerve.nondegenerate_points, nerve.normalized_faces)
-                     if normalized else (nerve.points, nerve.faces))
-    rows = {p: i for i, p in enumerate(points(n - 1))}
-    return homology._face_sum_columns(points(n), rows, faces), len(rows)
+    return ref.columns(n, normalized)
 
 
 def _compose(left, right):
@@ -674,30 +690,28 @@ def test_boundaries_compose_to_zero(key):
     and the normalized complex, up to d_4: the premise of the bottom-up
     reduction.  d_4 of the dihedral-flip combined action (20736 x 248832
     unnormalized) is left out."""
-    nerve = _table_nerve(key)
+    nerve, ref = _table_nerve(key), _reference(key)
     top = 3 if key == "dihedral-flip combined" else 4
     for normalized in (False, True):
-        below, _ = _boundary_columns(nerve, 1, normalized)
+        below, _ = _boundary_columns(nerve, ref, 1, normalized)
         for n in range(2, top + 1):
-            above, n_rows = _boundary_columns(nerve, n, normalized)
+            above, n_rows = _boundary_columns(nerve, ref, n, normalized)
             assert n_rows == len(below)
             assert not any(_compose(below, above))
             below = above
 
 
-def _full_normalized_form(nerve, n):
-    """A certified form of the whole normalized d_n, no row dropped: its
-    dense Smith form when it has at most DENSE_CELLS entries, else the
-    sparse front end on every row (for d_4 of the order-6 group rings,
-    750 x 3750, and d_3 of the product-coupling and z4-z2-twist combined
-    actions, 392 x 2744, whose dense V would hold 14M and 7.5M
-    entries)."""
-    rows = {p: i for i, p in enumerate(nerve.nondegenerate_points(n - 1))}
-    columns = homology._face_sum_columns(nerve.nondegenerate_points(n),
-                                         rows, nerve.normalized_faces)
-    if len(rows) * len(columns) <= DENSE_CELLS:
-        return _certified_smith(homology._dense(columns, len(rows)))
-    return homology._certified_divisors(columns, len(rows))
+def _full_normalized_form(ref, n):
+    """A certified form of the whole normalized d_n, no row dropped, as
+    the object-keyed oracle ref builds it: its dense Smith form when it
+    has at most DENSE_CELLS entries, else the sparse front end on every
+    row (for d_4 of the order-6 group rings, 750 x 3750, and d_3 of the
+    product-coupling and z4-z2-twist combined actions, 392 x 2744, whose
+    dense V would hold 14M and 7.5M entries)."""
+    columns, n_rows = ref.columns(n, normalized=True)
+    if n_rows * len(columns) <= DENSE_CELLS:
+        return _certified_smith(homology._dense(columns, n_rows))
+    return homology._certified_divisors(columns, n_rows)
 
 
 @pytest.mark.parametrize("key", TABLE_NERVES)
@@ -707,8 +721,8 @@ def test_bottom_up_tables_equal_the_full_normalized_tables(key):
     normalized d_n: each group to degree 3, each groupoid as far as the
     pinned grid goes."""
     max_degree = len(_pinned(key)) - 1 if key in GROUPOIDS else 3
-    nerve = _table_nerve(key)
-    want = [_full_normalized_form(nerve, n)
+    nerve, ref = _table_nerve(key), _reference(key)
+    want = [_full_normalized_form(ref, n)
             for n in range(1, max_degree + 2)]
     got = nerve.smiths(max_degree)
     assert [form.shape for form in got] == [form.shape for form in want]
@@ -748,7 +762,7 @@ def test_a_forged_first_elimination_fails_before_any_row_is_dropped(
 
 
 def _code(nerve, point):
-    """The code of a point on the integer tables of Nerve.smiths."""
+    """The code of a point on the integer tables of a Nerve."""
     x, gvec = point
     code = nerve.units.index(x)
     for g in gvec:
@@ -758,32 +772,36 @@ def _code(nerve, point):
 
 @pytest.mark.parametrize("key", TABLE_NERVES)
 def test_code_faces_equal_the_point_faces(key):
-    """The integer walks and face assembly of smiths against the
-    object-keyed reference, to d_3: the codes are those of
-    nondegenerate_points, in order, and each normalized d_n, no row
-    dropped, equals _face_sum_columns over normalized_faces."""
-    nerve = _table_nerve(key)
-    back, mul, e = nerve._tables()
-    size = len(nerve.elements)
-    arrows = [g for g in range(size) if g != e]
-    walks = [(x, x) for x in range(len(nerve.units))]
-    for n in range(1, 4):
-        walks = homology._step_codes(walks, arrows, back, size)
-        codes = [code for code, _ in walks]
-        points = nerve.nondegenerate_points(n)
-        assert codes == [_code(nerve, p) for p in points]
-        below = nerve.nondegenerate_points(n - 1)
-        rows = {p: i for i, p in enumerate(below)}
-        assert homology._face_code_columns(
-            codes, n, {_code(nerve, p): i for p, i in rows.items()},
-            back, mul, e) == \
-            homology._face_sum_columns(points, rows, nerve.normalized_faces)
+    """The integer walks and face assembly of both complexes against
+    the object-keyed oracle, to d_3: the codes of each walk are those of
+    the oracle's points, in order, and each d_n, no row dropped, equals
+    the oracle's face sums."""
+    nerve, ref = _table_nerve(key), _reference(key)
+    for normalized, skip in ((False, None), (True, nerve._e)):
+        for n in range(1, 4):
+            codes = [code for code, _ in nerve._walk(n, skip)]
+            assert codes == [_code(nerve, p)
+                             for p in ref.points(n, normalized)]
+            rows = {_code(nerve, p): i
+                    for i, p in enumerate(ref.points(n - 1, normalized))}
+            assert nerve._columns(n, rows, skip) == \
+                ref.columns(n, normalized)[0]
+
+
+@pytest.mark.parametrize("key", TABLE_NERVES)
+def test_decoded_points_equal_the_oracle_points(key):
+    """Nerve.points decodes the codes of the unnormalized walk into the
+    oracle's points, in order, to degree 3."""
+    nerve, ref = _table_nerve(key), _reference(key)
+    for n in range(4):
+        assert nerve.points(n) == ref.points(n)
 
 
 def test_tables_build_no_point_or_face_tuple(monkeypatch):
-    """smiths reads neither the object-keyed walks nor their faces: a
-    group table and a groupoid table, each equal to the one read before
-    those are taken away."""
+    """smiths neither decodes a point nor builds a face tuple: a group
+    table and a groupoid table, each equal to the one read before the
+    decoding, the boundaries on points and the object face sums are
+    taken away."""
     gpd = GROUPOIDS["z4-z2-kakutani X kakutani"]
     want = (homology_finite(get_group("D3"), 3, module="group-ring"),
             dy.groupoid_homology_finite(gpd, 2))
@@ -791,8 +809,7 @@ def test_tables_build_no_point_or_face_tuple(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a table read an object-keyed point or face")
 
-    for name in ("nondegenerate_points", "normalized_faces", "_face_rule",
-                 "_step"):
+    for name in ("points", "boundary"):
         monkeypatch.setattr(Nerve, name, forbidden)
     monkeypatch.setattr(homology, "_face_sum_columns", forbidden)
     assert homology_finite(get_group("D3"), 3, module="group-ring") == \
