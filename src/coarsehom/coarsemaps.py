@@ -181,7 +181,13 @@ def _reverse_scan(phi: CoarseMap, radius: int, r: int):
     target length |phi(s) phi(t)^-1| is exactly c, and arg[c] the first
     such pair in (s, t) order (None while best[c] is 0); a final pass
     makes both monotone in c.  The lengths come from
-    pair_length_blocks, a block of rows at a time.
+    pair_length_blocks, a block of rows at a time, and each block is
+    read in one pass for all its cutoffs: np.maximum.at takes the
+    block's largest source length per cutoff, and np.minimum.at the
+    least position among the pairs that reach it, which is the first
+    such pair in (s, t) order, as a pair-by-pair scan keeping strict
+    increases would find.  One path serves int64 and object (Python
+    int) lengths alike, and a block holds a few arrays of its size.
     """
     G, T = phi.source, phi.target
     ball = G.ball(radius)
@@ -194,15 +200,17 @@ def _reverse_scan(phi: CoarseMap, radius: int, r: int):
                          G.pair_length_blocks(ball, step),
                          T.pair_length_blocks(vals, step)):
         # target lengths past r are never read: clip them to r + 1
-        dt = np.minimum(dt, r + 1).astype(np.int64, copy=False)
-        for c in np.flatnonzero(np.bincount(dt.ravel(), minlength=r + 2)
-                                [:r + 1]):
-            # argmax takes the first maximum: the first pair in (s, t)
-            # order, as a pair-by-pair scan keeping strict increases
-            hit = ds * (dt == c)
-            k = int(hit.argmax())
-            if hit.flat[k] > best[c]:
-                best[c] = int(hit.flat[k])
+        dt = np.minimum(dt, r + 1).astype(np.int64, copy=False).ravel()
+        ds = ds.ravel()
+        top = np.zeros(r + 2, dtype=ds.dtype)
+        np.maximum.at(top, dt, ds)
+        hits = np.flatnonzero(ds == top[dt])
+        first = np.full(r + 2, ds.size)
+        np.minimum.at(first, dt[hits], hits)
+        # a cutoff whose maximum beats best has a pair reaching it
+        for c, length, k in zip(range(r + 1), top.tolist(), first.tolist()):
+            if length > best[c]:
+                best[c] = length
                 arg[c] = (ball[i + k // n], ball[k % n])
     for c in range(1, r + 1):
         if best[c - 1] > best[c]:

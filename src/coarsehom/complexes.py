@@ -26,6 +26,7 @@ a two-line computation and the tests pin the general one numerically.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .coarsemaps import CoarseMap, compose, identity_map
 from .errors import GroupMismatchError, InvalidElementError
@@ -40,8 +41,8 @@ class Chain(FinitelySupported):
     Input is validated where it enters: the item setter, ``points=``,
     ``add_at`` and ``from_json``.  The chain operations of this module
     build their points by group operations on points already checked, so
-    they write through ``_acc`` without re-validating, or copy entries
-    verbatim.
+    they write through ``_acc``, or by its rule inline, without
+    re-validating, or copy entries verbatim.
 
     >>> from .groups import IntLattice
     >>> from .rings import Integers
@@ -107,15 +108,19 @@ class Chain(FinitelySupported):
                 f"{len(self.data)} points)")
 
     # -- slice picture ------------------------------------------------------
-    def slices(self):
-        """Regroup by the tuple part: gvec -> FinSupFun in x."""
+    def _slice_data(self):
+        """Regroup by the tuple part: gvec -> {x: value}, in the order of
+        the points."""
         out = {}
         for (x, gvec), v in self.data.items():
-            f = out.get(gvec)
-            if f is None:
-                f = out[gvec] = FinSupFun(self.group, self.ring, self.rank)
-            f._acc(x, v)
+            out.setdefault(gvec, {})[x] = v
         return out
+
+    def slices(self):
+        """Regroup by the tuple part: gvec -> FinSupFun in x."""
+        empty = FinSupFun(self.group, self.ring, self.rank)
+        return {gvec: empty._with(data)
+                for gvec, data in self._slice_data().items()}
 
     def _tuple_key(self, gvec):
         return tuple(map(self.group.order_key, gvec))
@@ -180,42 +185,65 @@ def _faces(group: Group, x, gvec):
 
 
 def boundary(chain: Chain) -> Chain:
-    """Alternating sum of the face pushforwards, computed point by point."""
+    """Alternating sum of the face pushforwards, computed point by point.
+
+    Accumulates as ``_acc`` does: a face whose sum reaches zero leaves
+    the support, and one added again goes last.  is_boundary_window
+    numbers its rows in this order."""
     n = chain.degree
     out = chain._with({}, degree=max(n - 1, 0))
     if n == 0:
         return out
-    ring = chain.ring
+    G, ring, acc = chain.group, chain.ring, out.data
+    add, neg = ring.add, ring.neg
     for (x, gvec), v in chain.data.items():
-        for i, face in enumerate(_faces(chain.group, x, gvec)):
-            out._acc(face, v if i % 2 == 0 else vec_neg(ring, v))
+        signed = (v, tuple(map(neg, v)))
+        for i, face in enumerate(_faces(G, x, gvec)):
+            w = signed[i & 1]
+            cur = acc.get(face)
+            if cur is not None:
+                w = tuple(map(add, cur, w))
+            if any(w):
+                acc[face] = w
+            else:
+                acc.pop(face, None)
     return out
 
 
 def bar_boundary(chain: Chain) -> Chain:
     """The same boundary by the slice formulas: the first face translates
     the slice by the dropped letter, middle faces merge adjacent letters,
-    the last face drops the final letter.  Independent of boundary()."""
+    the last face drops the final letter.  Independent of boundary().
+
+    The slices are plain dicts x -> value, summed in place by the rule of
+    ``_acc``; each slice is negated once, for all its faces."""
     n = chain.degree
-    G = chain.group
-    out_slices = {}
-
-    def add_slice(gvec, f, sign):
-        cur = out_slices.get(gvec)
-        add = f if sign > 0 else -f
-        out_slices[gvec] = add if cur is None else cur + add
-
     if n == 0:
-        return Chain(G, chain.ring, chain.rank, 0)
-    for gvec, f in chain.slices().items():
-        add_slice(gvec[1:], f.translate(G.inv(gvec[0])), +1)
+        return chain._with({})
+    G, ring = chain.group, chain.ring
+    add, neg, mul = ring.add, ring.neg, G.mul
+    out_slices = {}
+    for gvec, f in chain._slice_data().items():
+        signed = (f, {x: tuple(map(neg, v)) for x, v in f.items()})
+        ginv = G.inv(gvec[0])
+        faces = [(gvec[1:], {mul(ginv, x): v for x, v in f.items()})]
         for i in range(n - 1):
-            merged = (gvec[:i] + (G.mul(gvec[i], gvec[i + 1]),)
-                      + gvec[i + 2:])
-            add_slice(merged, f, +1 if (i + 1) % 2 == 0 else -1)
-        add_slice(gvec[:-1], f, +1 if n % 2 == 0 else -1)
-    out_slices = {gv: f for gv, f in out_slices.items() if not f.is_zero()}
-    return chi(G, chain.ring, chain.rank, n - 1, out_slices)
+            merged = gvec[:i] + (mul(gvec[i], gvec[i + 1]),) + gvec[i + 2:]
+            faces.append((merged, signed[(i + 1) % 2]))
+        faces.append((gvec[:-1], signed[n % 2]))
+        for face, data in faces:
+            acc = out_slices.setdefault(face, {})
+            for x, v in data.items():
+                cur = acc.get(x)
+                if cur is not None:
+                    v = tuple(map(add, cur, v))
+                if any(v):
+                    acc[x] = v
+                else:
+                    acc.pop(x, None)
+    # back to the groupoid picture, as chi regroups slices
+    return chain._with({(x, face): v for face, acc in out_slices.items()
+                        for x, v in acc.items()}, degree=n - 1)
 
 
 # -- cochains -----------------------------------------------------------------
@@ -398,8 +426,9 @@ def homotopy_k(phi: CoarseMap, psi: CoarseMap, chain: Chain) -> Chain:
         raise GroupMismatchError("chain lives on the wrong group")
     out = chain._with({}, group=phi.target, degree=chain.degree + 1)
     for (x, gvec), v in chain.data.items():
+        negated = vec_neg(chain.ring, v)
         for y, hvec, sign in _homotopy_points(phi, psi, x, gvec):
-            out._acc((y, hvec), v if sign > 0 else vec_neg(chain.ring, v))
+            out._acc((y, hvec), v if sign > 0 else negated)
     return out
 
 
@@ -451,15 +480,20 @@ def random_chain(group: Group, ring: Ring, rank: int, degree: int,
     """Deterministic pseudo-random chain: `terms` point masses with all
     coordinates drawn from ball(radius) and integer values in [-5, 5]
     excluding 0, mapped into the ring."""
-    rng = random.Random(seed)
+    choice = random.Random(seed).choice
     ball = group.ball(radius)
+    coeffs = _coefficients(ring)
     out = Chain(group, ring, rank, degree)
     for _ in range(terms):
-        x = rng.choice(ball)
-        gvec = tuple(rng.choice(ball) for _ in range(degree))
-        v = []
-        for _ in range(rank):
-            c = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
-            v.append(ring.normalize(c))
-        out._acc((x, gvec), tuple(v))
+        x = choice(ball)
+        gvec = tuple([choice(ball) for _ in range(degree)])
+        out._acc((x, gvec), tuple([choice(coeffs) for _ in range(rank)]))
     return out
+
+
+@cache
+def _coefficients(ring: Ring):
+    """The values random_chain draws, -5..5 but 0, normalized once per
+    ring: a call draws only rank * terms of them."""
+    return tuple(ring.normalize(c)
+                 for c in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))

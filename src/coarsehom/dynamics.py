@@ -136,9 +136,13 @@ class Coupling:
         # the right table is an action exactly when hact is a left one
         ract_ok = _holds(_action_axioms(H, self.hact, self.points))
         # (g, h).w = g w h^-1 is an action only when both tables are
-        # actions that commute; otherwise freeness fails with them
+        # actions that commute; otherwise freeness fails with them.  It
+        # is free when no g w h^-1 is w but for g and h the identities.
+        eg, eh = G.identity(), H.identity()
         free = (ok_comm and lact_ok and ract_ok
-                and self.combined_action().is_free())
+                and not any(self.lact(g, self.hact(h, w)) == w
+                            for g in G.elements() for h in H.elements()
+                            if g != eg or h != eh for w in self.points))
         ok_ybar = _fundamental(G, self.lact, self.ybar, self.points)
         ok_xbar = _fundamental(H, self.hact, self.xbar, self.points)
         return {"commuting": ok_comm, "right_action": ract_ok,

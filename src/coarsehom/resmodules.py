@@ -18,8 +18,8 @@ from __future__ import annotations
 from .coarsemaps import CoarseMap, SectionData, section
 from .errors import GroupMismatchError, InvalidElementError, ResourceLimitError
 from .groups import Group
-from .rings import Ring, ring_from_name, vec_add, vec_is_zero, vec_neg, \
-    vec_scale, vec_zero
+from .rings import Ring, ring_from_name, vec_add, vec_neg, vec_scale, \
+    vec_zero
 
 
 class FinitelySupported:
@@ -43,13 +43,17 @@ class FinitelySupported:
         """Add v at key and drop the key if the sum is zero.  Trusts key
         to be a point of this function and v a normalized vector of its
         rank."""
-        cur = self.data.get(key)
+        data = self.data
+        cur = data.get(key)
         if cur is not None:
-            v = vec_add(self.ring, cur, v)
-        if vec_is_zero(self.ring, v):
-            self.data.pop(key, None)
+            v = tuple(map(self.ring.add, cur, v))
+        # the scalars of every ring, ints and Fractions, are falsy exactly
+        # when zero; a key that sums to zero leaves, so one added again
+        # goes last
+        if any(v):
+            data[key] = v
         else:
-            self.data[key] = v
+            data.pop(key, None)
 
     def is_zero(self):
         return not self.data

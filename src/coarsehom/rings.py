@@ -8,7 +8,9 @@ callers; this module only knows single scalars.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import cache
 
 
 class Ring:
@@ -26,15 +28,11 @@ class Ring:
     def one(self):
         return self.normalize(1)
 
-    # ints and Fractions carry the arithmetic; Z/m overrides it to reduce
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    # ints and Fractions carry the arithmetic, so the builtins serve and
+    # map(ring.add, a, b) runs in C; Z/m overrides all three to reduce
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def is_zero(self, a):
         return a == self.zero()
@@ -134,13 +132,17 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+@cache
 def ring_from_name(name: str) -> Ring:
-    """Parse "Z", "Q" or "Z/m".
+    """Parse "Z", "Q" or "Z/m"; one shared instance per name, as rings
+    hold no state beyond it.
 
     >>> ring_from_name("Z/5").is_field
     True
     >>> ring_from_name("Q").name
     'Q'
+    >>> ring_from_name("Z/5") is ring_from_name("Z/5")
+    True
     """
     if name == "Z":
         return Integers()
@@ -167,9 +169,3 @@ def vec_neg(ring: Ring, a):
 
 def vec_scale(ring: Ring, c, a):
     return tuple(ring.mul(c, x) for x in a)
-
-
-def vec_is_zero(ring: Ring, a):
-    # the scalars of every ring here, ints and Fractions, are falsy
-    # exactly when they equal zero
-    return not any(a)

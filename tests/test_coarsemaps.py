@@ -198,3 +198,35 @@ def test_reverse_scan_blocks_match_reference():
         for name in ("z-abs", "z-double-floor", "z-to-dihedral"):
             got = _reverse_scan(get_map(name), 20, 20)
             assert got == oracles.reverse_scan(get_map(name), 20, 20)
+
+
+def test_reverse_scan_of_object_lengths_matches_reference():
+    # target coordinates past 2^62: the target lengths reach 2^63, so
+    # their blocks come back as object (Python int) arrays; the source
+    # blocks are made object arrays too
+    big = 2 ** 63
+    src = IntLattice(1)
+    phi = CoarseMap(src, Z, lambda g: (g[0] // 2 if g[0] >= 0
+                                       else g[0] // 2 - big,),
+                    name="split-halving")
+    vals = [phi(x) for x in src.ball(6)]
+    assert Z.pair_lengths(vals, vals).dtype == object
+    blocks = src.pair_length_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(src, "pair_length_blocks",
+                   lambda elems, rows: (m.astype(object)
+                                        for m in blocks(elems, rows)))
+        for radius in (3, 6):
+            assert _reverse_scan(phi, radius, 6) == \
+                oracles.reverse_scan(phi, radius, 6)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 4])
+def test_reverse_scan_of_a_constant_map_matches_reference(radius):
+    # every pair sits on cutoff 0; at radius 0 its one pair has source
+    # length 0, so no cutoff has a witness
+    phi = CoarseMap(Z, Z, lambda g: (0,), name="constant")
+    got = _reverse_scan(phi, radius, 4)
+    assert got == oracles.reverse_scan(phi, radius, 4)
+    if radius == 0:
+        assert got == ([0] * 5, [None] * 5)

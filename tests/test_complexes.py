@@ -349,3 +349,65 @@ def test_trusted_writes_match_validating_reference(name, ring_name, rank,
         oracles.reference_fun_sum(f, oracles.reference_fun_neg(g)).data
     assert (f - f).is_zero()
     assert f.translate(s).data == oracles.reference_translate(s, f).data
+
+
+# -- chains whose faces cancel --------------------------------------------------
+
+@pytest.mark.parametrize("ring_name", ["Z/2", "Z/3", "Z/6"])
+def test_boundary_routes_agree_where_terms_cancel(ring_name):
+    c = Chain(Z, ring_from_name(ring_name), 2, 2)
+    # (0, (1, -1)), written twice, sends its middle face to (0, (0,))
+    # with the sign -; the three faces of (0, (0, 0)) all land there,
+    # with the signs +, - and +.  So that point leaves the sum, comes
+    # back and leaves again, and the slice (0,) of the boundary sums to
+    # zero.
+    c.add_at((0,), ((1,), (-1,)), (1, 1))
+    c.add_at((0,), ((1,), (-1,)), (0, 1))
+    c.add_at((0,), ((0,), (0,)), (1, 2))
+    # a point written twice that cancels itself
+    c.add_at((1,), ((1,), (1,)), (1, 1))
+    c.add_at((1,), ((1,), (1,)), (-1, -1))
+    d = boundary(c)
+    assert len(c.data) == 2
+    assert d.data == bar_boundary(c).data == \
+        oracles.reference_boundary(c).data
+    assert ((0,),) not in d.slices()
+    assert boundary(d).is_zero()
+
+
+@pytest.mark.parametrize("ring_name", ["Z/2", "Z/3", "Z/6"])
+@pytest.mark.parametrize("group", [Z, cyclic_group(6)],
+                         ids=["Z", "Z/6"])
+@given(seed=st.integers(0, 10**6), degree=st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_boundary_routes_agree_on_crowded_chains(group, ring_name, seed,
+                                                 degree):
+    # twelve terms on the ball of radius 1: points repeat, faces collide
+    # and sums reach zero, by doubling in Z/2 and Z/6
+    c = random_chain(group, ring_from_name(ring_name), 2, degree, 1,
+                     terms=12, seed=seed)
+    want = oracles.reference_boundary(c).data
+    assert boundary(c).data == want
+    assert bar_boundary(c).data == want
+
+
+# Window cycles (random_chain(G, R, 1, 2, 1, terms=3, seed) as the
+# window-boundary experiment draws them), each with a face that sums to
+# zero and is added again.  is_boundary_window numbers its rows in the
+# cycle's key order, so that order is pinned.
+_CYCLE_KEYS = [
+    ("Z", "Z", 4, [((-1,), ((0,),)), ((1,), ((0,),)), ((-1,), ((-1,),)),
+                   ((0,), ((0,),)), ((0,), ((1,),))]),
+    ("Z2", "Q", 20, [((0, 2), ((0, 0),)), ((-1, -1), ((0, 0),)),
+                     ((1, 0), ((0, 0),))]),
+    ("Dinf", "Z/7", 2, [((0, 0), ((0, 0),)), ((-1, 1), ((1, 0),)),
+                        ((0, 1), ((2, 0),)), ((0, 1), ((1, 0),)),
+                        ((0, 1), ((0, 0),))]),
+]
+
+
+@pytest.mark.parametrize("group,ring_name,seed,keys", _CYCLE_KEYS)
+def test_boundary_key_order_is_pinned(group, ring_name, seed, keys):
+    c = random_chain(get_group(group), ring_from_name(ring_name), 1, 2, 1,
+                     terms=3, seed=seed)
+    assert list(boundary(c).data) == keys

@@ -50,6 +50,29 @@ def test_coupling_axioms(name, maker):
                  "ok": True}, (name, v)
 
 
+def both_sides_coupling():
+    """Z/2 translating Z/2 from both sides: the two actions commute and
+    each has the domain {0}, but g w h^-1 = w for g = h = 1, so the
+    combined action is not free."""
+    points = C2.elements()
+    left = {(g, w): C2.mul(g, w) for g in points for w in points}
+    right = {(w, h): C2.mul(w, h) for w in points for h in points}
+    return dy.Coupling(C2, C2, points, left, right, [0], [0])
+
+
+@pytest.mark.parametrize("name,maker", COUPLING_MAKERS
+                         + [("both-sides", both_sides_coupling)])
+def test_free_verdict_matches_the_combined_action(name, maker):
+    coup = maker()
+    assert coup.validate()["free"] == coup.combined_action().is_free(), name
+
+
+def test_a_coupling_fixing_a_point_is_not_free():
+    assert both_sides_coupling().validate() == {
+        "commuting": True, "right_action": True, "free": False,
+        "ybar_fundamental": True, "xbar_fundamental": True, "ok": False}
+
+
 @pytest.mark.parametrize("name,maker", COUPLING_MAKERS)
 def test_couple_identities(name, maker):
     cv = dy.coupling_to_couple(maker()).validate()
