@@ -106,13 +106,15 @@ def displacement_set(phi: CoarseMap, g, r: int):
     [(-1,), (1,)]
     """
     phi.source.check_element(g)
-    return _displacements(phi, g, phi.source.ball(r))
+    return sorted(_displacements(phi, g, phi.source.ball(r), set()),
+                  key=phi.target.order_key)
 
 
-def _displacements(phi, g, ball):
+def _displacements(phi, g, ball, out: set) -> set:
+    """out with {phi(g x) phi(x)^-1 : x in ball} added."""
     T = phi.target
-    out = {T.mul(phi(phi.source.mul(g, x)), T.inv(phi(x))) for x in ball}
-    return sorted(out, key=T.order_key)
+    out.update(T.mul(phi(phi.source.mul(g, x)), T.inv(phi(x))) for x in ball)
+    return out
 
 
 def check_coarse_map(phi: CoarseMap, r: int) -> dict:
@@ -148,10 +150,16 @@ def check_coarse_map(phi: CoarseMap, r: int) -> dict:
                               "count_at_half": nh, "count_at_full": nr}
     table = {}
     disp_witness = None
+    # ball(r//2) is a prefix of ball(r): the set at the full radius
+    # extends the one at the half radius over the rest of the ball, so
+    # it is stable when it has not grown
+    outer = ball_r[len(ball_h):]
+    key = phi.target.order_key
     for g in G.generators():
-        d_h = _displacements(phi, g, ball_h)
-        d_r = _displacements(phi, g, ball_r)
-        stable = set(d_h) == set(d_r)
+        values = _displacements(phi, g, ball_h, set())
+        d_h = sorted(values, key=key)
+        d_r = sorted(_displacements(phi, g, outer, values), key=key)
+        stable = len(d_h) == len(d_r)
         table[g] = {"at_half": len(d_h), "at_full": len(d_r),
                     "stable": stable}
         if not stable and disp_witness is None:

@@ -14,8 +14,9 @@ columns of face sums.  Two reductions serve what callers read:
 - Kernel coordinates, span checks and induced maps on homology read the
   change of basis itself: a Smith normal form with full certificates,
   U, V, V^-1 with U A V diagonal, every divisor dividing the next.
-  Boundary windows solve on the sparse columns, and a negative window
-  verdict takes the dense form for the obstruction it names.
+  Boundary windows assemble their sparse columns on integer codes, as
+  nerves do (_Window), and solve on them; a negative window verdict
+  takes the dense form for the obstruction it names.
 
 Every certificate is checked before it is read.
 
@@ -53,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coarsemaps import CoarseMap
-from .complexes import Chain, _faces, _image_point, boundary
+from .complexes import Chain, _image_point, boundary
 from .errors import InvalidElementError, NotACycleError, ResourceLimitError
 from .groups import Group
 from .rings import ring_from_name
@@ -668,14 +669,8 @@ class Nerve:
         """The degree-n points (x, (g_1..g_n)), in the order of the
         contract, decoded from the codes of the unnormalized walk."""
         size = len(self.elements)
-        out = []
-        for code, _ in self._walk(degree, None):
-            gvec = []
-            for _ in range(degree):
-                code, g = divmod(code, size)
-                gvec.append(self.elements[g])
-            out.append((self.units[code], tuple(reversed(gvec))))
-        return out
+        return [_decode(code, degree, self.units, self.elements, size)
+                for code, _ in self._walk(degree, None)]
 
     def boundary(self, degree: int):
         """(matrix, row basis, column basis) of the unnormalized degree-n
@@ -744,23 +739,15 @@ def _module_nerve(group: Group, module: str) -> Nerve:
     return Nerve(group, ["pt"], els, lambda g, x: x)
 
 
-def _face_sum_columns(cols, row_index, faces):
-    """Alternating face sums over ordered bases, as sparse columns: the
-    column of key k maps row_index[f] to the sum of the signs (-1)^i of
-    the i-th faces in faces(k) equal to f; zero sums are dropped, and a
-    face missing from row_index raises KeyError.  Windows read it."""
-    columns = []
-    for key in cols:
-        col = {}
-        for i, f in enumerate(faces(key)):
-            r = row_index[f]
-            v = col.get(r, 0) + (-1 if i & 1 else 1)
-            if v:
-                col[r] = v
-            else:
-                del col[r]
-        columns.append(col)
-    return columns
+def _decode(code: int, degree: int, units, elements, radix: int):
+    """The point (x, (g_1..g_n)) of the degree-n code
+    x radix^n + sum_i g_i radix^(n-i) over the positions of units and
+    elements."""
+    gvec = []
+    for _ in range(degree):
+        code, g = divmod(code, radix)
+        gvec.append(elements[g])
+    return units[code], tuple(reversed(gvec))
 
 
 def _step_codes(walks, arrows, back, size: int):
@@ -822,11 +809,6 @@ def _dense(columns, n_rows: int):
       [j for j, col in enumerate(columns) for _ in col]] = \
         [v for col in columns for v in col.values()]
     return M
-
-
-def _face_sum_matrix(cols, row_index, faces):
-    """The dense matrix of _face_sum_columns."""
-    return _dense(_face_sum_columns(cols, row_index, faces), len(row_index))
 
 
 def assemble_boundary_matrix(group: Group, degree: int,
@@ -1038,14 +1020,121 @@ def _check_dual_witness(u, A, b, obstruction):
                            f"valid dual witness")
 
 
-def _window_basis(group: Group, degree: int, x_radius: int,
-                  tuple_radius: int):
-    xs = group.ball(x_radius)
-    gs = group.ball(tuple_radius)
-    tuples = [()]
-    for _ in range(degree):
-        tuples = [t + (g,) for t in tuples for g in gs]
-    return [(x, gv) for x in xs for gv in tuples]
+class _Window:
+    """A boundary window on integer tables, after the nerve's code
+    convention (Nerve): the degree-N points (x, (g_1..g_N)) with x in
+    ball(x_radius) and every g_i in ball(tuple_radius), and their faces.
+
+    Units are ball(x_radius + tuple_radius) and elements
+    ball(2 tuple_radius), of which ball(x_radius) and ball(tuple_radius)
+    are prefixes, so every face is a point of those lists.  Two integer
+    tables are built once per window: back[g][x], the unit position of
+    g^-1.x, for g in ball(tuple_radius) and x in ball(x_radius), and
+    mul[g][h], the element position of gh, for g and h in
+    ball(tuple_radius).  A point is its code x |E|^N + sum_i g_i |E|^(N-i),
+    so the column codes follow the order x, then each g_i
+    lexicographically, and column j is read off j in the radix
+    |ball(tuple_radius)|.  The column count is known before any of this
+    is built, and a window over column_cap raises ResourceLimitError."""
+
+    def __init__(self, group: Group, degree: int, x_radius: int,
+                 tuple_radius: int, column_cap: int):
+        xs, gs = group.ball(x_radius), group.ball(tuple_radius)
+        self.n_columns = len(xs) * len(gs) ** degree
+        if self.n_columns > column_cap:
+            raise ResourceLimitError(
+                f"window has {self.n_columns} columns, over the cap "
+                f"{column_cap}; shrink the radii", cap=column_cap)
+        self.degree = degree
+        self.units = group.ball(x_radius + tuple_radius)
+        self.elements = group.ball(2 * tuple_radius)
+        self._unit_at = {x: i for i, x in enumerate(self.units)}
+        self._at = {g: i for i, g in enumerate(self.elements)}
+        self._back = [[self._unit_at[group.mul(group.inv(g), x)]
+                       for x in xs] for g in gs]
+        self._mul = [[self._at[group.mul(g, h)] for h in gs] for g in gs]
+        self._n_units, self._n_tuple = len(xs), len(gs)
+
+    def columns(self):
+        """(columns, row_index): the face sums of every column as sparse
+        columns, rows numbered by first appearance over the columns in
+        code order, face 0 first within each; row_index maps each face
+        code to its row.  Face codes are read by divmod arithmetic, face
+        N first as _face_code_columns reads them, then numbered and
+        summed from face 0 with signs (-1)^i; zero sums are dropped."""
+        degree, back, mul = self.degree, self._back, self._mul
+        size = len(self.elements)
+        codes = range(self._n_units)
+        for _ in range(degree):
+            codes = [code * size + g for code in codes
+                     for g in range(self._n_tuple)]
+        row_index = {}
+        columns = []
+        for code in codes:
+            # face N drops g_N; face i = N-1, ..., 1 merges g_i g_{i+1}:
+            # q is the code of (x, g_1..g_i), h = g_{i+1}, low =
+            # |E|^(N-1-i) and rest = code % low, the digits the face
+            # keeps; face 0 moves x
+            q, h = divmod(code, size)
+            faces = [q]
+            low, rest = 1, 0
+            for _ in range(degree - 1):
+                q, g = divmod(q, size)
+                faces.append((q * size + mul[g][h]) * low + rest)
+                rest += h * low
+                low *= size
+                h = g
+            faces.append(back[h][q] * low + rest)
+            col = {}
+            sign = 1
+            for f in reversed(faces):
+                r = row_index.get(f)
+                if r is None:
+                    r = row_index[f] = len(row_index)
+                if v := col.get(r, 0) + sign:
+                    col[r] = v
+                else:
+                    del col[r]
+                sign = -sign
+            columns.append(col)
+        return columns, row_index
+
+    def key(self, point):
+        """The row key of a degree N-1 point: its code, or the point
+        itself when it lies outside the units and elements."""
+        x, gvec = point
+        code = self._unit_at.get(x)
+        if code is None:
+            return point
+        for g in gvec:
+            i = self._at.get(g)
+            if i is None:
+                return point
+            code = code * len(self.elements) + i
+        return code
+
+    def column_point(self, j: int):
+        """The point of column j."""
+        return _decode(j, self.degree, self.units, self.elements,
+                       self._n_tuple)
+
+    def system(self, chain: Chain):
+        """(columns, row_index, b, scale) of A x = b for the degree N-1
+        cycle: the rows of the faces, then the cycle's support points in
+        the order of its data, each keyed by key(); b is the cycle times
+        scale, the lcm of its denominators over Q, 1 over Z."""
+        columns, row_index = self.columns()
+        keys = [self.key(p) for p in chain.data]
+        for k in keys:
+            row_index.setdefault(k, len(row_index))
+        scale = 1
+        if chain.ring.name == "Q":
+            scale = math.lcm(*(v.denominator for vec in chain.data.values()
+                               for v in vec))
+        b = [0] * len(row_index)
+        for k, v in zip(keys, chain.data.values()):
+            b[row_index[k]] = int(v[0] * scale)
+        return columns, row_index, b, scale
 
 
 def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
@@ -1055,16 +1144,20 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
     The window holds degree n+1 points with x in ball(x_radius) and all
     tuple entries in ball(tuple_radius).  Works over Z (divisibility
     honoured) and Q.  The window's face sums are assembled as sparse
-    columns, their unit pivots eliminated (_eliminate_units), any
-    remainder solved by the dense Smith form and the pivot variables
-    back-substituted, so no dense matrix of the whole window is built on
-    the way to a preimage; a found preimage is re-checked through
-    boundary() before being reported.  A negative verdict only rules out
-    the window, and says so: it is taken again by the dense route, a
-    Smith form of the whole window, whose obstruction the report names,
-    and is certified by that form's dual witness (_check_dual_witness).
-    The window grows like |ball|^(degree+1), so a column cap guards
-    against accidentally huge solves.
+    columns on integer codes (_Window), with no point or face tuple per
+    column; rows are numbered by first appearance among the faces, face 0
+    first within each column, then the cycle's support.  Their unit
+    pivots are eliminated (_eliminate_units), any remainder solved by the
+    dense Smith form and the pivot variables back-substituted, so no
+    dense matrix of the whole window is built on the way to a preimage;
+    a found preimage is decoded from its nonzero columns and re-checked
+    through boundary() before being reported.  A negative verdict only
+    rules out the window, and says so: it is taken again by the dense
+    route, a Smith form of the same columns made dense, whose obstruction
+    the report names, and is certified by that form's dual witness
+    (_check_dual_witness).  The window grows like |ball|^(degree+1), so
+    a column cap, checked before any column is built, guards against
+    accidentally huge solves.
     """
     ring = chain.ring
     if ring.name not in ("Z", "Q"):
@@ -1076,39 +1169,16 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
         raise NotACycleError("the given chain is not a cycle")
     G = chain.group
     n = chain.degree
-    cols = _window_basis(G, n + 1, x_radius, tuple_radius)
-    if len(cols) > column_cap:
-        raise ResourceLimitError(
-            f"window has {len(cols)} columns, over the cap {column_cap}; "
-            f"shrink the radii", cap=column_cap)
-    # rows in order of first appearance among the faces, then the
-    # support of the chain itself
-    faces = [_faces(G, x, gvec) for x, gvec in cols]
-    row_index = {}
-    for fs in faces:
-        for f in fs:
-            row_index.setdefault(f, len(row_index))
-    for p in chain.data:
-        row_index.setdefault(p, len(row_index))
-    columns = _face_sum_columns(range(len(cols)), row_index,
-                                faces.__getitem__)
-
-    # right-hand side; over Q clear denominators first
-    scale = 1
-    if ring.name == "Q":
-        scale = math.lcm(*(v.denominator for vec in chain.data.values()
-                           for v in vec))
-    b = [0] * len(row_index)
-    for p, v in chain.data.items():
-        b[row_index[p]] = int(v[0] * scale)
-
+    win = _Window(G, n + 1, x_radius, tuple_radius, column_cap)
+    columns, row_index, b, scale = win.system(chain)
     window = {"x_radius": x_radius, "tuple_radius": tuple_radius,
-              "columns": len(cols)}
+              "columns": win.n_columns}
     solved = _solve_sparse(columns, b, ring.name)
     if solved is None:
         # the position and value a negative verdict names are those of
-        # the dense Smith form of the whole window
-        A = _face_sum_matrix(range(len(cols)), row_index, faces.__getitem__)
+        # the dense Smith form of the whole window; the sparse solve
+        # consumed its columns, so they are assembled again
+        A = _dense(win.columns()[0], len(b))
         snf = smith_normal_form(A)
         obstruction = snf.solve(b, ring.name)[2]
         if obstruction is None:
@@ -1120,9 +1190,9 @@ def is_boundary_window(chain: Chain, x_radius: int, tuple_radius: int,
                 "obstruction": obstruction}
     x_vec, m = solved
     pre = Chain(G, ring, chain.rank, n + 1)
-    for (x, gvec), xj in zip(cols, x_vec):
+    for j, xj in enumerate(x_vec):
         if xj:
-            pre._acc((x, gvec), (ring.normalize(
+            pre._acc(win.column_point(j), (ring.normalize(
                 xj if ring.name == "Z" else Fraction(xj, m * scale)),))
     if boundary(pre) != chain:
         raise RuntimeError("window solver produced an invalid preimage")

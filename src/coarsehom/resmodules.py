@@ -196,8 +196,8 @@ class FinSupFun(FinitelySupported):
                 raise InvalidElementError(
                     f"value {coeffs!r} has length {len(coeffs)}, expected "
                     f"rank {rank}")
-            out._acc(g, tuple(ring.normalize(ring.scalar_from_json(c))
-                              for c in coeffs))
+            # scalar_from_json returns a normalized scalar
+            out._acc(g, tuple(map(ring.scalar_from_json, coeffs)))
         return out
 
 

@@ -80,7 +80,8 @@ class Rationals(Ring):
         return 1 / Fraction(a)
 
     def scalar_to_json(self, a):
-        a = Fraction(a)
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 \
             else f"{a.numerator}/{a.denominator}"
 

@@ -12,11 +12,16 @@ loop that the vectorized scan of check_coarse_embedding replaced, and it
 uses only the groups' ball, mul, inv and word_length; the reference
 nerve walks the points of an action groupoid's nerve and builds their
 faces on objects, from the group's mul, inv and identity and the action
-alone; the reference chain operations at the end rebuild boundaries,
-induced maps, homotopies and function sums from their formulas, writing
-every term through the validating public setters (Chain.add_at,
-FinSupFun item assignment).
+alone; the reference window assembly builds a boundary window's face
+sums on points, from the groups' ball, mul and inv; the reference chain
+operations at the end rebuild boundaries, induced maps, homotopies and
+function sums from their formulas, writing every term through the
+validating public setters (Chain.add_at, FinSupFun item assignment).
 """
+
+import math
+
+import numpy as np
 
 
 def cyclic_homology(m: int, degree: int) -> dict:
@@ -124,6 +129,81 @@ class ReferenceNerve:
                     col[r] = col.get(r, 0) + (-1) ** i
             out.append({r: v for r, v in col.items() if v})
         return out, len(rows)
+
+
+def point_faces(G, x, gvec):
+    """Faces 0..n of the point (x, (g_1..g_n)), face i at position i:
+    face 0 is (g_1^-1 x, (g_2..g_n)), face i < n merges g_i g_{i+1},
+    face n drops g_n."""
+    out = [(G.mul(G.inv(gvec[0]), x), gvec[1:])]
+    for i in range(len(gvec) - 1):
+        out.append((x, gvec[:i] + (G.mul(gvec[i], gvec[i + 1]),)
+                    + gvec[i + 2:]))
+    out.append((x, gvec[:-1]))
+    return out
+
+
+def face_sum_columns(cols, row_index, faces):
+    """Alternating face sums over ordered bases, as sparse columns: the
+    column of key k maps row_index[f] to the sum of the signs (-1)^i of
+    the i-th faces in faces(k) equal to f; zero sums are dropped, and a
+    face missing from row_index raises KeyError."""
+    columns = []
+    for key in cols:
+        col = {}
+        for i, f in enumerate(faces(key)):
+            r = row_index[f]
+            v = col.get(r, 0) + (-1 if i & 1 else 1)
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+        columns.append(col)
+    return columns
+
+
+def face_sum_matrix(cols, row_index, faces):
+    """The dense int64 matrix of face_sum_columns."""
+    columns = face_sum_columns(cols, row_index, faces)
+    M = np.zeros((len(row_index), len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            M[i, j] = v
+    return M
+
+
+def window_basis(group, degree: int, x_radius: int, tuple_radius: int):
+    """The degree-n points (x, gvec) of a boundary window, x in
+    ball(x_radius) and every entry of gvec in ball(tuple_radius),
+    ordered by x, then lexicographically by gvec."""
+    xs = group.ball(x_radius)
+    gs = group.ball(tuple_radius)
+    tuples = [()]
+    for _ in range(degree):
+        tuples = [t + (g,) for t in tuples for g in gs]
+    return [(x, gv) for x in xs for gv in tuples]
+
+
+def window_system(chain, x_radius: int, tuple_radius: int):
+    """The reference window assembly of a cycle, on points: (columns,
+    sparse columns, rows, b).  columns is window_basis one degree up;
+    the rows are numbered by first appearance among the faces of the
+    columns in order, face 0 first within each, then the points of the
+    cycle's support, and listed in that order; b is the cycle's first
+    coefficient at each row times the lcm of its denominators."""
+    G = chain.group
+    cols = window_basis(G, chain.degree + 1, x_radius, tuple_radius)
+    faces = [point_faces(G, x, gvec) for x, gvec in cols]
+    row_index = {}
+    for f in [f for fs in faces for f in fs] + list(chain.data):
+        row_index.setdefault(f, len(row_index))
+    scale = math.lcm(*(v.denominator for vec in chain.data.values()
+                       for v in vec))
+    b = [0] * len(row_index)
+    for p, v in chain.data.items():
+        b[row_index[p]] = int(v[0] * scale)
+    return (cols, face_sum_columns(range(len(cols)), row_index,
+                                   faces.__getitem__), list(row_index), b)
 
 
 def doubling_inverse(y: int) -> int:
@@ -247,13 +327,8 @@ def reference_boundary(chain):
         return out
     terms = []
     for (x, gvec), v in chain.data.items():
-        faces = [(G.mul(G.inv(gvec[0]), x), gvec[1:])]
-        for i in range(n - 1):
-            faces.append((x, gvec[:i] + (G.mul(gvec[i], gvec[i + 1]),)
-                          + gvec[i + 2:]))
-        faces.append((x, gvec[:-1]))
         terms += [(f, _signed(ring, v, (-1) ** i))
-                  for i, f in enumerate(faces)]
+                  for i, f in enumerate(point_faces(G, x, gvec))]
     return reference_sum(out, terms)
 
 

@@ -25,6 +25,27 @@ def test_displacement_set_frozen():
     assert displacement_set(floor, (1,), 4) == [(0,), (2,)]
 
 
+@pytest.mark.parametrize("name", map_names())
+def test_check_reads_displacement_sets_at_both_radii(name):
+    """The displacement table and witness of check_coarse_map, whose set
+    at the full radius extends the one at the half radius, against
+    displacement_set at r // 2 and r, for every generator."""
+    for r in (2, 5, 6):
+        phi = get_map(name)
+        rep = check_coarse_map(phi, r)
+        witness = None
+        for g in phi.source.generators():
+            d_h = displacement_set(get_map(name), g, r // 2)
+            d_r = displacement_set(get_map(name), g, r)
+            assert rep["displacement_growth"][g] == {
+                "at_half": len(d_h), "at_full": len(d_r),
+                "stable": d_h == d_r}
+            if d_h != d_r and witness is None:
+                witness = {"generator": g, "set_at_half": d_h,
+                           "set_at_full": d_r}
+        assert rep["displacement_witness"] == witness
+
+
 def test_doubling_certified():
     rep = check_coarse_embedding(get_map("z-double"), 10)
     assert rep["verdict"] == "certified-up-to-10"

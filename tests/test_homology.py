@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsehom import homology
-from coarsehom.complexes import Chain, _faces, boundary
+from coarsehom.complexes import Chain, _faces, boundary, random_chain
 from coarsehom.dynamics import action_groupoid, translation_action
 from coarsehom.errors import (InvalidElementError, NotACycleError,
                               ResourceLimitError)
-from coarsehom.gallery import get_map
+from coarsehom.gallery import get_group, get_map
 from coarsehom.groups import IntLattice, cyclic_group, trivial_group
 from coarsehom.homology import (_component_count, assemble_boundary_matrix,
                                 h0_coinvariants, homology_finite,
@@ -262,12 +262,12 @@ def _window_matrix():
     c.add_at((1,), ((0,), (1,)), (-3,))
     cycle = boundary(c)
     faces = [_faces(Z, x, gvec)
-             for x, gvec in homology._window_basis(Z, 2, 2, 1)]
+             for x, gvec in oracles.window_basis(Z, 2, 2, 1)]
     row_index = {}
     for f in [f for fs in faces for f in fs] + list(cycle.data):
         row_index.setdefault(f, len(row_index))
-    return homology._face_sum_matrix(range(len(faces)), row_index,
-                                     faces.__getitem__)
+    return oracles.face_sum_matrix(range(len(faces)), row_index,
+                                   faces.__getitem__)
 
 
 # sha256 of U, V, V^-1 (dtype, shape, values) and of the divisors under
@@ -476,8 +476,8 @@ def test_face_sum_matrix_matches_entrywise_loop(nrows, ncols, rank, data):
         for i, ri in enumerate(fs):
             for j in range(rank):
                 want[ri * rank + j, ci * rank + j] += (-1) ** i
-    got = np.kron(homology._face_sum_matrix(range(ncols), list(range(nrows)),
-                                            faces.__getitem__),
+    got = np.kron(oracles.face_sum_matrix(range(ncols), list(range(nrows)),
+                                          faces.__getitem__),
                   np.eye(rank, dtype=np.int64))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -539,6 +539,175 @@ def test_window_guards():
     wide.add_at((0,), (), (1,))
     with pytest.raises(ResourceLimitError):
         is_boundary_window(wide, 3, 3, column_cap=5)
+
+
+# the windows of the window-solve benchmark menu (perfbench/workloads.py):
+# group, x_radius, tuple_radius; each runs over Z and Q
+WINDOW_KINDS = [("F2", 1, 1), ("Dinf", 2, 1), ("Dinf", 2, 2), ("Z", 2, 1),
+                ("Z", 2, 2), ("Z", 3, 3), ("Z", 4, 3), ("Z2", 2, 1)]
+
+
+def _row_points(win, row_index, degree):
+    """The rows of a coded window as points: a code decoded over the
+    window's units and elements, a point outside them as it is keyed."""
+    size = len(win.elements)
+    return [homology._decode(k, degree, win.units, win.elements, size)
+            if isinstance(k, int) else k for k in row_index]
+
+
+def _assert_coded_window_is_reference(cycle, x_radius, tuple_radius):
+    """The coded window system of a cycle against the reference window
+    assembly on points: the same columns in the same order, the same
+    sparse columns over the same rows in the same order, and the same
+    right-hand side."""
+    n = cycle.degree
+    win = homology._Window(cycle.group, n + 1, x_radius, tuple_radius,
+                           10 ** 6)
+    columns, row_index, b, _ = win.system(cycle)
+    cols, want_columns, want_rows, want_b = oracles.window_system(
+        cycle, x_radius, tuple_radius)
+    assert win.n_columns == len(cols)
+    assert [win.column_point(j) for j in range(len(cols))] == cols
+    assert columns == want_columns
+    assert _row_points(win, row_index, n) == want_rows
+    assert b == want_b
+    return win, row_index
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@pytest.mark.parametrize("group,x_radius,tuple_radius", WINDOW_KINDS)
+def test_coded_window_equals_reference_assembly(group, x_radius,
+                                                 tuple_radius, ring):
+    """On the cycles window-boundary reports draw (the boundary of a
+    seeded degree-2 chain of radius max(x_radius - 1, 1)) and on ones a
+    radius larger, some of which leave the window, at several seeds."""
+    G = get_group(group)
+    for seed in (0, 1, 7):
+        for radius in (max(x_radius - 1, 1), x_radius + 1):
+            cycle = boundary(random_chain(G, ring_from_name(ring), 1, 2,
+                                          radius, terms=3, seed=seed))
+            _assert_coded_window_is_reference(cycle, x_radius,
+                                              tuple_radius)
+
+
+def test_coded_window_keys_points_outside_the_codes_by_tuple():
+    """A support point whose unit or whose tuple entry lies outside the
+    window's units and elements is a row keyed by the point itself,
+    numbered after the faces, as in the reference."""
+    c = Chain(Z, ZR, 1, 2)
+    c.add_at((9,), ((1,), (-1,)), (1,))         # unit outside ball(2)
+    c.add_at((0,), ((5,), (1,)), (2,))          # entry outside ball(2)
+    cycle = boundary(c)
+    win, row_index = _assert_coded_window_is_reference(cycle, 1, 1)
+    outside = [k for k in row_index if not isinstance(k, int)]
+    assert outside and all(k in cycle.data for k in outside)
+    # degree 0: the far point keyed by tuple, the near one by code
+    c0 = Chain(Z, ZR, 1, 0)
+    c0.add_at((10,), (), (1,))
+    c0.add_at((0,), (), (-1,))
+    _, rows0 = _assert_coded_window_is_reference(c0, 3, 3)
+    assert ((10,), ()) in rows0 and ((0,), ()) not in rows0
+
+
+def _negative_windows():
+    """Cycles and windows that do not bound there: point masses, a cycle
+    outside a small window, and the first negative window of each group
+    and ring among seeded cycles of radius 2."""
+    point = Chain(Z, ZR, 1, 0)
+    point.add_at((0,), (), (1,))
+    far = Chain(Z, ZR, 1, 0)
+    far.add_at((10,), (), (1,))
+    far.add_at((0,), (), (-1,))
+    out = [(point, 3, 3), (far, 3, 3)]
+    for group in ("Z", "Dinf", "Z2", "F2"):
+        for ring in ("Z", "Q"):
+            for seed in range(10):
+                cycle = boundary(random_chain(
+                    get_group(group), ring_from_name(ring), 1, 2, 2,
+                    terms=3, seed=seed))
+                if not is_boundary_window(cycle, 1, 1)["verdict"]:
+                    out.append((cycle, 1, 1))
+                    break
+    return out
+
+
+def test_negative_window_obstruction_is_the_reference_dense_routes():
+    """A negative verdict names the obstruction of the Smith form of the
+    reference assembly's dense matrix, which equals the coded columns
+    made dense."""
+    cases = _negative_windows()
+    assert len(cases) >= 6
+    for cycle, x_radius, tuple_radius in cases:
+        res = is_boundary_window(cycle, x_radius, tuple_radius)
+        assert res["verdict"] is False
+        cols, _, rows, b = oracles.window_system(cycle, x_radius,
+                                                 tuple_radius)
+        faces = [oracles.point_faces(cycle.group, x, gvec)
+                 for x, gvec in cols]
+        A = oracles.face_sum_matrix(range(len(cols)),
+                                    {p: i for i, p in enumerate(rows)},
+                                    faces.__getitem__)
+        win = homology._Window(cycle.group, cycle.degree + 1, x_radius,
+                               tuple_radius, 10 ** 6)
+        assert np.array_equal(homology._dense(win.columns()[0], len(b)), A)
+        want = smith_normal_form(A).solve(b, cycle.ring.name)[2]
+        assert want is not None and res["obstruction"] == want
+
+
+def test_window_matrix_is_the_coded_window_made_dense():
+    c = Chain(Z, ZR, 1, 2)
+    c.add_at((0,), ((1,), (-1,)), (2,))
+    c.add_at((1,), ((0,), (1,)), (-3,))
+    cycle = boundary(c)
+    win = homology._Window(Z, 2, 2, 1, 10 ** 6)
+    _, _, b, _ = win.system(cycle)
+    assert np.array_equal(homology._dense(win.columns()[0], len(b)),
+                          _window_matrix())
+
+
+def test_positive_window_builds_face_tuples_only_in_boundary(monkeypatch):
+    """The window's columns come from codes: every face tuple a positive
+    verdict builds is built inside boundary (the cycle check and the
+    preimage check)."""
+    from coarsehom import complexes
+    depth, stray = [0], []
+    real_faces, real_boundary = complexes._faces, homology.boundary
+
+    def faces(*args):
+        if not depth[0]:
+            stray.append(args)
+        return real_faces(*args)
+
+    def counted_boundary(chain):
+        depth[0] += 1
+        try:
+            return real_boundary(chain)
+        finally:
+            depth[0] -= 1
+
+    c = Chain(Z, ZR, 1, 2)
+    c.add_at((0,), ((1,), (2,)), (1,))
+    c.add_at((3,), ((2,), (1,)), (-2,))
+    cycle = boundary(c)
+    monkeypatch.setattr(complexes, "_faces", faces)
+    monkeypatch.setattr(homology, "boundary", counted_boundary)
+    res = is_boundary_window(cycle, 4, 4)
+    assert res["verdict"] is True and stray == []
+
+
+def test_capped_window_builds_no_columns(monkeypatch):
+    """The column count |ball(x_r)| |ball(t_r)|^(n+1) is checked before
+    any column or code is built: a degree-1 cycle's window (1000, 1000)
+    of 2001^3 columns raises at once."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a capped window built its columns")
+
+    monkeypatch.setattr(homology._Window, "columns", forbidden)
+    monkeypatch.setattr(homology, "_decode", forbidden)
+    c = Chain(Z, ZR, 1, 2)
+    c.add_at((0,), ((1,), (2,)), (1,))
+    with pytest.raises(ResourceLimitError, match="8012006001 columns"):
+        is_boundary_window(boundary(c), 1000, 1000)
 
 
 @st.composite

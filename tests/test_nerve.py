@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from coarsehom import dynamics as dy
+from coarsehom import complexes, dynamics as dy
 from coarsehom import homology
 from coarsehom.cli import run_experiment
 from coarsehom.gallery import get_group, get_map, get_scenario
@@ -479,7 +479,7 @@ def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a dense boundary was built on a table path")
 
-    monkeypatch.setattr(homology, "_face_sum_matrix", dense)
+    monkeypatch.setattr(homology, "_dense", dense)
     monkeypatch.setattr(Nerve, "boundary", dense)
     table = homology_finite(get_group("Z/6"), 4, module="trivial")
     # Z, Z/6, 0, Z/6, 0
@@ -800,8 +800,8 @@ def test_decoded_points_equal_the_oracle_points(key):
 def test_tables_build_no_point_or_face_tuple(monkeypatch):
     """smiths neither decodes a point nor builds a face tuple: a group
     table and a groupoid table, each equal to the one read before the
-    decoding, the boundaries on points and the object face sums are
-    taken away."""
+    decoding, the boundaries on points and the face tuples on points
+    (complexes._faces) are taken away."""
     gpd = GROUPOIDS["z4-z2-kakutani X kakutani"]
     want = (homology_finite(get_group("D3"), 3, module="group-ring"),
             dy.groupoid_homology_finite(gpd, 2))
@@ -811,7 +811,7 @@ def test_tables_build_no_point_or_face_tuple(monkeypatch):
 
     for name in ("points", "boundary"):
         monkeypatch.setattr(Nerve, name, forbidden)
-    monkeypatch.setattr(homology, "_face_sum_columns", forbidden)
+    monkeypatch.setattr(complexes, "_faces", forbidden)
     assert homology_finite(get_group("D3"), 3, module="group-ring") == \
         want[0]
     assert dy.groupoid_homology_finite(gpd, 2) == want[1]

@@ -1,6 +1,8 @@
 """Finitely supported functions: action laws, transfer operators,
 the two lemma identities, span checks over finite groups."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +161,18 @@ def test_json_roundtrip_and_duplicates():
     j2["support"].append(j2["support"][0])
     with pytest.raises(InvalidElementError):
         FinSupFun.from_json(Z, j2)
+
+
+def test_json_reads_each_coefficient_normalized():
+    """A Z/7 value of 7 or more reads as its residue, one that reads 0
+    leaves the support, and a Q value reads as its reduced Fraction."""
+    z7 = FinSupFun.from_json(Z, {"ring": "Z/7", "rank": 2, "support": [
+        [[0], [9, 14]], [[1], [7, -1]], [[2], [21, 0]]]})
+    assert z7.data == {(0,): (2, 0), (1,): (0, 6)}
+    q = FinSupFun.from_json(Z, {"ring": "Q", "rank": 1,
+                                "support": [[[0], ["4/6"]], [[1], ["3"]]]})
+    assert q.data == {(0,): (Fraction(2, 3),), (1,): (Fraction(3),)}
+    assert q.to_json()["support"] == [[[0], ["2/3"]], [[1], ["3"]]]
 
 
 @pytest.mark.parametrize("g,v", [
