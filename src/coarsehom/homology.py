@@ -1031,11 +1031,15 @@ class _Window:
     tables are built once per window: back[g][x], the unit position of
     g^-1.x, for g in ball(tuple_radius) and x in ball(x_radius), and
     mul[g][h], the element position of gh, for g and h in
-    ball(tuple_radius).  A point is its code x |E|^N + sum_i g_i |E|^(N-i),
-    so the column codes follow the order x, then each g_i
-    lexicographically, and column j is read off j in the radix
-    |ball(tuple_radius)|.  The column count is known before any of this
-    is built, and a window over column_cap raises ResourceLimitError."""
+    ball(tuple_radius).  Only faces of degree N >= 2 merge entries, so a
+    degree-1 window builds no mul table and its elements are
+    ball(tuple_radius).  Every list and table is then at most the column
+    count long, as |ball(a + b)| <= |ball(a)| |ball(b)|.  A point is its
+    code x |E|^N + sum_i g_i |E|^(N-i), so the column codes follow the
+    order x, then each g_i lexicographically, and column j is read off j
+    in the radix |ball(tuple_radius)|.  The column count is known before
+    any of this is built, and a window over column_cap raises
+    ResourceLimitError."""
 
     def __init__(self, group: Group, degree: int, x_radius: int,
                  tuple_radius: int, column_cap: int):
@@ -1047,12 +1051,13 @@ class _Window:
                 f"{column_cap}; shrink the radii", cap=column_cap)
         self.degree = degree
         self.units = group.ball(x_radius + tuple_radius)
-        self.elements = group.ball(2 * tuple_radius)
+        self.elements = group.ball(2 * tuple_radius) if degree >= 2 else gs
         self._unit_at = {x: i for i, x in enumerate(self.units)}
         self._at = {g: i for i, g in enumerate(self.elements)}
         self._back = [[self._unit_at[group.mul(group.inv(g), x)]
                        for x in xs] for g in gs]
-        self._mul = [[self._at[group.mul(g, h)] for h in gs] for g in gs]
+        self._mul = ([[self._at[group.mul(g, h)] for h in gs] for g in gs]
+                     if degree >= 2 else [])
         self._n_units, self._n_tuple = len(xs), len(gs)
 
     def columns(self):

@@ -710,6 +710,38 @@ def test_capped_window_builds_no_columns(monkeypatch):
         is_boundary_window(boundary(c), 1000, 1000)
 
 
+@pytest.mark.parametrize("group,tuple_radius", [("Z", 9999), ("F2", 8)])
+def test_degree_zero_window_under_the_cap_stays_within_its_columns(
+        monkeypatch, group, tuple_radius):
+    """A 0-cycle's window (0, t_r) just under the column cap solves, and
+    builds no ball, list or table longer than its column count: a
+    degree-1 window merges no entries, so it needs no mul table and no
+    ball(2 t_r).  A longer ball fails at once, before any table over it
+    is built."""
+    G = get_group(group)
+    e, far = G.ball(0)[0], G.ball(tuple_radius)[-1]
+    n_columns, real_ball = len(G.ball(tuple_radius)), G.ball
+
+    def ball(r, *args, **kwargs):
+        out = real_ball(r, *args, **kwargs)
+        assert len(out) <= n_columns, f"ball({r}) outgrows the window"
+        return out
+
+    monkeypatch.setattr(G, "ball", ball)
+    win = homology._Window(G, 1, 0, tuple_radius, 20000)
+    assert win.n_columns == n_columns <= 20000
+    tables = (win.units, win.elements, win._mul,
+              [v for row in win._back for v in row])
+    assert all(len(t) <= n_columns for t in tables)
+    c = Chain(G, ZR, 1, 0)
+    c.add_at(far, (), (1,))
+    c.add_at(e, (), (-1,))
+    res = is_boundary_window(c, 0, tuple_radius)
+    assert res["verdict"] is True
+    assert res["window"]["columns"] == n_columns
+    assert boundary(res["preimage"]) == c
+
+
 @st.composite
 def linear_systems(draw):
     """A small integer system (A, b): entries from -3..3, or from values
