@@ -5,6 +5,11 @@ every ring: the divisors give betti numbers and torsion over the
 integers, ranks over the rationals, and ranks prime to p over a prime
 field.  They are read off a certified elimination of the unit pivots
 and a Smith normal form of what it leaves.
+
+Cyclic and dihedral groups, and products of such groups, read their
+tables off small free resolutions, certified exact before they are
+read, so deep tables take milliseconds; any other finite group reads
+the normalized bar complex.
 """
 
 from coarsehom.groups import cyclic_group, finite_dihedral
@@ -29,6 +34,11 @@ table("Z/4, trivial integer coefficients",
 # the triangle symmetries: H_1 = Z/2 (the sign), 4-periodic pattern
 table("triangle group D3, trivial integer coefficients",
       homology_finite(finite_dihedral(3), 3, module="trivial"))
+
+# deep tables off Wall's resolution, of rank n + 1 in degree n where
+# the bar complex has rank 5^n: period 4, Z/2, 0, Z/6, 0
+table("triangle group D3 to degree 9, trivial integer coefficients",
+      homology_finite(finite_dihedral(3), 9, module="trivial"))
 
 # group-ring coefficients are induced from the trivial subgroup, so
 # everything above degree zero dies

@@ -581,16 +581,18 @@ def restrict_groupoid(gpd: FiniteGroupoid, subset) -> FiniteGroupoid:
 
 
 def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
-                             ring_name: str = "Z"):
+                             ring_name: str = "Z", memo: dict | None = None):
     """Homology of the finite groupoid with constant coefficients, read
-    by the same verified Smith reader as the group tables.
+    by the same verified Smith reader as the group tables.  memo, a dict
+    the caller shares between tables, holds the forms already reduced
+    (Nerve.smiths).
 
     For the groupoid of a free action this is the homology of a point
     per orbit: betti_0 = number of orbits, all higher groups zero; the
     tests lean on that oracle.
     """
     _check_homology_ring(ring_name)
-    return _homology_table(ring_name, gpd.nerve().smiths(max_degree))
+    return _homology_table(ring_name, gpd.nerve().smiths(max_degree, memo))
 
 
 def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
@@ -607,20 +609,21 @@ def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
 
 
 def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
-                            ring_name: str = "Z") -> dict:
+                            ring_name: str = "Z",
+                            memo: dict | None = None) -> dict:
     """Homology and cohomology of the transformation groupoid against
     its restriction to a full subset; Morita invariance says they must
     agree degree by degree.  Both tables of a groupoid read one list of
     divisor forms, so the cohomology verdict follows from the homology
-    one."""
+    one.  memo is shared as by groupoid_homology_finite."""
     sub = set(subset)
     if not act.is_full(sub):
         raise InvalidElementError(
             "the subset must meet every orbit (be full)")
     _check_homology_ring(ring_name)
     big = action_groupoid(act)
-    forms_big, forms_small = (gpd.nerve().smiths(max_degree) for gpd in
-                              (big, restrict_groupoid(big, subset)))
+    forms_big, forms_small = (gpd.nerve().smiths(max_degree, memo) for gpd
+                              in (big, restrict_groupoid(big, subset)))
     h_big, h_small = (_homology_table(ring_name, forms)
                       for forms in (forms_big, forms_small))
     c_big, c_small = (_homology_table(ring_name, forms, cohomology=True)

@@ -178,15 +178,18 @@ class Group:
         return np.array(rows, dtype=np.int64 if top < 2 ** 63 else object
                         ).reshape(len(xs), len(ys))
 
-    def _spheres(self, cap=DEFAULT_BALL_CAP):
+    def _spheres(self, cap=DEFAULT_BALL_CAP, seen=None, sphere=None):
         """Yield sphere(0), sphere(1), ... as sets; stops for finite groups.
+        Given seen, the ball of some radius r as a set, and sphere, its
+        sphere(r), yield sphere(r + 1), ... instead (seen is extended).
 
         Sphere r + 1 is built only when asked for, and the cap counts the
         ball up to the sphere just built."""
-        seen = {self.identity()}
-        sphere = {self.identity()}
         gens = self.generators()
-        yield sphere
+        if seen is None:
+            seen = {self.identity()}
+            sphere = {self.identity()}
+            yield sphere
         while sphere:
             nxt = set()
             for g in sphere:
@@ -208,8 +211,9 @@ class Group:
         """All elements of word length <= r, sorted by (length, key).
 
         A fresh list on every call.  At the default cap the largest ball
-        enumerated so far is memoized and smaller balls are sliced from
-        it; another cap enumerates afresh and leaves the memo alone.
+        enumerated so far is memoized: smaller balls are sliced from it,
+        and a larger one resumes from its last sphere; another cap
+        enumerates afresh and leaves the memo alone.
         ``r = math.inf`` gives the whole of a finite group.
 
         >>> IntLattice(1).ball(2)
@@ -223,15 +227,21 @@ class Group:
             raise ValueError("radius must be >= 0")
         memo = self.__dict__.get("_ball_memo") \
             if cap == DEFAULT_BALL_CAP else None
-        if memo is not None:
+        # ends[k] = |ball(k)|; whole: the spheres ran out (a finite group)
+        if memo is None:
+            elems, ends = [], []
+            spheres = self._spheres(cap=cap)
+        else:
             elems, ends, whole = memo
             if r < len(ends):
                 return elems[:ends[r]]
             if whole:
                 return list(elems)
-        # ends[k] = |ball(k)|; whole: the spheres ran out (a finite group)
-        elems, ends, whole = [], [], True
-        for sphere in self._spheres(cap=cap):
+            elems, ends = list(elems), list(ends)
+            last = elems[ends[-2]:] if len(ends) > 1 else elems
+            spheres = self._spheres(cap, set(elems), set(last))
+        whole = True
+        for sphere in spheres:
             elems.extend(sorted(sphere, key=self.sort_key))
             ends.append(len(elems))
             if len(ends) > r:

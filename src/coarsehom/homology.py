@@ -43,6 +43,13 @@ whose merged product is the identity is dropped, the other faces keeping
 their signs.  Its d_n is the unnormalized d_n restricted to the rows and
 columns of nondegenerate points.  Boundary matrices, induced maps and the
 coinvariants row keep the unnormalized complex of every point.
+
+A group whose product table shows it cyclic or dihedral, or a
+ProductGroup of such groups, reads its tables off a small free
+resolution instead (Resolution): periodic, a tensor product or Wall's,
+of rank 1 or n + 1 in degree n where the bar complex has rank
+(|G|-1)^n.  It is certified exact before any table reads it; the nerve
+stays the route of every other group and of every groupoid table.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import numpy as np
 from .coarsemaps import CoarseMap
 from .complexes import Chain, _image_point, boundary
 from .errors import InvalidElementError, NotACycleError, ResourceLimitError
-from .groups import Group
+from .groups import Group, ProductGroup
 from .rings import ring_from_name
 
 _PROMOTE_LIMIT = 2 ** 31
@@ -619,8 +626,9 @@ class Nerve:
     boundary() and points() give the unnormalized complex on every point,
     which assemble_boundary_matrix, induced maps and the coinvariants row
     read.  smiths() reads the normalized complex on the nondegenerate
-    points (Brown, Cohomology of Groups, GTM 87, I.5), which every table
-    reads."""
+    points (Brown, Cohomology of Groups, GTM 87, I.5), which every
+    groupoid table reads, and the table of a group with no formula
+    resolution.  A Resolution reads the product table mul."""
 
     def __init__(self, group: Group, units, elements, act):
         self.group = group
@@ -683,12 +691,15 @@ class Nerve:
         return (_dense(self._columns(degree, rows, None), len(rows)),
                 ChainBasis(self.points(degree - 1)), col)
 
-    def smiths(self, max_degree: int):
+    def smiths(self, max_degree: int, memo: dict | None = None):
         """The certified divisor forms of the normalized boundaries
         d_1..d_{N+1} (Brown, GTM 87, I.5), which every table of the nerve
         reads, at every rank: with coefficients of rank k the complex is
         k copies of this one.  Rows and columns are the nondegenerate
-        codes, and no dense matrix is built.
+        codes, and no dense matrix is built.  memo, when given, maps each
+        matrix already reduced (its row count and the entries of each
+        column) to its form, and gains the matrices reduced here, so
+        tables that share it reduce each distinct matrix once.
 
         The complex is reduced bottom-up, as one complex: d_{n+1} goes
         to _certified_divisors as sparse columns without the rows B_n,
@@ -714,9 +725,16 @@ class Nerve:
         row_index = self._rows(0, self._e)
         for n in range(1, max_degree + 2):
             codes = [code for code, _ in self._walk(n, self._e)]
-            form = _certified_divisors(
-                _face_code_columns(codes, n, row_index, self._back,
-                                   self._mul, self._e), len(row_index))
+            columns = _face_code_columns(codes, n, row_index, self._back,
+                                         self._mul, self._e)
+            if memo is None:
+                form = _certified_divisors(columns, len(row_index))
+            else:
+                key = (len(row_index),
+                       tuple(frozenset(col.items()) for col in columns))
+                if key not in memo:
+                    memo[key] = _certified_divisors(columns, len(row_index))
+                form = memo[key]
             forms.append(form)
             settled = form.pivot_columns
             row_index = {code: None if j in settled else j
@@ -900,6 +918,272 @@ def _homology_table(ring_name: str, smiths, rank: int = 1,
     return table
 
 
+def table_checks(group: Group, module: str, table, rank: int = 1):
+    """The checks from theory that a homology table of the group fails,
+    by name; [] when it passes them all.  They read the table and the
+    group's order only, never the forms the table was read off, so each
+    can fail:
+    - "shapiro", group-ring module: H_*(G; (RG)^k) = H_*(1; R^k)
+      (Shapiro's lemma), so H_0 is R^k, free, and H_n = 0 for n >= 1,
+      over every ring;
+    - "transfer", trivial module: |G| kills H_n(G; Z) for n >= 1 (Brown,
+      GTM 87, III.10), so in those degrees the betti number over Z and
+      over Q is 0 and every torsion divisor over Z divides |G|.
+
+    >>> from .groups import cyclic_group
+    >>> table_checks(cyclic_group(4), "trivial", [
+    ...     {"degree": 0, "ring": "Z", "betti": 1, "torsion": []},
+    ...     {"degree": 1, "ring": "Z", "betti": 0, "torsion": [3]}])
+    ['transfer']
+    """
+    failed = []
+    if module == "group-ring" and any(
+            row["torsion"] or row["betti"] != (0 if row["degree"] else rank)
+            for row in table):
+        failed.append("shapiro")
+    if module == "trivial":
+        order = len(group.elements())
+        if any(row["degree"] >= 1
+               and ((row["betti"] and row["ring"] in ("Z", "Q"))
+                    or any(order % d for d in row["torsion"]))
+               for row in table):
+            failed.append("transfer")
+    return failed
+
+
+# -- small free resolutions of finite groups ----------------------------------
+
+class Resolution:
+    """A free resolution Z <- F_0 <- F_1 <- ... <- F_top over ZG, on the
+    integer product table of G that a Nerve holds (mul[g][h], the
+    position of gh).  F_n = (ZG)^{r_n}, r_0 = 1, and F_0 -> Z is the
+    augmentation ε, the coefficient sum.  d[n - 1] holds d_n, per basis
+    element e_j of F_n the triples (i, g, c) of d_n e_j = sum c g e_i.
+    ZG acts on the left, so d_n(h e_j) holds c at hg e_i, and the
+    Z-matrix of d_n has |G| r_n columns, h e_j being column j |G| + h
+    and g e_i row i |G| + g.
+
+    A table reads F only after certified_forms has proved it exact in
+    degrees 0..top-1.  Its ranks stay constant or grow linearly, where
+    those of the bar resolution grow like (|G|-1)^n."""
+
+    def __init__(self, ranks, d, mul):
+        self.ranks = ranks
+        self.d = d
+        self.mul = mul
+
+    def _z_columns(self, n: int):
+        """The sparse columns of the Z-matrix of d_n."""
+        size = len(self.mul)
+        columns = []
+        for col in self.d[n - 1]:
+            for row in self.mul:            # row[g] = hg, for each h
+                acc = {}
+                for i, g, c in col:
+                    r = i * size + row[g]
+                    acc[r] = acc.get(r, 0) + c
+                columns.append({r: v for r, v in acc.items() if v})
+        return columns
+
+    def certified_forms(self):
+        """The certified divisor forms of the Z-matrices of d_1..d_top,
+        once these clauses have passed, each raising RuntimeError when
+        it fails:
+        - the shape: r_0 = 1, d_n has r_n columns over the r_{n-1}
+          generators of F_{n-1} and the elements of G;
+        - ε d_1 = 0;
+        - d_n d_{n+1} = 0 over ZG, checked on the generators;
+        - every elementary divisor of every d_n is 1, so each image is a
+          direct summand;
+        - rank d_1 = |G| - 1 and rank d_n + rank d_{n+1} = |G| r_n.
+        Then im d_1 lies in ker ε and im d_{n+1} in ker d_n, with the
+        kernel's rank; the quotient lies in the cokernel of the image,
+        which is free, so it is torsion-free of rank 0, and vanishes: F
+        is exact in degrees 0..top-1.  The forms are those of F as a
+        complex of free abelian groups, whose homology is that of G with
+        group-ring coefficients."""
+        size, ranks, d = len(self.mul), self.ranks, self.d
+        if not (ranks[0] == 1 and len(d) == len(ranks) - 1 and all(
+                len(d[n - 1]) == ranks[n]
+                and all(0 <= i < ranks[n - 1] and 0 <= g < size
+                        for col in d[n - 1] for i, g, _ in col)
+                for n in range(1, len(ranks)))):
+            raise RuntimeError("resolution certificate failed: the ranks "
+                               "and the differentials do not fit")
+        if any(sum(c for *_, c in col) for col in d[0]):
+            raise RuntimeError("resolution certificate failed: "
+                               "ε d_1 != 0")
+        for n in range(1, len(d)):
+            for col in d[n]:
+                acc = {}
+                for j, h, b in col:
+                    row = self.mul[h]
+                    for i, g, a in d[n - 1][j]:
+                        key = (i, row[g])
+                        acc[key] = acc.get(key, 0) + b * a
+                if any(acc.values()):
+                    raise RuntimeError(f"resolution certificate failed: "
+                                       f"d_{n} d_{n + 1} != 0")
+        forms = [_certified_divisors(self._z_columns(n), size * ranks[n - 1])
+                 for n in range(1, len(ranks))]
+        if any(v != 1 for form in forms for v in form.divisors):
+            raise RuntimeError("resolution certificate failed: a "
+                               "non-unit divisor")
+        rank = [len(form.divisors) for form in forms]   # of d_1..d_top
+        if rank[0] != size - 1 or any(rank[n - 1] + rank[n] != size * ranks[n]
+                                      for n in range(1, len(rank))):
+            raise RuntimeError("resolution certificate failed: a rank "
+                               "deficit")
+        return forms
+
+    def trivial_forms(self):
+        """The certified divisor forms of d_1..d_top of F ⊗_G Z: the
+        augmented r_{n-1} x r_n matrices, each entry the coefficient sum
+        of its element of ZG."""
+        forms = []
+        for n in range(1, len(self.ranks)):
+            columns = []
+            for col in self.d[n - 1]:
+                acc = {}
+                for i, _, c in col:
+                    acc[i] = acc.get(i, 0) + c
+                columns.append({i: v for i, v in acc.items() if v})
+            forms.append(_certified_divisors(columns, self.ranks[n - 1]))
+        return forms
+
+
+def _powers(t: int, mul, e: int):
+    """[1, t, t^2, ..., t^(k-1)] on the product table, k the order of t."""
+    out, g = [e], t
+    while g != e:
+        out.append(g)
+        g = mul[t][g]
+    return out
+
+
+def _cyclic_resolution(places, mul, e: int, top: int):
+    """(ranks, d) of the periodic resolution of a cyclic group (Brown,
+    GTM 87, I.6) on the elements at places, to degree top: with t of
+    order |G|, d_n = t - 1 in odd degrees and N = sum_k t^k in even ones.
+    None when no element has order |G|."""
+    for t in places:
+        powers = _powers(t, mul, e)
+        if len(powers) == len(places):
+            odd = ((0, t, 1), (0, e, -1))
+            even = tuple((0, g, 1) for g in powers)
+            return [1] * (top + 1), [[odd if n & 1 else even]
+                                     for n in range(1, top + 1)]
+    return None
+
+
+def _dihedral_resolution(places, mul, e: int, top: int):
+    """(ranks, d) of the resolution of G = <x> ⋊ <y>, y x y^-1 = x^-1 and
+    |x| = |G|/2 (C. T. C. Wall, Resolutions for extensions of groups,
+    1961), to degree top, or None when G has no such x and y.  F_n has
+    the basis e_{p,q}, p + q = n, at position p, and
+    d e_{p,q} = h_p e_{p-1,q} + (-1)^p (y t_p -+ 1) e_{p,q-1}, minus
+    when q is odd: h_p = x - 1 for odd p, sum_k x^k for even p, and
+    t_p = 1, -x^-1, -1, x^-1 for p = 0, 1, 2, 3 mod 4."""
+    m, odd = divmod(len(places), 2)
+    if odd or m < 2:
+        return None
+    for x in places:
+        powers = _powers(x, mul, e)
+        if len(powers) != m:
+            continue
+        xi = powers[-1]
+        y = next((y for y in places if y not in powers
+                  and mul[y][y] == e and mul[mul[y][x]][y] == xi), None)
+        if y is not None:
+            break
+    else:
+        return None
+    yxi = mul[y][xi]
+    norm = [(g, 1) for g in powers]
+    h = (norm, [(x, 1), (e, -1)])
+    t = ((y, 1), (yxi, -1), (y, -1), (yxi, 1))
+    d = []
+    for n in range(1, top + 1):
+        cols = []
+        for p in range(n + 1):
+            col = [(p - 1, g, c) for g, c in h[p & 1]] if p else []
+            if p < n:
+                sign = -1 if p & 1 else 1
+                g, c = t[p % 4]
+                col += [(p, g, sign * c),
+                        (p, e, sign * (-1 if (n - p) & 1 else 1))]
+            cols.append(tuple(col))
+        d.append(cols)
+    return list(range(1, top + 2)), d
+
+
+def _tensor_resolution(left, right, top: int):
+    """(ranks, d) of F ⊗ F' to degree top, for resolutions (ranks, d) of
+    two commuting subgroups whose direct product is G, placed on G's
+    table (Brown, GTM 87, V.1): F_p ⊗ F'_q has the basis e_i ⊗ e'_j,
+    ordered by p, then i, then j, and
+    d = d ⊗ 1 + (-1)^p 1 ⊗ d'."""
+    (ra, da), (rb, db) = left, right
+    starts, ranks = [], []
+    for n in range(top + 1):
+        at, size = [], 0
+        for p in range(n + 1):
+            at.append(size)
+            size += ra[p] * rb[n - p]
+        starts.append(at)
+        ranks.append(size)
+    d = []
+    for n in range(1, top + 1):
+        cols = []
+        for p in range(n + 1):
+            q = n - p
+            for i in range(ra[p]):
+                for j in range(rb[q]):
+                    col = []
+                    if p:
+                        at = starts[n - 1][p - 1]
+                        col += [(at + k * rb[q] + j, g, c)
+                                for k, g, c in da[p - 1][i]]
+                    if q:
+                        at, sign = starts[n - 1][p], -1 if p & 1 else 1
+                        col += [(at + i * rb[q - 1] + k, g, sign * c)
+                                for k, g, c in db[q - 1][j]]
+                    cols.append(tuple(col))
+        d.append(cols)
+    return ranks, d
+
+
+def _formula(group: Group, place: dict, mul, e: int, top: int):
+    """(ranks, d) of a resolution of the finite group to degree top, its
+    elements at the positions place gives them on the product table, or
+    None: the periodic one when the table shows the group cyclic, the
+    tensor product of its factors' for a ProductGroup, the dihedral one
+    when the table shows the group dihedral."""
+    places = [place[g] for g in group.elements()]
+    found = _cyclic_resolution(places, mul, e, top)
+    if found is None and isinstance(group, ProductGroup):
+        a, b = group.left, group.right
+        ea, eb = a.identity(), b.identity()
+        left = _formula(a, {g: place[(g, eb)] for g in a.elements()},
+                        mul, e, top)
+        right = None if left is None else _formula(
+            b, {g: place[(ea, g)] for g in b.elements()}, mul, e, top)
+        if right is not None:
+            found = _tensor_resolution(left, right, top)
+    if found is None:
+        found = _dihedral_resolution(places, mul, e, top)
+    return found
+
+
+def _resolution(nerve: Nerve, top: int):
+    """The formula resolution of a module nerve's group to degree top, on
+    the nerve's product table, or None when the group has no formula."""
+    found = _formula(nerve.group,
+                     {g: i for i, g in enumerate(nerve.elements)},
+                     nerve._mul, nerve._e, top)
+    return None if found is None else Resolution(*found, nerve._mul)
+
+
 def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
                     module: str = "group-ring", rank: int = 1):
     """Homology of the finite complex in degrees 0..max_degree.
@@ -914,10 +1198,21 @@ def homology_finite(group: Group, max_degree: int, ring_name: str = "Z",
 
 def _table_and_nerve(group: Group, max_degree: int, ring_name: str,
                      module: str, rank: int):
-    """The homology table of the module's nerve, and that nerve."""
+    """The homology table of the group with the module's coefficients,
+    and the module's nerve.  A group with a formula resolution F reads
+    its table off F, certified exact to degree max_degree: the
+    group-ring table off F itself, the trivial one off F ⊗_G Z.  Any
+    other group reads the normalized bar complex of the nerve."""
     _check_homology_ring(ring_name)
     nerve = _module_nerve(group, module)
-    return _homology_table(ring_name, nerve.smiths(max_degree), rank), nerve
+    res = _resolution(nerve, max_degree + 1)
+    if res is None:
+        forms = nerve.smiths(max_degree)
+    else:
+        forms = res.certified_forms()
+        if module == "trivial":
+            forms = res.trivial_forms()
+    return _homology_table(ring_name, forms, rank), nerve
 
 
 def _component_count(n: int, joins) -> int:
@@ -939,7 +1234,7 @@ def _component_count(n: int, joins) -> int:
 
 def _coinvariants_row(row: dict, nerve: Nerve, rank: int) -> dict:
     """The h0_coinvariants report from row, the degree-0 row of the
-    homology table read off the nerve."""
+    homology table, its orbits counted on the module's nerve."""
     # components of the units joined by the faces of each degree-1 code
     # (a column of d_1 with no entry joins a unit to itself), then one
     # copy per coefficient index

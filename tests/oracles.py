@@ -5,18 +5,19 @@ the package under test: closed-form homology of cyclic groups from the
 periodic resolution, induced-module vanishing for group-ring
 coefficients, free-group sphere counts, the closed form of the coarse
 inverse of doubling, a from-scratch reduced-word enumerator for the free
-group, and the normalized boundary as a restriction of the unnormalized
-one.  Tests compare engine output against these.  Three exceptions use
-the package's objects: the reverse scan below is the pair-by-pair
-loop that the vectorized scan of check_coarse_embedding replaced, and it
-uses only the groups' ball, mul, inv and word_length; the reference
-nerve walks the points of an action groupoid's nerve and builds their
-faces on objects, from the group's mul, inv and identity and the action
-alone; the reference window assembly builds a boundary window's face
-sums on points, from the groups' ball, mul and inv; the reference chain
-operations at the end rebuild boundaries, induced maps, homotopies and
-function sums from their formulas, writing every term through the
-validating public setters (Chain.add_at, FinSupFun item assignment).
+group, the quaternion group's table, and the normalized boundary as a
+restriction of the unnormalized one.  Tests compare engine output
+against these.  Three exceptions use the package's objects: the reverse
+scan below is the pair-by-pair loop that the vectorized scan of
+check_coarse_embedding replaced, and it uses only the groups' ball, mul,
+inv and word_length; the reference nerve walks the points of an action
+groupoid's nerve and builds their faces on objects, from the group's
+mul, inv and identity and the action alone; the reference window
+assembly builds a boundary window's face sums on points, from the
+groups' ball, mul and inv; the reference chain operations at the end
+rebuild boundaries, induced maps, homotopies and function sums from
+their formulas, writing every term through the validating public setters
+(Chain.add_at, FinSupFun item assignment).
 """
 
 import math
@@ -54,6 +55,34 @@ def group_ring_homology(degree: int) -> dict:
     if degree == 0:
         return {"betti": 1, "torsion": []}
     return {"betti": 0, "torsion": []}
+
+
+def quaternion_table():
+    """The multiplication table of the quaternion group Q8 on the indices
+    of 1, -1, i, -i, j, -j, k, -k, from i^2 = j^2 = k^2 = ijk = -1."""
+    units = ["1", "i", "j", "k"]
+    # unit products (sign, unit): ij = k, jk = i, ki = j, and the rest
+    # by anticommuting, with i^2 = j^2 = k^2 = -1
+    cyc = {("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j"}
+
+    def unit_mul(a, b):
+        if a == "1" or b == "1":
+            return 1, b if a == "1" else a
+        if a == b:
+            return -1, "1"
+        if (a, b) in cyc:
+            return 1, cyc[(a, b)]
+        return -1, cyc[(b, a)]
+
+    els = [(s, u) for u in units for s in (1, -1)]
+    table = []
+    for sa, ua in els:
+        row = []
+        for sb, ub in els:
+            s, u = unit_mul(ua, ub)
+            row.append(els.index((sa * sb * s, u)))
+        table.append(row)
+    return table
 
 
 def normalized_boundary(M, rows, cols, e):

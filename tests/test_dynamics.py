@@ -8,6 +8,7 @@ from coarsehom import dynamics as dy
 from coarsehom import homology
 from coarsehom.cli import run_experiment
 from coarsehom.errors import InvalidElementError
+from coarsehom.gallery import get_group
 from coarsehom.groups import cyclic_group, finite_dihedral
 
 import oracles
@@ -406,13 +407,53 @@ def test_morita_reduces_each_boundary_of_each_groupoid_once(monkeypatch):
                for (a, _), b in zip(seen, want))
 
 
-def test_default_morita_report_makes_sixteen_smith_calls(monkeypatch):
-    # 3 + 3 for the two translation groupoids and 3 + 3 for the two
-    # restricted ones (max degree 2), then 2 + 2 for the Morita check
-    # (max degree 1), whose tables of each groupoid share their forms
+@pytest.mark.parametrize("group_a, group_b", [
+    ("Z/4", "Z/2"), ("Z/2xZ/2", "Z/4"), ("Z/4", "Z/2xZ/2")])
+def test_morita_report_reduces_each_distinct_matrix_once(monkeypatch,
+                                                         group_a, group_b):
+    """The translation systems' tables are group-ring tables, read off
+    each group's certified resolution, so the report asks the nerve for
+    10 forms: 3 + 3 for the two restricted groupoids (max degree 2), then
+    2 + 2 for the Morita check (max degree 1).  Only 4 of those matrices
+    are distinct: the restricted X groupoid has one unit and no arrow but
+    its identity, so its d_2 and d_3 are the same empty matrix; the
+    restricted Y groupoid's matrices are those of the restricted X one,
+    and so are those of the Morita check's restriction; its full
+    groupoid, the Z/4 translation groupoid, gives the other two.  The
+    report shares one memo, so each distinct matrix is reduced once."""
     seen = _table_inputs(monkeypatch)
-    assert run_experiment({"experiment": "morita-check"})["body"]["pass"]
-    assert len(seen) == 16
+    asked, reduced, smiths = [], [], homology.Nerve.smiths
+
+    def spy(self, max_degree, memo=None):
+        before = len(seen)
+        forms = smiths(self, max_degree, memo)
+        asked.append(max_degree + 1)
+        reduced.extend(seen[before:])
+        return forms
+
+    monkeypatch.setattr(homology.Nerve, "smiths", spy)
+    config = {"experiment": "morita-check", "group_a": group_a,
+              "group_b": group_b}
+    assert run_experiment(config)["body"]["pass"]
+    digests = {(M.shape, M.tobytes()) for M, _ in reduced}
+    assert sum(asked) == 10
+    assert len(reduced) == len(digests) == 4
+    # and nothing outlives the report: a second one reduces them again
+    reduced.clear()
+    run_experiment(config)
+    assert len(reduced) == 4
+
+
+@pytest.mark.parametrize("name", ["Z/2", "Z/3", "Z/4", "Z/6", "D3",
+                                  "Z/2xZ/2"])
+def test_translation_groupoid_table_is_the_group_ring_table(name):
+    """morita-check reads a translation system's table as the group-ring
+    table; the nerve of the translation groupoid is the oracle."""
+    G = get_group(name)
+    gpd = dy.action_groupoid(dy.translation_action(G))
+    for n in range(4):
+        assert dy.groupoid_homology_finite(gpd, n) == \
+            homology.homology_finite(G, n, module="group-ring")
 
 
 def test_morita_rejects_non_full_subset():

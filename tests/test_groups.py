@@ -1,5 +1,6 @@
 """Group layer: normal forms, word metric, ball enumeration, JSON."""
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -257,6 +258,53 @@ def test_ball_with_another_cap_bypasses_the_memo(monkeypatch):
     assert len(F.ball(2, cap=17)) == 17
     assert len(spheres) == 5
     assert len(F.ball(3)) == 53 and len(spheres) == 5
+
+
+def _sphere_counts(monkeypatch, G):
+    """The spheres each _spheres run of G yields, one count per run."""
+    runs, real = [], G._spheres
+
+    def counted(*args, **kwargs):
+        runs.append(0)
+        for sphere in real(*args, **kwargs):
+            runs[-1] += 1
+            yield sphere
+
+    monkeypatch.setattr(G, "_spheres", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name, r", [("Z", 3), ("Z2", 2), ("F2", 2),
+                                     ("Dinf", 3), ("D3", 0)])
+def test_ball_resumes_from_its_memo(monkeypatch, name, r):
+    G = get_group(name)
+    runs = _sphere_counts(monkeypatch, G)
+    G.ball(r)
+    assert runs == [r + 1]
+    # ball(r + 2) walks the two spheres past the memo, and no other
+    assert G.ball(r + 2) == get_group(name).ball(r + 2, cap=10 ** 6)
+    assert runs == [r + 1, 2]
+    for radius in range(r + 3):
+        assert G.ball(radius) == get_group(name).ball(radius)
+    assert len(runs) == 2
+
+
+def test_a_resumed_ball_keeps_the_cap(monkeypatch):
+    F = FreeGroup(2)
+    F.ball(2)
+    # ball(3) holds 53 elements; at the memo's cap, lowered to 52, the
+    # walk resumes from the memoized ball(2), whose 17 elements count
+    # towards the cap as they do in a fresh walk
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 52)
+    with pytest.raises(ResourceLimitError):
+        F.ball(3, cap=52)
+    monkeypatch.undo()
+    assert len(F.ball(2)) == 17 and len(F.ball(3)) == 53
+    # a finite group's resumed walk runs out and covers every radius
+    D3 = get_group("D3")
+    D3.ball(1)
+    assert D3.ball(math.inf) == get_group("D3").elements()
+    assert D3.ball(7) == D3.elements()
 
 
 def test_ball_memo_is_bounded(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from coarsehom import complexes, dynamics as dy
-from coarsehom import homology
+from coarsehom import cli, homology
 from coarsehom.cli import run_experiment
 from coarsehom.gallery import get_group, get_map, get_scenario
 from coarsehom.homology import (Nerve, _certified_smith, _homology_table,
@@ -23,6 +23,7 @@ from coarsehom.homology import (Nerve, _certified_smith, _homology_table,
                                 homology_finite, induced_map_on_homology,
                                 smith_normal_form)
 from test_perfbench_expect import expect
+from test_resolutions import _q8
 
 FINITE = ["triv", "Z/2", "Z/3", "Z/4", "Z/6", "D3", "Z/2xZ/2"]
 SCENARIOS = ["product-coupling", "z4-z2-twist", "dihedral-flip",
@@ -231,16 +232,28 @@ def test_induced_map_walks_one_nerve_per_side(monkeypatch):
 
 
 def test_homology_report_walks_one_nerve(monkeypatch):
+    # a group with no formula resolution reads its table off the nerve
+    monkeypatch.setattr(cli, "get_group", lambda name: _q8())
+    sizes = _count_steps(monkeypatch)
+    report = run_experiment({"experiment": "homology-finite", "group": "Q8",
+                             "module": "trivial", "max_degree": 2})
+    assert report["body"]["pass"]
+    # the nondegenerate walks of degrees 0, 1, 2 (1, 7 and 49 of them)
+    # extended once each to reach d_3, by the seven elements other than
+    # the identity; then the coinvariants row counts its components on
+    # the faces of every degree-1 code, so degree 0 is extended once
+    # more, by every element
+    assert sizes == [1, 7, 49, 1]
+
+
+def test_formula_report_walks_only_the_coinvariants_codes(monkeypatch):
     sizes = _count_steps(monkeypatch)
     report = run_experiment({"experiment": "homology-finite", "group": "Z/4",
                              "module": "trivial", "max_degree": 2})
     assert report["body"]["pass"]
-    # the nondegenerate walks of degrees 0, 1, 2 (1, 3 and 9 of them)
-    # extended once each to reach d_3, by the three elements other than
-    # the identity; then the coinvariants row counts its components on
-    # the faces of every degree-1 code, so degree 0 is extended once
-    # more, by every element
-    assert sizes == [1, 3, 9, 1]
+    # the table reads the periodic resolution of Z/4; the nerve extends
+    # its one degree-0 walk once, for the codes of the coinvariants row
+    assert sizes == [1]
 
 
 # -- rank k as k copies of the rank-1 complex ----------------------------------
@@ -297,7 +310,12 @@ def test_rank_two_report_reduces_the_rank_one_matrices(monkeypatch, config):
     rank_one = list(seen)
     seen.clear()
     run_experiment(dict(config, rank=2))
-    assert seen == rank_one and len(seen) == config["max_degree"] + 1
+    # the resolution's d_1..d_{N+1} over Z, whose forms the certificate
+    # and the group-ring table read; the trivial table reduces the
+    # augmented ones too
+    per_table = 2 if config["module"] == "trivial" else 1
+    assert seen == rank_one and \
+        len(seen) == per_table * (config["max_degree"] + 1)
 
 
 # -- tables on the sparse unit-pivot front end --------------------------------
@@ -481,10 +499,12 @@ def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(homology, "_dense", dense)
     monkeypatch.setattr(Nerve, "boundary", dense)
-    table = homology_finite(get_group("Z/6"), 4, module="trivial")
-    # Z, Z/6, 0, Z/6, 0
-    assert [(row["betti"], row["torsion"]) for row in table] == \
-        [(1, []), (0, [6]), (0, []), (0, [6]), (0, [])]
+    G = get_group("Z/6")
+    # the resolution route, then the nerve's: Z, Z/6, 0, Z/6, 0
+    for table in (homology_finite(G, 4, module="trivial"),
+                  _nerve_table(G, 4, "trivial")):
+        assert [(row["betti"], row["torsion"]) for row in table] == \
+            [(1, []), (0, [6]), (0, []), (0, [6]), (0, [])]
 
 
 # -- tables on the normalized complex -----------------------------------------
@@ -574,8 +594,10 @@ def test_normalized_tables_equal_the_unnormalized_tables(name, module):
     forms = _unnormalized_forms(homology._module_nerve(G, module),
                                 max_degree)
     for ring in RINGS:
-        assert homology_finite(G, max_degree, ring_name=ring,
-                               module=module) == \
+        # the nerve's normalized table, and the resolution's
+        assert _nerve_table(G, max_degree, module, ring) == \
+            homology_finite(G, max_degree, ring_name=ring,
+                            module=module) == \
             _homology_table(ring, forms)
 
 
@@ -598,15 +620,23 @@ def _rows(table):
     return [(row["betti"], row["torsion"]) for row in table]
 
 
+def _nerve_table(G, max_degree, module, ring="Z"):
+    """A group's table off its module nerve, the route of groups with no
+    formula resolution."""
+    return _homology_table(
+        ring, homology._module_nerve(G, module).smiths(max_degree))
+
+
 def test_degree_four_and_five_tables_are_reachable(monkeypatch):
+    """On the nerve, the route of groups with no formula resolution."""
     shapes = _table_inputs(monkeypatch, lambda M: M.shape)
-    assert _rows(homology_finite(get_group("Z/6"), 4, module="trivial")) \
+    assert _rows(_nerve_table(get_group("Z/6"), 4, "trivial")) \
         == [(1, []), (0, [6]), (0, []), (0, [6]), (0, [])]
     # d_5 : C_5 -> C_4 on the 5^5 and 5^4 walks with no identity
     assert shapes[-1] == (625, 3125)
-    assert _rows(homology_finite(get_group("D3"), 4, module="trivial")) \
+    assert _rows(_nerve_table(get_group("D3"), 4, "trivial")) \
         == [(1, []), (0, [2]), (0, []), (0, [6]), (0, [])]
-    assert homology_finite(get_group("Z/2xZ/2"), 5, module="trivial") == \
+    assert _nerve_table(get_group("Z/2xZ/2"), 5, "trivial") == \
         expect.homology_table("Z/2xZ/2", 5, "Z", "trivial", 1)
     # without the spy, which would build d_6 (3125 x 15625) dense
     monkeypatch.undo()
@@ -614,8 +644,7 @@ def test_degree_four_and_five_tables_are_reachable(monkeypatch):
                                      ("D3", 5, "trivial"),
                                      ("Z/6", 4, "group-ring"),
                                      ("D3", 4, "group-ring")]:
-        assert homology_finite(get_group(name), max_degree,
-                               module=module) == \
+        assert _nerve_table(get_group(name), max_degree, module) == \
             expect.homology_table(name, max_degree, "Z", module, 1)
 
 
@@ -803,7 +832,7 @@ def test_tables_build_no_point_or_face_tuple(monkeypatch):
     decoding, the boundaries on points and the face tuples on points
     (complexes._faces) are taken away."""
     gpd = GROUPOIDS["z4-z2-kakutani X kakutani"]
-    want = (homology_finite(get_group("D3"), 3, module="group-ring"),
+    want = (_nerve_table(get_group("D3"), 3, "group-ring"),
             dy.groupoid_homology_finite(gpd, 2))
 
     def forbidden(*args, **kwargs):
@@ -812,6 +841,5 @@ def test_tables_build_no_point_or_face_tuple(monkeypatch):
     for name in ("points", "boundary"):
         monkeypatch.setattr(Nerve, name, forbidden)
     monkeypatch.setattr(complexes, "_faces", forbidden)
-    assert homology_finite(get_group("D3"), 3, module="group-ring") == \
-        want[0]
+    assert _nerve_table(get_group("D3"), 3, "group-ring") == want[0]
     assert dy.groupoid_homology_finite(gpd, 2) == want[1]
