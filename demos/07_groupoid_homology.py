@@ -8,7 +8,7 @@ of units must not change it.
 
 from coarsehom import dynamics as dy
 from coarsehom.gallery import get_scenario
-from coarsehom.groups import cyclic_group
+from coarsehom.groups import ProductGroup, cyclic_group
 
 # a free transitive action has the homology of a point
 act = dy.translation_action(cyclic_group(4))
@@ -28,10 +28,12 @@ for h in dy.groupoid_cohomology_finite(one, 2):
     print("  ", h)
 
 # Morita invariance: restricting to a fundamental domain of the product
-# coupling leaves all of it unchanged
+# coupling leaves all of it unchanged.  The coupling's two actions are
+# one left action of G x H, (g, h).w = g w h^-1
 coup = get_scenario("product-coupling")
-mor = dy.morita_invariance_check(coup.combined_action(), coup.xbar,
-                                 max_degree=1)
+both = dy.FiniteAction(ProductGroup(coup.G, coup.H), coup.points,
+                       lambda gh, w: coup.lact(gh[0], coup.hact(gh[1], w)))
+mor = dy.morita_invariance_check(both, coup.xbar, max_degree=1)
 print("\nMorita check on the product coupling:",
       {k: mor[k] for k in ("subset_size", "units", "homology_equal",
                            "cohomology_equal", "ok")})

@@ -29,69 +29,58 @@ must not change it, and morita_invariance_check tests that.
 from __future__ import annotations
 
 from .errors import InvalidElementError
-from .groups import Group, ProductGroup
-from .homology import Nerve, _check_homology_ring, _homology_table
+from .groups import Group
+from .homology import (Nerve, _check_homology_ring, _homology_table,
+                       _product_table)
 
 
 class FiniteAction:
-    """Left action of a finite group on a finite set, stored as a table."""
+    """Left action of a finite group on a finite set, held as one integer
+    table: table[g][x] is the position of g.x in points (sorted by repr),
+    g and x positions in elements (group.elements() order) and points.
+    act(g, x) gives the table once, here, where it is validated."""
 
     def __init__(self, group: Group, points, act):
         if not group.is_finite():
             raise InvalidElementError("actions here need finite groups")
         self.group = group
         self.points = sorted(points, key=repr)
-        pset = set(self.points)
-        if len(pset) != len(self.points):
-            raise InvalidElementError("duplicate points in the space")
-        self.table = {}
-        for g in group.elements():
-            for x in self.points:
-                y = act(g, x) if callable(act) else act[(g, x)]
-                if y not in pset:
-                    raise InvalidElementError(
-                        f"action leaves the space: {g!r}.{x!r} = {y!r}")
-                self.table[(g, x)] = y
-        e = group.identity()
-        for x in self.points:
-            if self.table[(e, x)] != x:
-                raise InvalidElementError("identity must act trivially")
-        for g in group.elements():
-            for h in group.elements():
-                gh = group.mul(g, h)
-                for x in self.points:
-                    if self.table[(g, self.table[(h, x)])] != \
-                            self.table[(gh, x)]:
-                        raise InvalidElementError(
-                            "action table is not associative")
+        self.elements = group.elements()
+        self._point_at = {x: i for i, x in enumerate(self.points)}
+        self._element_at = {g: i for i, g in enumerate(self.elements)}
+        self.table = [[self._point_at.get(act(g, x), -1)
+                       for x in self.points] for g in self.elements]
+        # a point listed twice has one position: the identity moves one
+        # of its copies
+        if not all(_action_axioms(self.table, _product_table(
+                group, self.elements), self._element_at[group.identity()])):
+            raise InvalidElementError(
+                "not a left action on the points: a value off them, a "
+                "point moved by the identity or listed twice, or "
+                "g.(h.x) != (gh).x")
 
     def __call__(self, g, x):
-        return self.table[(g, x)]
+        return self.points[self.table[self._element_at[g]][self._point_at[x]]]
 
     def orbits(self):
         seen, out = set(), []
-        for x in self.points:
-            if x in seen:
-                continue
-            orb = {self.table[(g, x)] for g in self.group.elements()}
-            seen |= orb
-            out.append(sorted(orb, key=repr))
+        for x in range(len(self.points)):
+            if x not in seen:
+                orbit = sorted({row[x] for row in self.table})
+                seen.update(orbit)
+                out.append([self.points[y] for y in orbit])
         return out
 
     def is_full(self, subset):
         """Does the subset meet every orbit?"""
-        sub = set(subset)
-        return all(any(self.table[(g, x)] in sub
-                       for g in self.group.elements()) for x in self.points)
+        sub = {self._point_at[x] for x in subset if x in self._point_at}
+        return all(any(row[x] in sub for row in self.table)
+                   for x in range(len(self.points)))
 
     def is_free(self):
-        e = self.group.identity()
-        for g in self.group.elements():
-            if g == e:
-                continue
-            if any(self.table[(g, x)] == x for x in self.points):
-                return False
-        return True
+        e = self._element_at[self.group.identity()]
+        return not any(y == x for g, row in enumerate(self.table) if g != e
+                       for x, y in enumerate(row))
 
 
 class Coupling:
@@ -119,44 +108,47 @@ class Coupling:
         """h.w = w h^-1: the right action read as a left H-action."""
         return self.right[(w, self.H.inv(h))]
 
-    def combined_action(self) -> FiniteAction:
-        """(g, h).w = g w h^-1 as a left action of G x H."""
-        P = ProductGroup(self.G, self.H)
-        return FiniteAction(P, self.points,
-                            lambda gh, w: self.lact(gh[0],
-                                                    self.hact(gh[1], w)))
-
     def validate(self) -> dict:
+        """The coupling axioms on the two tables read once as integer
+        tables over the positions of points and elements: L[g][w] of g.w
+        and R[h][w] of h.w = w h^-1 (hact).  An entry that is missing or
+        off the points is -1, which fails the checks instead of raising."""
         G, H = self.G, self.H
-        ok_comm = _holds(
-            self.lact(g, self.ract(w, h)) == self.ract(self.lact(g, w), h)
-            for g in G.elements() for h in H.elements()
-            for w in self.points)
-        lact_ok = _holds(_action_axioms(G, self.lact, self.points))
+        gs, hs = G.elements(), H.elements()
+        at = {w: i for i, w in enumerate(self.points)}
+        L = [[at.get(self.left.get((g, w)), -1) for w in self.points]
+             for g in gs]
+        R = [[at.get(self.right.get((w, H.inv(h))), -1)
+              for w in self.points] for h in hs]
+        closed = all(y >= 0 for T in (L, R) for row in T for y in row)
+        # g (w h) == (g w) h, read as g.(h.w) == h.(g.w) over all h
+        ok_comm = closed and all([lrow[y] for y in rrow]
+                                 == [rrow[y] for y in lrow]
+                                 for lrow in L for rrow in R)
+        eg, eh = gs.index(G.identity()), hs.index(H.identity())
+        lact_ok = all(_action_axioms(L, _product_table(G, gs), eg))
         # the right table is an action exactly when hact is a left one
-        ract_ok = _holds(_action_axioms(H, self.hact, self.points))
+        ract_ok = all(_action_axioms(R, _product_table(H, hs), eh))
         # (g, h).w = g w h^-1 is an action only when both tables are
         # actions that commute; otherwise freeness fails with them.  It
         # is free when no g w h^-1 is w but for g and h the identities.
-        eg, eh = G.identity(), H.identity()
-        free = (ok_comm and lact_ok and ract_ok
-                and not any(self.lact(g, self.hact(h, w)) == w
-                            for g in G.elements() for h in H.elements()
-                            if g != eg or h != eh for w in self.points))
-        ok_ybar = _fundamental(G, self.lact, self.ybar, self.points)
-        ok_xbar = _fundamental(H, self.hact, self.xbar, self.points)
+        free = ok_comm and lact_ok and ract_ok and not any(
+            lrow[y] == w for g, lrow in enumerate(L)
+            for h, rrow in enumerate(R) if g != eg or h != eh
+            for w, y in enumerate(rrow))
+        ok_ybar = _fundamental(L, {at.get(w) for w in self.ybar})
+        ok_xbar = _fundamental(R, {at.get(w) for w in self.xbar})
         return {"commuting": ok_comm, "right_action": ract_ok,
                 "free": free, "ybar_fundamental": ok_ybar,
                 "xbar_fundamental": ok_xbar,
                 "ok": ok_comm and ract_ok and free and ok_ybar and ok_xbar}
 
 
-def _fundamental(group, act, domain, points) -> bool:
-    """Every point is g.d for exactly one g in the group and d in the
-    domain: its orbit meets the domain once."""
-    dset = set(domain)
-    return all(sum(act(g, w) in dset for g in group.elements()) == 1
-               for w in points)
+def _fundamental(table, domain) -> bool:
+    """Every point is g.d for exactly one g and one d in the domain, a set
+    of positions: its orbit under the integer table meets it once."""
+    return all(sum(row[w] in domain for row in table) == 1
+               for w in range(len(table[0])))
 
 
 def _holds(identity) -> bool:
@@ -168,18 +160,17 @@ def _holds(identity) -> bool:
         return False
 
 
-def _action_axioms(group, act, points):
-    """The left action axioms on the finite table act, one truth value
-    each, for _holds: every value is a point, the identity fixes every
-    point, and g.(h.w) == (gh).w."""
-    els = group.elements()
-    table = {(g, w): act(g, w) for g in els for w in points}
-    yield set(points).issuperset(table.values())
-    e = group.identity()
-    yield [table[(e, w)] for w in points] == list(points)
-    pairs = [(g, h, group.mul(g, h)) for g in els for h in els]
-    yield ([table[(g, table[(h, w)])] for g, h, _ in pairs for w in points]
-           == [table[(gh, w)] for _, _, gh in pairs for w in points])
+def _action_axioms(table, mul, e):
+    """The left action axioms on an integer table (table[g][x], the
+    position of g.x, or -1 off the points), one truth value each for
+    all() to read in turn: every value is a position, the identity e
+    fixes every point, and g.(h.x) == (gh).x, gh at mul[g][h]."""
+    n = len(table[e])
+    yield all(0 <= y < n for row in table for y in row)
+    yield table[e] == list(range(n))
+    yield all([row[y] for y in table[h]] == table[gh]
+              for row, products in zip(table, mul)
+              for h, gh in enumerate(products))
 
 
 class OrbitCouple:
@@ -191,16 +182,10 @@ class OrbitCouple:
 
     def __init__(self, actX: FiniteAction, actY: FiniteAction,
                  p, q, a, b, g_map, h_map):
-        self.actX = actX
-        self.actY = actY
-        self.G = actX.group
-        self.H = actY.group
-        self.p = dict(p)
-        self.q = dict(q)
-        self.a = dict(a)
-        self.b = dict(b)
-        self.g_map = dict(g_map)
-        self.h_map = dict(h_map)
+        self.actX, self.actY = actX, actY
+        self.G, self.H = actX.group, actY.group
+        self.p, self.q, self.a, self.b = dict(p), dict(q), dict(a), dict(b)
+        self.g_map, self.h_map = dict(g_map), dict(h_map)
 
     def validate(self) -> dict:
         ok_p, ok_qp, ok_cocycle_a = _couple_side(
@@ -217,15 +202,15 @@ class OrbitCouple:
 def _couple_side(act, other, p, a, g_map, q):
     """One side's identities: p(g.x) = a(g,x).p(x), q(p(x)) =
     g_map(x).x and the cocycle a(g1 g2, x) = a(g1, g2.x) a(g2, x)."""
-    G, H, X = act.group, other.group, act.points
+    G, H, X, gs = act.group, other.group, act.points, act.elements
     orbit = _holds(p[act(g, x)] == other(a[(g, x)], p[x])
-                   for g in G.elements() for x in X)
+                   for g in gs for x in X)
     closing = _holds(q[p[x]] == act(g_map[x], x) for x in X)
     # a value outside H fails the cocycle before H.mul reads it
     cocycle = _holds(H.is_element(a[(g, x)])
-                     for g in G.elements() for x in X) and _holds(
+                     for g in gs for x in X) and _holds(
         a[(G.mul(g1, g2), x)] == H.mul(a[(g1, act(g2, x))], a[(g2, x)])
-        for g1 in G.elements() for g2 in G.elements() for x in X)
+        for g1 in gs for g2 in gs for x in X)
     return orbit, closing, cocycle
 
 
@@ -247,18 +232,19 @@ def _half(G, H, on_G, on_H, X, Y):
     is g.x = alpha(g,x).(g x).  Returns that action, p, alpha and gamma.
     """
     Xset, Yset = set(X), set(Y)
-    gamma = {x: _unique([g for g in G.elements() if on_G(g, x) in Yset],
-                        "gamma") for x in X}
+    gs, hs = G.elements(), H.elements()
+    gamma = {x: _unique([g for g in gs if on_G(g, x) in Yset], "gamma")
+             for x in X}
     p = {x: on_G(gamma[x], x) for x in X}
-    alpha, table = {}, {}
-    for g in G.elements():
+    alpha, moved = {}, {}
+    for g in gs:
         for x in X:
             gx = on_G(g, x)
-            h = _unique([h for h in H.elements() if on_H(h, gx) in Xset],
-                        "alpha")
+            h = _unique([h for h in hs if on_H(h, gx) in Xset], "alpha")
             alpha[(g, x)] = h
-            table[(g, x)] = on_H(h, gx)
-    return FiniteAction(G, X, table), p, alpha, gamma
+            moved[(g, x)] = on_H(h, gx)
+    return (FiniteAction(G, X, lambda g, x: moved[(g, x)]), p, alpha,
+            gamma)
 
 
 def coupling_to_couple(coup: Coupling) -> OrbitCouple:
@@ -282,17 +268,12 @@ def couple_to_coupling(couple: OrbitCouple) -> Coupling:
     {(q(y), h_map(y))}; a mismatch raises.
     """
     G, H = couple.G, couple.H
-    X = couple.actX.points
-    points = [(x, h) for x in X for h in H.elements()]
-    left = {}
-    for g in G.elements():
-        for (x, h) in points:
-            left[(g, (x, h))] = (couple.actX(g, x),
-                                 H.mul(couple.a[(g, x)], h))
-    right = {}
-    for (x, h) in points:
-        for hp in H.elements():
-            right[((x, h), hp)] = (x, H.mul(h, hp))
+    X, hs = couple.actX.points, H.elements()
+    points = [(x, h) for x in X for h in hs]
+    left = {(g, (x, h)): (couple.actX(g, x), H.mul(couple.a[(g, x)], h))
+            for g in couple.actX.elements for (x, h) in points}
+    right = {((x, h), hp): (x, H.mul(h, hp)) for (x, h) in points
+             for hp in hs}
     xbar = [(x, H.identity()) for x in X]
     ybar_direct = sorted({(couple.q[y], couple.h_map[y])
                           for y in couple.actY.points}, key=repr)
@@ -319,15 +300,15 @@ def roundtrip_iso_check(coup: Coupling) -> dict:
     v1 = couple.validate()
     coup2 = couple_to_coupling(couple)
     v2 = coup2.validate()
-    G, H = coup.G, coup.H
+    H = coup.H
+    gs, hs = coup.G.elements(), H.elements()
 
     phi = {(x, h): coup.ract(x, h) for (x, h) in coup2.points}
     bijective = len(set(phi.values())) == len(coup.points)
     equivariant = all(
         phi[coup2.lact(g, w2)] == coup.lact(g, phi[w2])
         and phi[coup2.ract(w2, h)] == coup.ract(phi[w2], h)
-        for w2 in coup2.points
-        for g in G.elements() for h in H.elements())
+        for w2 in coup2.points for g in gs for h in hs)
     xbar_match = sorted((phi[w] for w in coup2.xbar), key=repr) == coup.xbar
     ybar_match = sorted((phi[w] for w in coup2.ybar), key=repr) == coup.ybar
 
@@ -343,7 +324,7 @@ def roundtrip_iso_check(coup: Coupling) -> dict:
     act_match = all(
         couple2.actX(g, (x, H.identity())) == (couple.actX(g, x),
                                                H.identity())
-        for g in G.elements() for x in couple.actX.points)
+        for g in gs for x in couple.actX.points)
     ok = all([v1["ok"], v2["ok"], bijective, equivariant, xbar_match,
               ybar_match, p_match, q_match, act_match])
     return {"couple_valid": v1, "rebuilt_coupling_valid": v2,
@@ -359,10 +340,8 @@ class KakutaniData:
 
     def __init__(self, actX, actY, A, B, phi, a_prime, b_prime,
                  blocks=None):
-        self.actX = actX
-        self.actY = actY
-        self.A = sorted(A, key=repr)
-        self.B = sorted(B, key=repr)
+        self.actX, self.actY = actX, actY
+        self.A, self.B = sorted(A, key=repr), sorted(B, key=repr)
         self.phi = dict(phi)
         self.a_prime = dict(a_prime)   # (g, x in A with g.x in A) -> h
         self.b_prime = dict(b_prime)   # (h, y in B with h.y in B) -> g
@@ -389,7 +368,7 @@ def _kakutani_side(act, other, A, phi, a_prime):
     Aset = set(A)
     full = act.is_full(A)
     intertwines = _holds(phi[act(g, x)] == other(a_prime[(g, x)], phi[x])
-                         for g in act.group.elements() for x in A
+                         for g in act.elements for x in A
                          if act(g, x) in Aset)
     return full, intertwines
 
@@ -401,9 +380,9 @@ def _restriction_groupoid_iso_check(kak: KakutaniData) -> bool:
     the chosen subset."""
     G, H = kak.actX.group, kak.actY.group
     Aset, Bset = set(kak.A), set(kak.B)
-    arrows_A = [(x, g) for x in kak.A for g in G.elements()
+    arrows_A = [(x, g) for x in kak.A for g in kak.actX.elements
                 if kak.actX(G.inv(g), x) in Aset]
-    arrows_B = {(y, h) for y in kak.B for h in H.elements()
+    arrows_B = {(y, h) for y in kak.B for h in kak.actY.elements
                 if kak.actY(H.inv(h), y) in Bset}
     image = {}
     for (x, g) in arrows_A:
@@ -422,7 +401,7 @@ def _restriction_groupoid_iso_check(kak: KakutaniData) -> bool:
         return False
     for (x1, g1) in arrows_A:
         s1 = kak.actX(G.inv(g1), x1)
-        for g2 in G.elements():
+        for g2 in kak.actX.elements:
             if kak.actX(G.inv(g2), s1) in Aset:
                 comp = (x1, G.mul(g1, g2))
                 if comp not in image:
@@ -443,9 +422,8 @@ def couple_to_kakutani(couple: OrbitCouple) -> KakutaniData:
     corresponding preimages A_g = U_g roof p^-1(B_g).  phi = p|_A, with
     cocycles a' = a and b'(h, y) = g2^-1 b(h, y) g1 on the blocks.
     """
-    G, H = couple.G, couple.H
-    X = couple.actX.points
-    order = G.elements()
+    G, X = couple.G, couple.actX.points
+    order = couple.actX.elements
     U = {g: [x for x in X if couple.g_map[x] == g] for g in order}
     taken = set()
     B_of, block_of_y = {}, {}
@@ -461,21 +439,14 @@ def couple_to_kakutani(couple: OrbitCouple) -> KakutaniData:
     B = sorted(taken, key=repr)
     phi = {x: couple.p[x] for x in A}
     Aset = set(A)
-    a_prime = {}
-    for g in G.elements():
-        for x in A:
-            if couple.actX(g, x) in Aset:
-                a_prime[(g, x)] = couple.a[(g, x)]
+    a_prime = {(g, x): couple.a[(g, x)] for g in order for x in A
+               if couple.actX(g, x) in Aset}
     Bset = set(B)
-    b_prime = {}
-    for h in H.elements():
-        for y in B:
-            hy = couple.actY(h, y)
-            if hy in Bset:
-                g1 = block_of_y[y]
-                g2 = block_of_y[hy]
-                b_prime[(h, y)] = G.mul(G.inv(g2),
-                                        G.mul(couple.b[(h, y)], g1))
+    # b'(h, y) = g2^-1 b(h, y) g1, y in the block of g1 and h.y in g2's
+    b_prime = {(h, y): G.mul(G.inv(block_of_y[hy]),
+                             G.mul(couple.b[(h, y)], block_of_y[y]))
+               for h in couple.actY.elements for y in B
+               if (hy := couple.actY(h, y)) in Bset}
     return KakutaniData(couple.actX, couple.actY, A, B, phi, a_prime,
                         b_prime, blocks={"B_of": B_of})
 
@@ -509,7 +480,7 @@ def _carve(act, base):
     group, baseset = act.group, set(base)
     into = {}
     for x in act.points:
-        for gamma in group.elements():
+        for gamma in act.elements:
             s = act(group.inv(gamma), x)
             if s in baseset:
                 into[x] = s
@@ -525,11 +496,11 @@ def _search_side(act, other, p, q):
     """The cocycle a(g, x) and closing map g_map(x) of one side, each the
     unique group element solving its identity."""
     def search(act_out, lhs, rhs):
-        return _unique([k for k in act_out.group.elements()
+        return _unique([k for k in act_out.elements
                         if act_out(k, rhs) == lhs], "cocycle search")
 
     a = {(g, x): search(other, p[act(g, x)], p[x])
-         for g in act.group.elements() for x in act.points}
+         for g in act.elements for x in act.points}
     g_map = {x: search(act, q[p[x]], x) for x in act.points}
     return a, g_map
 
@@ -549,25 +520,28 @@ class FiniteGroupoid:
 
     def nerve(self) -> Nerve:
         """The nerve whose boundaries the (co)homology tables read, with
-        the elements sorted by repr."""
-        G = self.action.group
-        return Nerve(G, self.units, sorted(G.elements(), key=repr),
-                     self.action)
+        the elements sorted by repr, on the action's rows over the units
+        (in the order of the points): g.x's unit position, or -1."""
+        act, G = self.action, self.action.group
+        elements = sorted(act.elements, key=repr)
+        unit_at = [-1] * len(act.points)
+        for u, x in enumerate(self.units):
+            unit_at[act._point_at[x]] = u
+        table = [[unit_at[y] for y, u in zip(act.table[act._element_at[g]],
+                                             unit_at) if u >= 0]
+                 for g in elements]
+        return Nerve(G, self.units, elements, _product_table(G, elements),
+                     table)
 
     def validate(self) -> bool:
         """Every arrow (x, g) has the inverse (g^-1.x, g^-1): it runs from
-        the source back to the range, and composes with the arrow to the
-        unit arrow (x, e)."""
-        act, G = self.action, self.action.group
-        units, e = set(self.units), G.identity()
-        for x in self.units:
-            for g in G.elements():
-                gi = G.inv(g)
-                s = act(gi, x)
-                if s in units and (act(G.inv(gi), s) != x
-                                   or G.mul(g, gi) != e):
-                    return False
-        return True
+        the source back to the range, read on the nerve's tables, where
+        back[g][x] is the unit g^-1.x and g^-1 the h with mul[g][h] = e."""
+        nerve = self.nerve()
+        back, e = nerve._back, nerve._e
+        return all(s < 0 or back[products.index(e)][s] == x
+                   for products, row in zip(nerve._mul, back)
+                   for x, s in enumerate(row))
 
 
 def action_groupoid(act: FiniteAction) -> FiniteGroupoid:
@@ -659,19 +633,19 @@ def twisted_coupling(G: Group, H: Group, rho: dict) -> Coupling:
     domain is the graph of rho."""
     if rho.get(H.identity()) != G.identity():
         raise InvalidElementError("rho must send identity to identity")
-    for b in H.elements():
+    gs, hs = G.elements(), H.elements()
+    for b in hs:
         if b not in rho:
             raise InvalidElementError(f"rho misses the element {b!r}")
         G.check_element(rho[b])
-    points = [(a, b) for a in G.elements() for b in H.elements()]
-    left = {(g, (a, b)): (G.mul(g, a), b)
-            for g in G.elements() for (a, b) in points}
+    points = [(a, b) for a in gs for b in hs]
+    left = {(g, (a, b)): (G.mul(g, a), b) for g in gs for (a, b) in points}
 
     def tau(b, h):
         return G.mul(rho[b], G.inv(rho[H.mul(b, h)]))
 
     right = {((a, b), h): (G.mul(a, tau(b, h)), H.mul(b, h))
-             for (a, b) in points for h in H.elements()}
-    xbar = [(a, H.identity()) for a in G.elements()]
-    ybar = [(rho[b], b) for b in H.elements()]
+             for (a, b) in points for h in hs}
+    xbar = [(a, H.identity()) for a in gs]
+    ybar = [(rho[b], b) for b in hs]
     return Coupling(G, H, points, left, right, xbar, ybar)

@@ -55,6 +55,7 @@ stays the route of every other group and of every groupoid table.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -197,11 +198,12 @@ class SNFResult:
     def verify(self, A) -> bool:
         """Certificate check: U A == diag(divisors) V^-1 and
         V V^-1 == identity, both exact at every size, which together
-        give U A V = D.  Each product runs in int64 when a bound on its
+        give U A V = D, and |det U| = 1 (_unimodular), so the divisors
+        are those of A.  Each product runs in int64 when a bound on its
         entries proves that exact, else over Python ints; the bounds are
         scanned on every call, so a certificate changed since the
-        reduction is checked as it stands.  U is not shown unimodular:
-        a form with U and every divisor doubled passes."""
+        reduction is checked as it stands.  A form with U and every
+        divisor doubled fails on det U."""
         UA = _product(self.U, np.asarray(A))
         dtype = np.int64
         if (self.Vinv.dtype == object or max(self.divisors, default=0)
@@ -211,8 +213,46 @@ class SNFResult:
         want = np.zeros(self.shape, dtype=dtype)
         want[:k] = (np.array(self.divisors, dtype=dtype)[:, None]
                     * self.Vinv[:k].astype(dtype, copy=False))
-        return np.array_equal(UA, want) and np.array_equal(
-            _product(self.V, self.Vinv), np.eye(self.shape[1], dtype=np.int64))
+        return (np.array_equal(UA, want)
+                and np.array_equal(_product(self.V, self.Vinv),
+                                    np.eye(self.shape[1], dtype=np.int64))
+                and _unimodular(self.U))
+
+
+def _unimodular(U) -> bool:
+    """Whether the square integer matrix U has determinant +-1, exactly:
+    replaying the elimination of its unit pivots proves U ~ +-I_K ⊕ R
+    (_check_elimination), R over the rows and columns that are no pivot,
+    so |det U| = |det R|, which a common factor of a row or column of R
+    divides, or else _det computes.  On the U of a reduction R is empty."""
+    ks, js = np.nonzero(U)
+    columns = [{} for _ in range(U.shape[1])]
+    for k, j, v in zip(ks.tolist(), js.tolist(), U[ks, js].tolist()):
+        columns[j][k] = v
+    pivots, rest = _eliminate_units([dict(col) for col in columns])
+    _check_elimination(columns, pivots, rest)
+    R = _remainder(rest)[0] if rest else []
+    # a row or column of R with no entry is missing from it: det U = 0
+    n = len(pivots)
+    return (len(R) == len(rest) == len(U) - n == U.shape[1] - n
+            and all(math.gcd(*line) == 1 for line in (*R, *zip(*R)))
+            and abs(_det(R)) == 1)
+
+
+def _det(R) -> int:
+    """The determinant of a square integer matrix (a list of rows), by
+    Bareiss's fraction-free elimination: every division is exact."""
+    M, sign, prev = [list(row) for row in R], 1, 1
+    for k in range(len(M) - 1):
+        i = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if i is None:
+            return 0
+        M[k], M[i], sign = M[i], M[k], sign if i == k else -sign
+        for row in M[k + 1:]:
+            for j in range(k + 1, len(M)):
+                row[j] = (row[j] * M[k][k] - row[k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if M else 1
 
 
 def _update_fits_int64(q, Vinv, cols) -> bool:
@@ -611,85 +651,75 @@ class ChainBasis:
 
 
 class Nerve:
-    """Nerve of the action groupoid G⋉X of a finite action (act(g, x) =
-    g.x) on ordered lists of units and elements, with the points, order
-    and faces of the nerve contract above, on integer tables built once:
-    back[g][x], the unit position of g^-1.x or -1, and mul[g][h], the
-    position of gh, over the positions of units and elements.  A point
+    """Nerve of the action groupoid G⋉X of a finite action on ordered
+    lists of units and elements, with the points, order and faces of the
+    nerve contract above, on integer tables over their positions:
+    mul[g][h], the position of gh, and table[g][x], the unit position of
+    g.x or -1, kept as back[g][x] = table[g^-1][x].  A point
     (x, (g_1..g_n)) is its code x |E|^n + sum_i g_i |E|^(n-i), so codes
-    follow the contract order.  Walks (code, last vertex) are kept per
-    degree, so each is walked once per nerve on each complex: the
+    follow the contract order.  A complex is walked one degree at a
+    time, with only the walk (code, last vertex) in hand: the
     unnormalized one extends by every element, the normalized one by
-    every element but the identity.  Both read their faces through one
-    face rule (_face_code_columns).
+    every element but the identity, and both read their faces through
+    one face rule (_face_code_columns).
 
-    boundary() and points() give the unnormalized complex on every point,
-    which assemble_boundary_matrix, induced maps and the coinvariants row
-    read.  smiths() reads the normalized complex on the nondegenerate
-    points (Brown, Cohomology of Groups, GTM 87, I.5), which every
-    groupoid table reads, and the table of a group with no formula
-    resolution.  A Resolution reads the product table mul."""
+    boundaries(), boundary() and points() give the unnormalized complex
+    on every point (assemble_boundary_matrix, induced maps, the
+    coinvariants row).  smiths() reads the normalized complex on the
+    nondegenerate points (Brown, GTM 87, I.5): every groupoid table, and
+    the table of a group with no formula resolution.  A Resolution reads
+    mul."""
 
-    def __init__(self, group: Group, units, elements, act):
+    def __init__(self, group: Group, units, elements, mul, table):
         self.group = group
         self.units = list(units)
         self.elements = list(elements)
-        unit_at = {x: i for i, x in enumerate(self.units)}
-        at = {g: i for i, g in enumerate(self.elements)}
-        self._back = [[unit_at.get(act(group.inv(g), x), -1)
-                       for x in self.units] for g in self.elements]
-        self._mul = [[at[group.mul(g, h)] for h in self.elements]
-                     for g in self.elements]
-        self._e = at[group.identity()]
-        # the walks of degrees 0, 1, ... built so far on each complex,
-        # keyed by the element it does not extend by: None for the
-        # unnormalized complex, the identity for the normalized one
-        start = [(x, x) for x in range(len(self.units))]
-        self._walks = {None: [start], self._e: [start]}
+        self._mul = mul
+        self._e = self.elements.index(group.identity())
+        # g^-1 is the h with gh = e
+        self._back = [table[row.index(self._e)] for row in mul]
 
-    def _walk(self, degree: int, skip):
-        """The degree-n walks (code, last vertex) of the complex that
-        extends by every element but skip, in the order of the
-        contract."""
-        walks = self._walks[skip]
-        if len(walks) <= degree:
-            arrows = [g for g in range(len(self.elements)) if g != skip]
-            while len(walks) <= degree:
-                walks.append(_step_codes(walks[-1], arrows, self._back,
-                                         len(self.elements)))
-        return walks[degree]
+    def _walks(self, skip):
+        """The walks (code, last vertex) of degrees 0, 1, ... of the
+        complex that extends by every element but skip, in the order of
+        the contract, each stepped from the one before."""
+        walk = [(x, x) for x in range(len(self.units))]
+        arrows = [g for g in range(len(self.elements)) if g != skip]
+        while True:
+            yield walk
+            walk = _step_codes(walk, arrows, self._back, len(self.elements))
 
-    def _rows(self, degree: int, skip):
-        """The row index of the degree-n codes of that complex: code ->
-        position."""
-        return {code: i for i, (code, _) in enumerate(self._walk(degree,
-                                                                 skip))}
-
-    def _columns(self, degree: int, row_index, skip):
-        """d_n of the complex that extends by every element but skip, as
-        sparse columns over row_index (code -> row, None for a dropped
-        row): a middle face merging to skip is degenerate and skipped."""
-        codes = [code for code, _ in self._walk(degree, skip)]
-        return _face_code_columns(codes, degree, row_index, self._back,
-                                  self._mul, skip)
-
-    def points(self, degree: int):
-        """The degree-n points (x, (g_1..g_n)), in the order of the
-        contract, decoded from the codes of the unnormalized walk."""
+    def _points(self, walk, degree: int):
+        """The points (x, (g_1..g_n)) of a degree-n walk, decoded."""
         size = len(self.elements)
         return [_decode(code, degree, self.units, self.elements, size)
-                for code, _ in self._walk(degree, None)]
+                for code, _ in walk]
+
+    def points(self, degree: int):
+        """The degree-n points, in the order of the contract."""
+        walk = next(itertools.islice(self._walks(None), degree, None))
+        return self._points(walk, degree)
+
+    def boundaries(self, top: int):
+        """(d_n, the degree-n points) of the unnormalized complex with
+        coefficients of rank 1, for n = 0, ..., top, walking each degree
+        once; d_0 is a 0 x dim matrix."""
+        rows = {}
+        for n, walk in zip(range(top + 1), self._walks(None)):
+            codes = [code for code, _ in walk]
+            columns = [{}] * len(codes) if n == 0 else _face_code_columns(
+                codes, n, rows, self._back, self._mul, None)
+            yield _dense(columns, len(rows)), self._points(walk, n)
+            rows = {code: i for i, code in enumerate(codes)}
 
     def boundary(self, degree: int):
         """(matrix, row basis, column basis) of the unnormalized degree-n
         boundary with coefficients of rank 1; degree 0 gives a 0 x dim
         matrix and no row basis."""
-        col = ChainBasis(self.points(degree))
-        if degree == 0:
-            return np.zeros((0, len(col)), dtype=np.int64), None, col
-        rows = self._rows(degree - 1, None)
-        return (_dense(self._columns(degree, rows, None), len(rows)),
-                ChainBasis(self.points(degree - 1)), col)
+        *_, (_, below), (M, points) = [(None, None),
+                                       *self.boundaries(degree)]
+        return (M, None if below is None else ChainBasis(below),
+                ChainBasis(points))
 
     def smiths(self, max_degree: int, memo: dict | None = None):
         """The certified divisor forms of the normalized boundaries
@@ -722,9 +752,10 @@ class Nerve:
         read only after the replay of d_n has passed, so a failed replay
         raises RuntimeError before any row is dropped."""
         forms = []
-        row_index = self._rows(0, self._e)
+        walks = self._walks(self._e)
+        row_index = {code: i for i, (code, _) in enumerate(next(walks))}
         for n in range(1, max_degree + 2):
-            codes = [code for code, _ in self._walk(n, self._e)]
+            codes = [code for code, _ in next(walks)]
             columns = _face_code_columns(codes, n, row_index, self._back,
                                          self._mul, self._e)
             if memo is None:
@@ -752,9 +783,16 @@ def _module_nerve(group: Group, module: str) -> Nerve:
         raise InvalidElementError(
             f"unknown module {module!r}; use 'group-ring' or 'trivial'")
     els = group.elements()
+    mul = _product_table(group, els)
     if module == "group-ring":
-        return Nerve(group, els, els, group.mul)
-    return Nerve(group, ["pt"], els, lambda g, x: x)
+        return Nerve(group, els, els, mul, mul)
+    return Nerve(group, ["pt"], els, mul, [[0]] * len(els))
+
+
+def _product_table(group: Group, elements):
+    """mul[g][h], the position of gh, over the positions of elements."""
+    at = {g: i for i, g in enumerate(elements)}
+    return [[at[group.mul(g, h)] for h in elements] for g in elements]
 
 
 def _decode(code: int, degree: int, units, elements, radix: int):
@@ -1238,9 +1276,12 @@ def _coinvariants_row(row: dict, nerve: Nerve, rank: int) -> dict:
     # components of the units joined by the faces of each degree-1 code
     # (a column of d_1 with no entry joins a unit to itself), then one
     # copy per coefficient index
-    orbits = rank * _component_count(
-        len(nerve.units),
-        (list(col) for col in nerve._columns(1, nerve._rows(0, None), None)))
+    walk = next(itertools.islice(nerve._walks(None), 1, None))
+    columns = _face_code_columns([code for code, _ in walk], 1,
+                                 range(len(nerve.units)), nerve._back,
+                                 nerve._mul, None)
+    orbits = rank * _component_count(len(nerve.units),
+                                     (list(col) for col in columns))
     return dict(row, orbit_count=orbits,
                 agrees=row["betti"] == orbits and not row["torsion"])
 
@@ -1522,19 +1563,20 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     G, H = phi.source, phi.target
     nerve_G = _module_nerve(G, "group-ring")
     nerve_H = _module_nerve(H, "group-ring")
-    # d_0..d_{N+1} of each side and their certified Smith forms, whose
-    # V^-1 and kernel bases the maps are read in: d_0 = 0, whose kernel
-    # is all of C_0, then the forms H_n of each side is read off
-    d_G, d_H = ([nerve.boundary(n)[0] for n in range(max_degree + 2)]
-                for nerve in (nerve_G, nerve_H))
+    # d_0..d_{N+1} of each side with the points of each degree, and
+    # their certified Smith forms, whose V^-1 and kernel bases the maps
+    # are read in: d_0 = 0, whose kernel is all of C_0, then the forms
+    # H_n of each side is read off
+    (d_G, points_G), (d_H, points_H) = (
+        zip(*nerve.boundaries(max_degree + 1))
+        for nerve in (nerve_G, nerve_H))
     snf_G, snf_H = ([_certified_smith(d) for d in ds] for ds in (d_G, d_H))
     st_G, st_H = ([{"betti": row["betti"], "torsion": row["torsion"]}
                    for row in _homology_table("Z", snfs[1:], rank)]
                   for snfs in (snf_G, snf_H))
 
     def chain_matrix(n):
-        colb = ChainBasis(nerve_G.points(n))
-        rowb = ChainBasis(nerve_H.points(n))
+        colb, rowb = ChainBasis(points_G[n]), ChainBasis(points_H[n])
         M = np.zeros((len(rowb), len(colb)), dtype=np.int64)
         for ci, (x, gvec) in enumerate(colb.points):
             y, hvec = _image_point(phi, x, gvec)

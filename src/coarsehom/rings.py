@@ -37,10 +37,6 @@ class Ring:
     def is_zero(self, a):
         return a == self.zero()
 
-    def invert(self, a):
-        """Multiplicative inverse; only fields implement it."""
-        raise NotImplementedError(f"{self.name} is not a field")
-
     def scalar_to_json(self, a):
         return a
 
@@ -73,11 +69,6 @@ class Rationals(Ring):
 
     def normalize(self, v):
         return Fraction(v)
-
-    def invert(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverting 0")
-        return 1 / Fraction(a)
 
     def scalar_to_json(self, a):
         if not isinstance(a, Fraction):
@@ -112,14 +103,6 @@ class IntegersMod(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.m
-
-    def invert(self, a):
-        if not self.is_field:
-            raise NotImplementedError(f"{self.name} is not a field")
-        a = a % self.m
-        if a == 0:
-            raise ZeroDivisionError("inverting 0")
-        return pow(a, -1, self.m)
 
 
 def _is_prime(m: int) -> bool:

@@ -7,19 +7,21 @@ coefficients, free-group sphere counts, the closed form of the coarse
 inverse of doubling, a from-scratch reduced-word enumerator for the free
 group, the quaternion group's table, and the normalized boundary as a
 restriction of the unnormalized one.  Tests compare engine output
-against these.  Three exceptions use the package's objects: the reverse
+against these.  Five exceptions use the package's objects: the reverse
 scan below is the pair-by-pair loop that the vectorized scan of
 check_coarse_embedding replaced, and it uses only the groups' ball, mul,
 inv and word_length; the reference nerve walks the points of an action
 groupoid's nerve and builds their faces on objects, from the group's
 mul, inv and identity and the action alone; the reference window
 assembly builds a boundary window's face sums on points, from the
-groups' ball, mul and inv; the reference chain operations at the end
-rebuild boundaries, induced maps, homotopies and function sums from
-their formulas, writing every term through the validating public setters
-(Chain.add_at, FinSupFun item assignment).
+groups' ball, mul and inv; the combined action reads a coupling's two
+tables as one FiniteAction of the ProductGroup G x H; the reference
+chain operations at the end rebuild boundaries, induced maps, homotopies
+and function sums from their formulas, writing every term through the
+validating public setters (Chain.add_at, FinSupFun item assignment).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +85,20 @@ def quaternion_table():
             row.append(els.index((sa * sb * s, u)))
         table.append(row)
     return table
+
+
+def determinant(M):
+    """The determinant of a square integer matrix (a list of rows) by the
+    Leibniz formula: the sum over permutations p of sign(p) times the
+    product of the entries M[i][p(i)]."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]]
+                                                for i in range(n))
+    return total
 
 
 def normalized_boundary(M, rows, cols, e):
@@ -158,6 +174,15 @@ class ReferenceNerve:
                     col[r] = col.get(r, 0) + (-1) ** i
             out.append({r: v for r, v in col.items() if v})
         return out, len(rows)
+
+
+def combined_action(coup):
+    """(g, h).w = g w h^-1: the two actions of a coupling as one left
+    action of G x H, a FiniteAction on the coupling's points."""
+    from coarsehom.dynamics import FiniteAction
+    from coarsehom.groups import ProductGroup
+    return FiniteAction(ProductGroup(coup.G, coup.H), coup.points,
+                        lambda gh, w: coup.lact(gh[0], coup.hact(gh[1], w)))
 
 
 def point_faces(G, x, gvec):

@@ -3,8 +3,9 @@
 Each demo is parsed, not run (running them all takes seconds): every
 name it imports from coarsehom.*, and every attribute it reads off an
 imported coarsehom module (``dy.action_groupoid``), must exist.  The
-window solver demo, which prints an obstruction's exact position, is
-also run, and its output compared with a recorded copy.
+window solver demo, which prints an obstruction's exact position, and
+the groupoid homology demo, which builds a coupling's G x H action
+itself, are also run, and their output compared with recorded copies.
 """
 
 import ast
@@ -29,6 +30,28 @@ point mass verdict: False
 obstruction: {'kind': 'out-of-image', 'position': 12, 'value': 1}
 
 distance-10 difference, window 3: False | window 10: True
+"""
+
+# stdout of demos/07_groupoid_homology.py, recorded while the G x H action
+# of a coupling came from Coupling.combined_action
+GROUPOID_HOMOLOGY_OUTPUT = """\
+translation groupoid of Z/4 on itself:
+   {'degree': 0, 'ring': 'Z', 'betti': 1, 'torsion': []}
+   {'degree': 1, 'ring': 'Z', 'betti': 0, 'torsion': []}
+   {'degree': 2, 'ring': 'Z', 'betti': 0, 'torsion': []}
+
+one-unit groupoid on Z/2, homology then cohomology:
+   {'degree': 0, 'ring': 'Z', 'betti': 1, 'torsion': []}
+   {'degree': 1, 'ring': 'Z', 'betti': 0, 'torsion': [2]}
+   {'degree': 2, 'ring': 'Z', 'betti': 0, 'torsion': []}
+   {'degree': 0, 'ring': 'Z', 'betti': 1, 'torsion': []}
+   {'degree': 1, 'ring': 'Z', 'betti': 0, 'torsion': []}
+   {'degree': 2, 'ring': 'Z', 'betti': 0, 'torsion': [2]}
+
+Morita check on the product coupling: {'subset_size': 4, 'units': 8, \
+'homology_equal': True, 'cohomology_equal': True, 'ok': True}
+
+Kakutani-restricted groupoids agree: True
 """
 
 
@@ -66,10 +89,18 @@ def test_demo_names_exist(path):
     assert _missing_names(path) == []
 
 
-def test_window_solver_demo_output():
+def _demo_stdout(name):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "demos/05_window_solver.py"],
-                         cwd=ROOT, env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert out.stdout == WINDOW_SOLVER_OUTPUT
+    return subprocess.run([sys.executable, f"demos/{name}"], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True).stdout
+
+
+def test_window_solver_demo_output():
+    assert _demo_stdout("05_window_solver.py") == WINDOW_SOLVER_OUTPUT
+
+
+def test_groupoid_homology_demo_output():
+    assert _demo_stdout("07_groupoid_homology.py") == \
+        GROUPOID_HOMOLOGY_OUTPUT

@@ -65,7 +65,8 @@ def both_sides_coupling():
                          + [("both-sides", both_sides_coupling)])
 def test_free_verdict_matches_the_combined_action(name, maker):
     coup = maker()
-    assert coup.validate()["free"] == coup.combined_action().is_free(), name
+    assert coup.validate()["free"] == \
+        oracles.combined_action(coup).is_free(), name
 
 
 def test_a_coupling_fixing_a_point_is_not_free():
@@ -324,7 +325,7 @@ def test_kakutani_bad_phi_fails_instead_of_raising(phi):
 # -- groupoids and their (co)homology ---------------------------------------------
 
 def test_free_transitive_groupoid_has_point_homology():
-    act = dy.product_coupling(C4, C2).combined_action()
+    act = oracles.combined_action(dy.product_coupling(C4, C2))
     assert act.is_free() and len(act.orbits()) == 1
     gpd = dy.action_groupoid(act)
     assert gpd.validate() is True
@@ -362,7 +363,7 @@ def test_translation_action_orbit_homology():
 
 def test_morita_restriction_agrees():
     coup = dy.product_coupling(C4, C2)
-    act = coup.combined_action()
+    act = oracles.combined_action(coup)
     mor = dy.morita_invariance_check(act, coup.xbar, max_degree=1)
     assert mor["ok"]
     assert mor["subset_size"] == 4 and mor["units"] == 8
@@ -386,7 +387,7 @@ def _table_inputs(monkeypatch):
 
 def test_morita_reduces_each_boundary_of_each_groupoid_once(monkeypatch):
     coup = dy.product_coupling(C4, C2)
-    act = coup.combined_action()
+    act = oracles.combined_action(coup)
     seen = _table_inputs(monkeypatch)
     assert dy.morita_invariance_check(act, coup.xbar, max_degree=1)["ok"]
     big = dy.action_groupoid(act)
@@ -478,6 +479,31 @@ def test_groupoid_homology_over_fields():
 def test_action_table_is_validated():
     with pytest.raises(InvalidElementError):
         dy.FiniteAction(C2, [0, 1], lambda g, x: 0)   # not invertible
+
+
+@pytest.mark.parametrize("group,points,act", [
+    (C2, [0, 1], lambda g, x: x + 5),             # a value off the points
+    (C2, [0, 1], lambda g, x: 1 - x),             # the identity swaps
+    (C3, [0, 1], lambda g, x: x if g == 0 else 1 - x),  # 1.(1.x) != 2.x
+    (C2, [0, 0, 1], lambda g, x: x),              # a point listed twice
+], ids=["off-the-points", "identity-moves", "not-associative",
+        "duplicate-point"])
+def test_a_bad_action_table_fails_the_one_predicate(group, points, act):
+    with pytest.raises(InvalidElementError, match="not a left action"):
+        dy.FiniteAction(group, points, act)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_partial_coupling_table_fails_instead_of_raising(side):
+    coup = dy.product_coupling(C4, C2)
+    table = dict(getattr(coup, side))
+    del table[next(iter(table))]
+    left, right = (table, coup.right) if side == "left" else \
+        (coup.left, table)
+    v = dy.Coupling(C4, C2, coup.points, left, right, coup.xbar,
+                    coup.ybar).validate()
+    assert v["ok"] is False and v["commuting"] is False
+    assert v["free"] is False
 
 
 def test_coupling_rejects_bad_fundamental_domain():

@@ -129,6 +129,48 @@ def test_snf_verify_rescans_a_certificate_changed_after_use():
     assert not s.verify(A)
 
 
+def test_snf_verify_rejects_u_and_the_divisors_doubled():
+    # 2U A V = 2D and V V^-1 = I still hold: only det U = +-8 shows the
+    # forged divisors [4, 4, 312] are not those of A
+    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    s = smith_normal_form(A)
+    s.U, s.divisors = 2 * s.U, [2 * d for d in s.divisors]
+    assert s.divisors == [4, 4, 312] and not s.verify(A)
+
+
+def _unimodular_matrix(rng, n):
+    """A product of random elementary integer row operations."""
+    M = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        M[i] += rng.choice([-3, -2, -1, 1, 2, 3]) * M[j]
+        if rng.random() < 0.3:
+            M[[i, j]] = M[[j, i]]
+    return M
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unimodular_matches_the_leibniz_determinant(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    for M in (_unimodular_matrix(rng, n),
+              np.array([[rng.randint(-2, 2) for _ in range(n)]
+                        for _ in range(n)]), 2 * _unimodular_matrix(rng, n)):
+        det = oracles.determinant(M.tolist())
+        assert homology._det(M.tolist()) == det
+        assert homology._unimodular(M) == (abs(det) == 1), M
+
+
+@pytest.mark.parametrize("M, want", [
+    ([[2, 3], [3, 5]], True),         # det 1 with no unit entry
+    ([[2, 3], [4, 6]], False),        # det 0
+    ([[1, 0, 0], [0, 2, 3], [0, 4, 5]], False),   # det -2
+    ([[1, 0], [0, 0]], False),        # a zero row and column
+])
+def test_unimodular_reads_a_remainder_with_no_unit_pivot(M, want):
+    assert homology._unimodular(np.array(M)) is want
+
+
 def test_snf_verify_checks_the_certificate_over_python_ints(monkeypatch):
     # entries of 2^33 and more keep the reduction and every product of
     # verify out of int64: all of them run over Python ints

@@ -56,7 +56,7 @@ def _gallery_groupoids():
     for sc in SCENARIOS:
         obj = get_scenario(sc)
         if isinstance(obj, dy.Coupling):
-            big = dy.action_groupoid(obj.combined_action())
+            big = dy.action_groupoid(oracles.combined_action(obj))
             out[f"{sc} combined"] = big
             out[f"{sc} combined xbar"] = dy.restrict_groupoid(big, obj.xbar)
             obj = dy.coupling_to_couple(obj)
@@ -130,7 +130,7 @@ def test_validate_catches_a_corrupted_action():
     act = dy.translation_action(get_group("Z/4"))
     gpd = dy.action_groupoid(act)
     assert gpd.validate() is True
-    act.table[(1, 0)] = 2       # 1.0 should be 1
+    act.table[1][0] = 2         # 1.0 should be 1
     assert gpd.validate() is False
 
 
@@ -214,14 +214,19 @@ def _count_steps(monkeypatch):
     return sizes
 
 
-def test_each_degree_is_walked_once_per_nerve(monkeypatch):
+def test_boundaries_walk_each_degree_once(monkeypatch):
+    """A nerve keeps no walk: boundaries() steps each degree once, and
+    boundary(n) walks from degree 0 again, to the same matrix and
+    points."""
     nerve = GROUPOIDS["translation Z/4"].nerve()
     sizes = _count_steps(monkeypatch)
-    for n in range(1, 4):
-        nerve.boundary(n)
+    walked = list(nerve.boundaries(3))
     # degrees 0, 1, 2 are extended once each, to reach degrees 1, 2, 3
     assert sizes == [4, 16, 64]
-    assert nerve.points(2) == nerve.boundary(3)[1].points
+    M, row, col = nerve.boundary(3)
+    assert sizes == [4, 16, 64] * 2
+    assert np.array_equal(M, walked[3][0]) and col.points == walked[3][1]
+    assert nerve.points(2) == row.points == walked[2][1]
 
 
 def test_induced_map_walks_one_nerve_per_side(monkeypatch):
@@ -807,13 +812,16 @@ def test_code_faces_equal_the_point_faces(key):
     the oracle's face sums."""
     nerve, ref = _table_nerve(key), _reference(key)
     for normalized, skip in ((False, None), (True, nerve._e)):
+        walks = nerve._walks(skip)
+        next(walks)
         for n in range(1, 4):
-            codes = [code for code, _ in nerve._walk(n, skip)]
+            codes = [code for code, _ in next(walks)]
             assert codes == [_code(nerve, p)
                              for p in ref.points(n, normalized)]
             rows = {_code(nerve, p): i
                     for i, p in enumerate(ref.points(n - 1, normalized))}
-            assert nerve._columns(n, rows, skip) == \
+            assert homology._face_code_columns(
+                codes, n, rows, nerve._back, nerve._mul, skip) == \
                 ref.columns(n, normalized)[0]
 
 
