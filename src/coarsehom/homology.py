@@ -14,9 +14,9 @@ columns of face sums.  Two reductions serve what callers read:
 - Kernel coordinates, span checks and induced maps on homology read the
   change of basis itself: a Smith normal form with full certificates,
   U, V, V^-1 with U A V diagonal, every divisor dividing the next.
-  Boundary windows assemble their sparse columns on integer codes, as
-  nerves do (_Window), and solve on them; a negative window verdict
-  takes the dense form for the obstruction it names.
+  Boundary windows assemble their sparse columns on integer codes by
+  the nerves' face rule (_Window), and solve on them; a negative window
+  verdict takes the dense form for the obstruction it names.
 
 Every certificate is checked before it is read.
 
@@ -33,7 +33,10 @@ tables take the units of the groupoid in the action's point order and
 the elements sorted by repr.  All matrices and reports refer to this
 order.  A Nerve holds one representation of it: integer tables of the
 action and the product, each point an integer code whose order is this
-order, and one face rule on codes that serves both complexes below.
+order.  One face rule on codes (_face_code_columns) serves both
+complexes below, boundary windows and the coinvariants row, its rows
+numbered by the mapping the caller passes: a nerve's fixed index, or a
+window's numbering by first appearance.
 
 Tables read the normalized complex of the nerve (Brown, Cohomology of
 Groups, GTM 87, I.5: the normalized bar resolution, the Moore complex of
@@ -661,11 +664,13 @@ class Nerve:
     time, with only the walk (code, last vertex) in hand: the
     unnormalized one extends by every element, the normalized one by
     every element but the identity, and both read their faces through
-    one face rule (_face_code_columns).
+    the one face rule (_face_code_columns) that boundary windows also
+    read, on a row index over the codes of the degree below.
 
     boundaries(), boundary() and points() give the unnormalized complex
-    on every point (assemble_boundary_matrix, induced maps, the
-    coinvariants row).  smiths() reads the normalized complex on the
+    on every point (assemble_boundary_matrix, induced maps); the
+    coinvariants row reads its degree-1 walk (_walks(None)) through the
+    face rule.  smiths() reads the normalized complex on the
     nondegenerate points (Brown, GTM 87, I.5): every groupoid table, and
     the table of a group with no formula resolution.  A Resolution reads
     mul."""
@@ -708,7 +713,7 @@ class Nerve:
         for n, walk in zip(range(top + 1), self._walks(None)):
             codes = [code for code, _ in walk]
             columns = [{}] * len(codes) if n == 0 else _face_code_columns(
-                codes, n, rows, self._back, self._mul, None)
+                codes, n, rows, self._back, self._mul, None, len(self._mul))
             yield _dense(columns, len(rows)), self._points(walk, n)
             rows = {code: i for i, code in enumerate(codes)}
 
@@ -757,7 +762,7 @@ class Nerve:
         for n in range(1, max_degree + 2):
             codes = [code for code, _ in next(walks)]
             columns = _face_code_columns(codes, n, row_index, self._back,
-                                         self._mul, self._e)
+                                         self._mul, self._e, len(self._mul))
             if memo is None:
                 form = _certified_divisors(columns, len(row_index))
             else:
@@ -815,47 +820,57 @@ def _step_codes(walks, arrows, back, size: int):
             for g in arrows if (y := back[g][v]) >= 0]
 
 
-def _face_code_columns(codes, n: int, row_index, back, mul, e):
-    """d_n of a nerve as sparse columns, on its integer tables and codes
-    (Nerve): the column of each degree-n code maps row_index[f] to the
-    sum of the signs (-1)^i of its faces i of code f.  Face codes are
-    computed by divmod arithmetic, face n first.  e is the degenerate
-    product: the identity's position for the normalized complex, whose
-    middle faces merging to it are skipped before their codes are
-    formed, or None for the unnormalized complex, which skips none.  A
-    face whose row index is None (a row marked dropped) is skipped, and
-    zero sums are dropped."""
-    size = len(mul)
+def _face_code_columns(codes, n: int, row_index, back, mul, e, size: int):
+    """d_n of a nerve or a window as sparse columns, on its integer tables
+    and codes in the radix size (Nerve, _Window): the column of each
+    degree-n code maps row_index[f] to the sum of the signs (-1)^i of its
+    faces i of code f.  Face codes are computed by divmod arithmetic,
+    face n first, and looked up in row_index face 0 first: a nerve passes
+    a fixed index, for which the order does not matter, and a window one
+    that numbers an unseen code on lookup (_FirstSeen), so its rows are
+    numbered by first appearance.  e is the degenerate product: the identity's position for the
+    normalized complex, whose middle faces merging to it are skipped
+    before their codes are formed, or None for the unnormalized complex,
+    which skips none.  A face whose row index is None (a row marked
+    dropped) is skipped, and zero sums are dropped."""
+    if e is None:
+        e = -1          # no position: an int compares faster than None
     columns = []
     for code in codes:
-        # face n drops g_n; face i = n-1, ..., 1 merges g_i g_{i+1},
-        # their digits read off the low end of the code: q is the code
-        # of (x, g_1..g_i), h = g_{i+1} and low = |E|^(n-1-i), so the
-        # face keeps the last n-1-i digits, code % low; face 0 moves x
+        # face n drops g_n; face i = n-1, ..., 1 merges g_i g_{i+1}: q is
+        # the code of (x, g_1..g_i), h = g_{i+1}, low = size^(n-1-i) and
+        # rest = code % low, the digits the face keeps; face 0 moves x
         q, h = divmod(code, size)
-        r = row_index[q]
-        col = {} if r is None else {r: -1 if n & 1 else 1}
-        sign = 1 if n & 1 else -1
-        low = 1
+        faces = [q]
+        low, rest = 1, 0
         for _ in range(n - 1):
             q, g = divmod(q, size)
             m = mul[g][h]
-            if m != e and (r := row_index[(q * size + m) * low
-                                          + code % low]) is not None:
+            faces.append(None if m == e else (q * size + m) * low + rest)
+            rest += h * low
+            low *= size
+            h = g
+        faces.append(back[h][q] * low + rest)
+        faces.reverse()
+        col = {}
+        sign = 1
+        for f in faces:
+            if f is not None and (r := row_index[f]) is not None:
                 if v := col.get(r, 0) + sign:
                     col[r] = v
                 else:
                     del col[r]
-            low *= size
-            h = g
             sign = -sign
-        if (r := row_index[back[h][q] * low + code % low]) is not None:
-            if v := col.get(r, 0) + 1:
-                col[r] = v
-            else:
-                del col[r]
         columns.append(col)
     return columns
+
+
+class _FirstSeen(dict):
+    """A row index that gives an unseen key the next row number."""
+
+    def __missing__(self, key):
+        self[key] = r = len(self)
+        return r
 
 
 def _dense(columns, n_rows: int):
@@ -1010,15 +1025,18 @@ class Resolution:
         self.d = d
         self.mul = mul
 
-    def _z_columns(self, n: int):
-        """The sparse columns of the Z-matrix of d_n."""
-        size = len(self.mul)
+    def _columns(self, n: int, right):
+        """The sparse columns of d_n of Z[X] ⊗_G F, X a right G-set on
+        the table right[x][g], the position of x.g: x ⊗ e_j is column
+        j |X| + x and x.g ⊗ e_i row i |X| + x.g.  mul gives F itself
+        (X = G, x.g = xg), [[0] * |G|] gives F ⊗_G Z (X a point)."""
+        width = len(right)
         columns = []
         for col in self.d[n - 1]:
-            for row in self.mul:            # row[g] = hg, for each h
+            for row in right:
                 acc = {}
                 for i, g, c in col:
-                    r = i * size + row[g]
+                    r = i * width + row[g]
                     acc[r] = acc.get(r, 0) + c
                 columns.append({r: v for r, v in acc.items() if v})
         return columns
@@ -1062,7 +1080,8 @@ class Resolution:
                 if any(acc.values()):
                     raise RuntimeError(f"resolution certificate failed: "
                                        f"d_{n} d_{n + 1} != 0")
-        forms = [_certified_divisors(self._z_columns(n), size * ranks[n - 1])
+        forms = [_certified_divisors(self._columns(n, self.mul),
+                                     size * ranks[n - 1])
                  for n in range(1, len(ranks))]
         if any(v != 1 for form in forms for v in form.divisors):
             raise RuntimeError("resolution certificate failed: a "
@@ -1078,16 +1097,10 @@ class Resolution:
         """The certified divisor forms of d_1..d_top of F ⊗_G Z: the
         augmented r_{n-1} x r_n matrices, each entry the coefficient sum
         of its element of ZG."""
-        forms = []
-        for n in range(1, len(self.ranks)):
-            columns = []
-            for col in self.d[n - 1]:
-                acc = {}
-                for i, _, c in col:
-                    acc[i] = acc.get(i, 0) + c
-                columns.append({i: v for i, v in acc.items() if v})
-            forms.append(_certified_divisors(columns, self.ranks[n - 1]))
-        return forms
+        point = [[0] * len(self.mul)]
+        return [_certified_divisors(self._columns(n, point),
+                                    self.ranks[n - 1])
+                for n in range(1, len(self.ranks))]
 
 
 def _powers(t: int, mul, e: int):
@@ -1279,7 +1292,7 @@ def _coinvariants_row(row: dict, nerve: Nerve, rank: int) -> dict:
     walk = next(itertools.islice(nerve._walks(None), 1, None))
     columns = _face_code_columns([code for code, _ in walk], 1,
                                  range(len(nerve.units)), nerve._back,
-                                 nerve._mul, None)
+                                 nerve._mul, None, len(nerve._mul))
     orbits = rank * _component_count(len(nerve.units),
                                      (list(col) for col in columns))
     return dict(row, orbit_count=orbits,
@@ -1373,7 +1386,9 @@ class _Window:
     count long, as |ball(a + b)| <= |ball(a)| |ball(b)|.  A point is its
     code x |E|^N + sum_i g_i |E|^(N-i), so the column codes follow the
     order x, then each g_i lexicographically, and column j is read off j
-    in the radix |ball(tuple_radius)|.  The column count is known before
+    in the radix |ball(tuple_radius)|.  Faces are read by the nerves'
+    face rule (_face_code_columns) in the radix |E|, and their rows are
+    numbered by first appearance.  The column count is known before
     any of this is built, and a window over column_cap raises
     ResourceLimitError."""
 
@@ -1398,47 +1413,18 @@ class _Window:
 
     def columns(self):
         """(columns, row_index): the face sums of every column as sparse
-        columns, rows numbered by first appearance over the columns in
-        code order, face 0 first within each; row_index maps each face
-        code to its row.  Face codes are read by divmod arithmetic, face
-        N first as _face_code_columns reads them, then numbered and
-        summed from face 0 with signs (-1)^i; zero sums are dropped."""
-        degree, back, mul = self.degree, self._back, self._mul
+        columns, read by the nerve's face rule (_face_code_columns) with
+        rows numbered by first appearance over the columns in code order,
+        face 0 first within each; row_index maps each face code to its
+        row."""
         size = len(self.elements)
         codes = range(self._n_units)
-        for _ in range(degree):
+        for _ in range(self.degree):
             codes = [code * size + g for code in codes
                      for g in range(self._n_tuple)]
-        row_index = {}
-        columns = []
-        for code in codes:
-            # face N drops g_N; face i = N-1, ..., 1 merges g_i g_{i+1}:
-            # q is the code of (x, g_1..g_i), h = g_{i+1}, low =
-            # |E|^(N-1-i) and rest = code % low, the digits the face
-            # keeps; face 0 moves x
-            q, h = divmod(code, size)
-            faces = [q]
-            low, rest = 1, 0
-            for _ in range(degree - 1):
-                q, g = divmod(q, size)
-                faces.append((q * size + mul[g][h]) * low + rest)
-                rest += h * low
-                low *= size
-                h = g
-            faces.append(back[h][q] * low + rest)
-            col = {}
-            sign = 1
-            for f in reversed(faces):
-                r = row_index.get(f)
-                if r is None:
-                    r = row_index[f] = len(row_index)
-                if v := col.get(r, 0) + sign:
-                    col[r] = v
-                else:
-                    del col[r]
-                sign = -sign
-            columns.append(col)
-        return columns, row_index
+        row_index = _FirstSeen()
+        return _face_code_columns(codes, self.degree, row_index, self._back,
+                                  self._mul, None, size), row_index
 
     def key(self, point):
         """The row key of a degree N-1 point: its code, or the point

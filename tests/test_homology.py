@@ -696,6 +696,38 @@ def test_negative_window_obstruction_is_the_reference_dense_routes():
         assert want is not None and res["obstruction"] == want
 
 
+@pytest.mark.parametrize("group,shape", [("Z/4", (16, 64)),
+                                         ("D3", (36, 216))])
+def test_a_window_that_covers_a_finite_group_is_its_nerve(group, shape):
+    """A degree-2 window whose balls cover a finite group holds every
+    point of the group-ring nerve on the same code convention, so its
+    columns, rows read back as codes, are the nerve's d_2 column for
+    column."""
+    G = get_group(group)
+    win = homology._Window(G, 2, 2, 2, 10 ** 6)
+    nerve = homology._module_nerve(G, "group-ring")
+    assert (win.units, win.elements) == (nerve.units, nerve.elements)
+    columns, row_index = win.columns()
+    M = nerve.boundary(2)[0]
+    assert M.shape == shape
+    code = {r: k for k, r in row_index.items()}
+    assert [{code[r]: v for r, v in col.items()} for col in columns] == \
+        [{i: v for i, v in enumerate(M[:, j].tolist()) if v}
+         for j in range(shape[1])]
+
+
+def test_a_point_mass_on_a_finite_group_does_not_bound():
+    """H_0(Z/4; Z[Z/4]) = Z, read by the coefficient sum, so the point
+    mass at the identity lies outside the image of d_1 in a window that
+    covers the group."""
+    G = get_group("Z/4")
+    point = Chain(G, ZR, 1, 0)
+    point.add_at(G.identity(), (), (1,))
+    res = is_boundary_window(point, 2, 2)
+    assert res["verdict"] is False
+    assert res["obstruction"]["kind"] == "out-of-image"
+
+
 def test_window_matrix_is_the_coded_window_made_dense():
     c = Chain(Z, ZR, 1, 2)
     c.add_at((0,), ((1,), (-1,)), (2,))

@@ -573,7 +573,7 @@ def test_a_dropped_face_keeps_the_signs_after_it():
     col, = homology._face_code_columns(
         [_code(nerve, ("pt", (1, 2, 2)))], 3,
         {_code(nerve, p): i for p, i in rows.items()},
-        nerve._back, nerve._mul, nerve._e)
+        nerve._back, nerve._mul, nerve._e, len(nerve._mul))
     assert col == {rows[("pt", (2, 2))]: 1, rows[("pt", (1, 1))]: 1,
                    rows[("pt", (1, 2))]: -1}
 
@@ -821,7 +821,8 @@ def test_code_faces_equal_the_point_faces(key):
             rows = {_code(nerve, p): i
                     for i, p in enumerate(ref.points(n - 1, normalized))}
             assert homology._face_code_columns(
-                codes, n, rows, nerve._back, nerve._mul, skip) == \
+                codes, n, rows, nerve._back, nerve._mul, skip,
+                len(nerve._mul)) == \
                 ref.columns(n, normalized)[0]
 
 
