@@ -1,4 +1,4 @@
-"""Command-line entry point: named experiments over the gallery.
+"""Named experiments over the gallery, and the command line's entry.
 
 Every experiment consumes a JSON config (defaults merged with --config
 and flag overrides), runs exact checks, and emits a report with two top
@@ -8,7 +8,13 @@ deterministic: rerunning with the same config and seed produces
 byte-identical bytes; timing lives outside it for that reason.
 
 Exit codes: 0 every verdict passed; 1 a check failed or a map was
-falsified; 2 the configuration is invalid; 3 a resource cap was hit.
+falsified; 2 the configuration is invalid; 3 a resource cap was hit or
+memory ran out (MemoryError).
+
+The command group itself (`list`, `run`) is coarsehom.commands, which
+`main` here loads on first use: importing this module, as the library
+and the benchmark do, loads no click, and no numpy either until a dense
+matrix or the pair scan needs it.
 
 Randomized chains come from a seeded generator (random_chain): points
 are drawn uniformly from balls of the configured radius and integer
@@ -19,19 +25,14 @@ integer) lowers the enumeration cap handed to unbounded searches.
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 import time
-
-import click
 
 from .coarsemaps import check_coarse_embedding, compose, identity_map, \
     omega, table_map
 from .complexes import Chain, bar_boundary, boundary, homotopy_k, \
     induced_chain_map, random_chain
-from .errors import GroupMismatchError, InvalidElementError, \
-    NotACycleError, ResourceLimitError
+from .errors import InvalidElementError
 from .gallery import catalog_entries, get_group, get_map, get_scenario
 from .homology import _coinvariants_row, _table_and_nerve, \
     homology_finite, is_boundary_window, table_checks
@@ -387,81 +388,15 @@ def catalog() -> dict:
     }
 
 
-@click.group()
-def main():
-    """Exact workbench for coarse maps, chain complexes, finite-group
-    homology and finite orbit-equivalence dynamics."""
-
-
-@main.command("list")
-@click.option("--kind", default="all",
-              type=click.Choice(["groups", "maps", "scenarios",
-                                 "experiments", "all"]))
-def list_cmd(kind):
-    """Print the catalog of named groups, maps, scenarios and
-    experiments."""
-    cat = catalog()
-    if kind != "all":
-        cat = {kind: cat[kind]}
-    click.echo(json.dumps(cat, indent=2, sort_keys=True))
-
-
-@main.command("run")
-@click.option("--experiment", default=None, help="experiment name")
-@click.option("--config", "config_file", default=None,
-              type=click.Path(exists=False), help="JSON config file")
-@click.option("--out", "out_file", default=None,
-              type=click.Path(), help="write the report here")
-@click.option("--seed", default=None, type=int)
-@click.option("--max-radius", default=None, type=int,
-              help="overrides radius-like settings")
-@click.option("--max-degree", default=None, type=int,
-              help="overrides the degree cap")
-def run_cmd(experiment, config_file, out_file, seed, max_radius,
-            max_degree):
-    """Run a named experiment and emit its JSON report."""
-    config = {}
-    if config_file is not None:
-        try:
-            with open(config_file) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            click.echo(json.dumps({"error": f"bad config: {exc}"}),
-                       err=True)
-            sys.exit(2)
-        if not isinstance(config, dict):
-            click.echo(json.dumps({"error": "config must be an object"}),
-                       err=True)
-            sys.exit(2)
-    if experiment is not None:
-        config["experiment"] = experiment
-    if seed is not None:
-        config["seed"] = seed
-    if max_radius is not None:
-        for key in ("radius", "check_radius", "x_radius", "tuple_radius"):
-            config[key] = max_radius
-    if max_degree is not None:
-        config["max_degree"] = max_degree
-    if "experiment" not in config:
-        click.echo(json.dumps({"error": "no experiment named"}), err=True)
-        sys.exit(2)
-    try:
-        report = run_experiment(config)
-    except ResourceLimitError as exc:
-        click.echo(json.dumps({"error": f"resource cap: {exc}"}), err=True)
-        sys.exit(3)
-    except (InvalidElementError, GroupMismatchError, NotACycleError,
-            KeyError, ValueError, TypeError) as exc:
-        click.echo(json.dumps(
-            {"error": f"{type(exc).__name__}: {exc}"}), err=True)
-        sys.exit(2)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_file:
-        with open(out_file, "w") as fh:
-            fh.write(text + "\n")
-    click.echo(text)
-    sys.exit(0 if report["body"]["pass"] else 1)
+def __getattr__(name):
+    # the click command group lives in .commands and loads on first use
+    # (PEP 562), so importing the experiments loads no click
+    if name == "main":
+        from .commands import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
+    from .commands import main
     main()

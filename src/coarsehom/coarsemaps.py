@@ -16,8 +16,6 @@ omega.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import GroupMismatchError, InvalidElementError, ResourceLimitError
 from .groups import Group
 
@@ -197,6 +195,7 @@ def _reverse_scan(phi: CoarseMap, radius: int, r: int):
     increases would find.  One path serves int64 and object (Python
     int) lengths alike, and a block holds a few arrays of its size.
     """
+    import numpy as np
     G, T = phi.source, phi.target
     ball = G.ball(radius)
     vals = [phi(x) for x in ball]

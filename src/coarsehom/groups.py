@@ -37,8 +37,6 @@ import math
 from itertools import chain
 from operator import add, neg
 
-import numpy as np
-
 from .errors import InvalidElementError, ResourceLimitError
 
 # Hard default for how many elements a single ball may hold before the
@@ -62,6 +60,7 @@ def _max_abs(values) -> int:
 def _int64_rows(elems, width):
     """Integer tuples of one length as the rows of an int64 matrix; the
     caller has bounded every entry below 2^63."""
+    import numpy as np
     return np.fromiter(chain.from_iterable(elems), dtype=np.int64,
                        count=len(elems) * width).reshape(len(elems), width)
 
@@ -171,6 +170,7 @@ class Group:
         return None
 
     def _word_pair_lengths(self, xs, ys):
+        import numpy as np
         invs = [self.inv(y) for y in ys]
         rows = [[self._length(self.mul(x, yi)) for yi in invs]
                 for x in xs]
@@ -356,6 +356,7 @@ class IntLattice(Group):
         array([[2],
                [3]])
         """
+        import numpy as np
         out = np.zeros((len(X), len(Y)), dtype=np.int64)
         for k in range(self.d):
             diff = np.subtract.outer(X[:, k], Y[:, k])
@@ -498,6 +499,7 @@ class InfiniteDihedral(Group):
         array([[1, 6],
                [6, 1]])
         """
+        import numpy as np
         # (1 - 2 s1)(1 - 2 s2) is +1 when the flips agree, -1 otherwise
         out = np.multiply.outer(1 - 2 * X[:, 1], (1 - 2 * Y[:, 1]) * Y[:, 0])
         np.subtract(X[:, :1], out, out=out)

@@ -7,8 +7,9 @@ columns of face sums.  Two reductions serve what callers read:
   unit (+-1) pivots of each boundary are eliminated on its sparse
   columns (_eliminate_units), the elimination is replayed exactly
   (_check_elimination), and only the small remainder it leaves goes on:
-  one column to an exact gcd certificate, wider ones to the dense Smith
-  form (_certified_divisors).  A complex is reduced bottom-up: each
+  one column to an exact gcd certificate, one of at most 4 x 4 to its
+  determinantal divisors, larger ones to the dense Smith form
+  (_certified_divisors).  A complex is reduced bottom-up: each
   boundary is eliminated without the rows that the unit pivots of the
   boundary below it settled (Nerve.smiths).
 - Kernel coordinates, span checks and induced maps on homology read the
@@ -62,8 +63,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .coarsemaps import CoarseMap
 from .complexes import Chain, _image_point, boundary
 from .errors import InvalidElementError, NotACycleError, ResourceLimitError
@@ -76,6 +75,7 @@ _PROMOTE_LIMIT = 2 ** 31
 def _as_int_matrix(A):
     """A as an int64 matrix when every entry is below _PROMOTE_LIMIT in
     absolute value, else as an object matrix of Python ints."""
+    import numpy as np
     if isinstance(A, np.ndarray) and A.dtype.kind in "iu":
         if A.ndim != 2:
             raise InvalidElementError("expected a two dimensional matrix")
@@ -105,6 +105,7 @@ def _product(X, Y):
     Sums run over the nonzero entries of Y only (boundary matrices hold
     a few per column): pass s adds the s-th nonzero of every column
     that has one, so no temporary is larger than the product."""
+    import numpy as np
     dtype = object
     if (X.dtype.kind in "iu" and Y.dtype.kind in "iu"
             and _absmax(X) * _absmax(Y) * X.shape[1] < 2 ** 63):
@@ -139,6 +140,7 @@ class SNFResult:
     def _apply(self, name, w):
         """U, V or Vinv times the vector w, exactly (_product), as a list
         of Python ints."""
+        import numpy as np
         w = _as_int_matrix(np.array(w, dtype=object).reshape(-1, 1))
         return _product(getattr(self, name), w)[:, 0].tolist()
 
@@ -207,6 +209,7 @@ class SNFResult:
         scanned on every call, so a certificate changed since the
         reduction is checked as it stands.  A form with U and every
         divisor doubled fails on det U."""
+        import numpy as np
         UA = _product(self.U, np.asarray(A))
         dtype = np.int64
         if (self.Vinv.dtype == object or max(self.divisors, default=0)
@@ -228,6 +231,7 @@ def _unimodular(U) -> bool:
     (_check_elimination), R over the rows and columns that are no pivot,
     so |det U| = |det R|, which a common factor of a row or column of R
     divides, or else _det computes.  On the U of a reduction R is empty."""
+    import numpy as np
     ks, js = np.nonzero(U)
     columns = [{} for _ in range(U.shape[1])]
     for k, j, v in zip(ks.tolist(), js.tolist(), U[ks, js].tolist()):
@@ -263,6 +267,7 @@ def _update_fits_int64(q, Vinv, cols) -> bool:
     partial sum may pass 2^63.  Every entry of Vinv is within
     _PROMOTE_LIMIT during the reduction, and so are the quotients q; the
     rows read are scanned only when that bound does not settle it."""
+    import numpy as np
     room = 2 ** 63 - _PROMOTE_LIMIT
     qsum = int(np.abs(q).max()) * len(cols)
     return qsum * _PROMOTE_LIMIT < room or \
@@ -289,6 +294,7 @@ def smith_normal_form(A) -> SNFResult:
     >>> snf.verify([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     True
     """
+    import numpy as np
     A = _as_int_matrix(A)
     r, c = A.shape
     M = A.copy()
@@ -577,6 +583,40 @@ def _check_gcd(v, g, c):
                            f"{len(v)} entries")
 
 
+# Remainders of at most this many rows (after orientation, as many
+# columns or fewer) read their divisors off their minors, 69 at 4 x 4.
+_MINOR_ROWS = 4
+
+
+def _determinantal_divisors(R):
+    """The nonzero elementary divisors of the integer matrix R (a list of
+    rows), by their definition: d_k = D_k / D_(k-1), D_k the gcd of the
+    k x k minors of R, each an exact determinant (_det), and D_0 = 1,
+    for k up to the rank, past which every D_k is 0.  D_(k-1) divides
+    D_k, so the gcd stops once it reaches D_(k-1).  The minors number
+    binomial(rows, k) binomial(cols, k): this serves small matrices.
+
+    >>> _determinantal_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    [2, 2, 156]
+    >>> _determinantal_divisors([[0, 0], [0, 6], [0, 4]])
+    [2]
+    """
+    rows, cols = range(len(R)), range(len(R[0]) if R else 0)
+    divisors, last = [], 1
+    for k in range(1, min(len(rows), len(cols)) + 1):
+        d = 0
+        for I, J in itertools.product(itertools.combinations(rows, k),
+                                      itertools.combinations(cols, k)):
+            d = math.gcd(d, _det([[R[i][j] for j in J] for i in I]))
+            if d == last:
+                break
+        if d == 0:
+            break
+        divisors.append(d // last)
+        last = d
+    return divisors
+
+
 class DivisorForm:
     """The shape and the nonzero elementary divisors of a matrix, with no
     change-of-basis certificates: what a homology table reads.
@@ -603,8 +643,11 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
     A ~ +-I_K ⊕ R.  The remainder R is read in the orientation with
     fewer columns, R or R^T, which have the same divisors.  One column v
     has the one divisor gcd(v), certified by Bezout coefficients
-    (_check_gcd); wider remainders go through _certified_smith, whose
-    V and V^-1, and so their exact check, the orientation keeps small.
+    (_check_gcd).  A remainder of at most _MINOR_ROWS rows reads its
+    divisors off its minors (_determinantal_divisors), which is their
+    definition and needs no certificate.  Taller remainders go through
+    _certified_smith, whose V and V^-1, and so their exact check, the
+    orientation keeps small.
     The divisors are K ones, then those of R; the form also records the
     K pivot columns, once the replay has passed.
 
@@ -632,6 +675,8 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
             g, c = _bezout(v)
             _check_gcd(v, g, c)
             divisors.append(g)
+        elif len(R) <= _MINOR_ROWS:
+            divisors += _determinantal_divisors(R)
         else:
             divisors += _certified_smith(R).elementary_divisors()
     return DivisorForm((n_rows, len(columns)), divisors,
@@ -875,6 +920,7 @@ class _FirstSeen(dict):
 
 def _dense(columns, n_rows: int):
     """The n_rows x len(columns) int64 matrix of sparse columns."""
+    import numpy as np
     M = np.zeros((n_rows, len(columns)), dtype=np.int64)
     M[[i for col in columns for i in col],
       [j for j, col in enumerate(columns) for _ in col]] = \
@@ -892,6 +938,7 @@ def assemble_boundary_matrix(group: Group, degree: int,
     With coefficients of rank k the matrix is kron(d, I_k), d the rank-1
     boundary: one k x k identity block per entry of d.
     """
+    import numpy as np
     M, row, col = _module_nerve(group, module).boundary(degree)
     return {"matrix": np.kron(M, np.eye(rank, dtype=np.int64)),
             "row_basis": None if row is None else ChainBasis(row.points,
@@ -1357,6 +1404,7 @@ def _check_dual_witness(u, A, b, obstruction):
     which rules out a solution over Q, or u A = 0 and u b != 0 modulo
     the divisor for "divisibility", which rules one out over Z.  Raises
     RuntimeError when the witness does not hold."""
+    import numpy as np
     u = np.asarray(u)[None, :]
     uA = _product(u, A)[0]
     ub = sum(int(ui) * bi for ui, bi in zip(u[0], b))
@@ -1546,6 +1594,7 @@ def induced_map_on_homology(phi: CoarseMap, max_degree: int,
     structures and matrix shapes by k and leaves the verdicts as they
     are.
     """
+    import numpy as np
     G, H = phi.source, phi.target
     nerve_G = _module_nerve(G, "group-ring")
     nerve_H = _module_nerve(H, "group-ring")

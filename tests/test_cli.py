@@ -3,11 +3,18 @@ deterministic report bodies, config file handling and the resource cap."""
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from coarsehom import cli
 from coarsehom.cli import EXPERIMENTS, catalog, main, run_experiment
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, env=None):
@@ -215,6 +222,61 @@ def test_cap_env_var_exits_three():
                              catch_exceptions=False)
     assert res.exit_code == 3
     assert "resource cap" in res.output
+
+
+@pytest.mark.parametrize("error, message", [
+    # numpy's _ArrayMemoryError is a MemoryError with this message
+    (MemoryError("Unable to allocate 1.54 GiB for an array"),
+     "resource cap: Unable to allocate 1.54 GiB for an array"),
+    (MemoryError(), "resource cap: out of memory")])
+def test_memory_error_exits_three(monkeypatch, error, message):
+    def exhausted(config):
+        raise error
+
+    _, defaults, description = cli._TABLE["homology-finite"]
+    monkeypatch.setitem(cli._TABLE, "homology-finite",
+                        (exhausted, defaults, description))
+    res = run_cli(["run", "--experiment", "homology-finite"])
+    assert res.exit_code == 3
+    assert json.loads(res.output) == {"error": message}
+
+
+# -- start-up ---------------------------------------------------------------------
+
+_LEAN_START = """
+import sys
+import coarsehom.cli as cli
+assert not {"numpy", "click"} & set(sys.modules), "loaded on import"
+for config in [
+        {"experiment": "window-boundary", "group": "Z", "x_radius": 2,
+         "tuple_radius": 2},
+        {"experiment": "homology-finite", "group": "Z/2xZ/2",
+         "module": "trivial", "max_degree": 3},
+        {"experiment": "homology-finite", "group": "D3",
+         "module": "trivial", "max_degree": 2}]:
+    assert cli.run_experiment(config)["body"]["pass"], config
+assert "numpy" not in sys.modules, "loaded by a report"
+import click
+from coarsehom.cli import main
+assert isinstance(main, click.Group), main
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_start_up_loads_neither_numpy_nor_click():
+    # a fresh interpreter: this one has loaded both for other tests
+    res = _python("-c", _LEAN_START)
+    assert res.returncode == 0, res.stderr
+    res = _python("-m", "coarsehom.cli", "run", "--experiment",
+                  "homology-finite")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["body"]["pass"]
 
 
 # -- determinism and output files -------------------------------------------------------

@@ -138,6 +138,32 @@ def test_snf_verify_rejects_u_and_the_divisors_doubled():
     assert s.divisors == [4, 4, 312] and not s.verify(A)
 
 
+@st.composite
+def minor_matrices(draw):
+    """Integer matrices up to 4 x 4 as lists of rows, some of their rows
+    and columns zero, with entries past 2^63 among the small ones."""
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-6, 6), st.integers(2 ** 63, 2 ** 66),
+                      st.integers(-2 ** 66, -2 ** 63))
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=r - 1)):
+        rows[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=c - 1)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@given(minor_matrices())
+@settings(max_examples=150, deadline=None)
+@example([[2 ** 64, 0], [0, 3 * 2 ** 64]])
+@example([[0, 0, 0], [0, 4, 6], [0, 6, 4], [0, 0, 0]])
+def test_determinantal_divisors_are_the_smith_divisors(rows):
+    assert homology._determinantal_divisors(rows) == \
+        smith_normal_form(rows).elementary_divisors()
+
+
 def _unimodular_matrix(rng, n):
     """A product of random elementary integer row operations."""
     M = np.eye(n, dtype=np.int64)

@@ -472,9 +472,15 @@ def test_one_column_remainders_take_the_gcd_certificate(monkeypatch):
     assert homology._certified_divisors([{0: 1, 1: 1}, {0: 2, 1: 6}], 2) \
         .divisors == [1, 4]
     assert calls == []
-    # two columns each way go to the dense form
+    # two columns each way read their minors: D_1 = 2, D_2 = 12
     assert homology._certified_divisors([{0: 2, 1: 4}, {0: 4, 1: 2}], 2) \
         .divisors == [2, 6]
+    assert calls == []
+    # five rows and two columns, past the minors' reach, go to the dense
+    # form
+    assert homology._certified_divisors(
+        [{0: 2, 1: 4, 2: 6, 3: 8, 4: 10}, {0: 4, 1: 2, 2: 0, 3: 2, 4: 4}],
+        5).divisors == [2, 2]
     assert len(calls) == 1
 
 
