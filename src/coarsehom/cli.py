@@ -278,21 +278,17 @@ def _exp_morita_check(config):
     if isinstance(couple, dy.Coupling):
         couple = dy.coupling_to_couple(couple)
     kak = dy.couple_to_kakutani(couple)
-    # the groupoid tables share their reduced forms: the restricted
-    # systems repeat each other's matrices and the Morita check's
-    memo = {}
     gx = dy.restrict_groupoid(
         dy.action_groupoid(couple.actX), kak.A)
     gy = dy.restrict_groupoid(
         dy.action_groupoid(couple.actY), kak.B)
-    hx = dy.groupoid_homology_finite(gx, max_degree, memo=memo)
-    hy = dy.groupoid_homology_finite(gy, max_degree, memo=memo)
+    hx = dy.groupoid_homology_finite(gx, max_degree)
+    hy = dy.groupoid_homology_finite(gy, max_degree)
     verdicts.append({"name": "restricted-groupoids-same-homology",
                      "pass": hx == hy,
                      "result": {"first": hx, "second": hy}})
     mx = dy.morita_invariance_check(couple.actX, kak.A,
-                                    max_degree=min(max_degree, 1),
-                                    memo=memo)
+                                    max_degree=min(max_degree, 1))
     verdicts.append({"name": "restriction-preserves-homology",
                      "pass": mx["ok"], "result": mx})
     return verdicts

@@ -555,18 +555,16 @@ def restrict_groupoid(gpd: FiniteGroupoid, subset) -> FiniteGroupoid:
 
 
 def groupoid_homology_finite(gpd: FiniteGroupoid, max_degree: int,
-                             ring_name: str = "Z", memo: dict | None = None):
+                             ring_name: str = "Z"):
     """Homology of the finite groupoid with constant coefficients, read
-    by the same verified Smith reader as the group tables.  memo, a dict
-    the caller shares between tables, holds the forms already reduced
-    (Nerve.smiths).
+    by the same verified Smith reader as the group tables (Nerve.smiths).
 
     For the groupoid of a free action this is the homology of a point
     per orbit: betti_0 = number of orbits, all higher groups zero; the
     tests lean on that oracle.
     """
     _check_homology_ring(ring_name)
-    return _homology_table(ring_name, gpd.nerve().smiths(max_degree, memo))
+    return _homology_table(ring_name, gpd.nerve().smiths(max_degree))
 
 
 def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
@@ -583,20 +581,19 @@ def groupoid_cohomology_finite(gpd: FiniteGroupoid, max_degree: int,
 
 
 def morita_invariance_check(act: FiniteAction, subset, max_degree: int = 1,
-                            ring_name: str = "Z",
-                            memo: dict | None = None) -> dict:
+                            ring_name: str = "Z") -> dict:
     """Homology and cohomology of the transformation groupoid against
     its restriction to a full subset; Morita invariance says they must
     agree degree by degree.  Both tables of a groupoid read one list of
     divisor forms, so the cohomology verdict follows from the homology
-    one.  memo is shared as by groupoid_homology_finite."""
+    one."""
     sub = set(subset)
     if not act.is_full(sub):
         raise InvalidElementError(
             "the subset must meet every orbit (be full)")
     _check_homology_ring(ring_name)
     big = action_groupoid(act)
-    forms_big, forms_small = (gpd.nerve().smiths(max_degree, memo) for gpd
+    forms_big, forms_small = (gpd.nerve().smiths(max_degree) for gpd
                               in (big, restrict_groupoid(big, subset)))
     h_big, h_small = (_homology_table(ring_name, forms)
                       for forms in (forms_big, forms_small))

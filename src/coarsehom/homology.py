@@ -7,11 +7,10 @@ columns of face sums.  Two reductions serve what callers read:
   unit (+-1) pivots of each boundary are eliminated on its sparse
   columns (_eliminate_units), the elimination is replayed exactly
   (_check_elimination), and only the small remainder it leaves goes on:
-  one column to an exact gcd certificate, one of at most 4 x 4 to its
-  determinantal divisors, larger ones to the dense Smith form
-  (_certified_divisors).  A complex is reduced bottom-up: each
-  boundary is eliminated without the rows that the unit pivots of the
-  boundary below it settled (Nerve.smiths).
+  one column, or one of at most 4 x 4, to its determinantal divisors,
+  any other to the dense Smith form (_certified_divisors).  A complex
+  is reduced bottom-up: each boundary is eliminated without the rows
+  that the unit pivots of the boundary below it settled (Nerve.smiths).
 - Kernel coordinates, span checks and induced maps on homology read the
   change of basis itself: a Smith normal form with full certificates,
   U, V, V^-1 with U A V diagonal, every divisor dividing the next.
@@ -552,39 +551,9 @@ def _check_elimination(columns, pivots, rest):
                            "from the matrix")
 
 
-def _bezout(v):
-    """(g, c): g = gcd of the integers v, g >= 0, and integers c with
-    sum c_i v_i == g, by the extended Euclidean algorithm folded over v."""
-    g, c = 0, []
-    for a in v:
-        # s g + t a = gcd(g, a), by Euclid on (g, a)
-        r0, r1, s0, s1, t0, t1 = g, a, 1, 0, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0 < 0:
-            r0, s0, t0 = -r0, -s0, -t0
-        if s0 != 1:
-            c = [s0 * ci for ci in c]
-        c.append(t0)
-        g = r0
-    return g, c
-
-
-def _check_gcd(v, g, c):
-    """Certify that g is the one elementary divisor of the column v:
-    raise RuntimeError unless g > 0, g divides every entry and
-    sum c_i v_i == g.  Then the ideal of the entries is (g)."""
-    if not (g > 0 and all(a % g == 0 for a in v)
-            and sum(ci * a for ci, a in zip(c, v)) == g):
-        raise RuntimeError(f"gcd certificate failed for a column of "
-                           f"{len(v)} entries")
-
-
 # Remainders of at most this many rows (after orientation, as many
-# columns or fewer) read their divisors off their minors, 69 at 4 x 4.
+# columns or fewer) read their divisors off their minors, 69 at 4 x 4;
+# so does a column of any height, whose minors are its entries.
 _MINOR_ROWS = 4
 
 
@@ -594,7 +563,8 @@ def _determinantal_divisors(R):
     k x k minors of R, each an exact determinant (_det), and D_0 = 1,
     for k up to the rank, past which every D_k is 0.  D_(k-1) divides
     D_k, so the gcd stops once it reaches D_(k-1).  The minors number
-    binomial(rows, k) binomial(cols, k): this serves small matrices.
+    binomial(rows, k) binomial(cols, k): this serves small matrices, and
+    columns of any height, whose minors are their entries.
 
     >>> _determinantal_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     [2, 2, 156]
@@ -641,13 +611,13 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
     The unit pivots are eliminated (_eliminate_units, on a copy) and the
     elimination is replayed (_check_elimination), which proves
     A ~ +-I_K ⊕ R.  The remainder R is read in the orientation with
-    fewer columns, R or R^T, which have the same divisors.  One column v
-    has the one divisor gcd(v), certified by Bezout coefficients
-    (_check_gcd).  A remainder of at most _MINOR_ROWS rows reads its
-    divisors off its minors (_determinantal_divisors), which is their
-    definition and needs no certificate.  Taller remainders go through
-    _certified_smith, whose V and V^-1, and so their exact check, the
-    orientation keeps small.
+    fewer columns, R or R^T, which have the same divisors.  A remainder
+    of one column, or of at most _MINOR_ROWS rows, reads its divisors off
+    its minors (_determinantal_divisors), which is their definition and
+    needs no certificate; one column v has the one divisor gcd(v), read
+    in one pass over v.  Other remainders, at least 2 columns and more
+    than _MINOR_ROWS rows, go through _certified_smith, whose V and V^-1,
+    and so their exact check, the orientation keeps small.
     The divisors are K ones, then those of R; the form also records the
     K pivot columns, once the replay has passed.
 
@@ -670,12 +640,7 @@ def _certified_divisors(columns, n_rows: int) -> DivisorForm:
         R, _ = _remainder(rest)
         if len(rest) > len(R):
             R = [list(r) for r in zip(*R)]
-        if len(R[0]) == 1:
-            v = [r[0] for r in R]
-            g, c = _bezout(v)
-            _check_gcd(v, g, c)
-            divisors.append(g)
-        elif len(R) <= _MINOR_ROWS:
+        if len(R[0]) == 1 or len(R) <= _MINOR_ROWS:
             divisors += _determinantal_divisors(R)
         else:
             divisors += _certified_smith(R).elementary_divisors()
@@ -771,15 +736,12 @@ class Nerve:
         return (M, None if below is None else ChainBasis(below),
                 ChainBasis(points))
 
-    def smiths(self, max_degree: int, memo: dict | None = None):
+    def smiths(self, max_degree: int):
         """The certified divisor forms of the normalized boundaries
         d_1..d_{N+1} (Brown, GTM 87, I.5), which every table of the nerve
         reads, at every rank: with coefficients of rank k the complex is
         k copies of this one.  Rows and columns are the nondegenerate
-        codes, and no dense matrix is built.  memo, when given, maps each
-        matrix already reduced (its row count and the entries of each
-        column) to its form, and gains the matrices reduced here, so
-        tables that share it reduce each distinct matrix once.
+        codes, and no dense matrix is built.
 
         The complex is reduced bottom-up, as one complex: d_{n+1} goes
         to _certified_divisors as sparse columns without the rows B_n,
@@ -808,14 +770,7 @@ class Nerve:
             codes = [code for code, _ in next(walks)]
             columns = _face_code_columns(codes, n, row_index, self._back,
                                          self._mul, self._e, len(self._mul))
-            if memo is None:
-                form = _certified_divisors(columns, len(row_index))
-            else:
-                key = (len(row_index),
-                       tuple(frozenset(col.items()) for col in columns))
-                if key not in memo:
-                    memo[key] = _certified_divisors(columns, len(row_index))
-                form = memo[key]
+            form = _certified_divisors(columns, len(row_index))
             forms.append(form)
             settled = form.pivot_columns
             row_index = {code: None if j in settled else j

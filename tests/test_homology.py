@@ -140,10 +140,11 @@ def test_snf_verify_rejects_u_and_the_divisors_doubled():
 
 @st.composite
 def minor_matrices(draw):
-    """Integer matrices up to 4 x 4 as lists of rows, some of their rows
-    and columns zero, with entries past 2^63 among the small ones."""
-    r = draw(st.integers(1, 4))
-    c = draw(st.integers(1, 4))
+    """Integer matrices up to 4 x 4, or one column of up to 30 rows, as
+    lists of rows, some of their rows and columns zero, with entries past
+    2^63 among the small ones."""
+    r, c = draw(st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                          st.tuples(st.integers(1, 30), st.just(1))))
     entry = st.one_of(st.integers(-6, 6), st.integers(2 ** 63, 2 ** 66),
                       st.integers(-2 ** 66, -2 ** 63))
     rows = [[draw(entry) for _ in range(c)] for _ in range(r)]

@@ -440,20 +440,7 @@ def test_pivot_sequences_pinned(monkeypatch):
         "0b3f6e07f21f66a3d39d71342abd970ba8ee6a162d3abeaf37a67f3be5e9b782"
 
 
-@pytest.mark.parametrize("v, g, c", [
-    # 2g divides nothing it should: 4 does not divide 2
-    ([2, 4], 4, [2, 0]),
-    # g divides every entry, but 1 * 4 + 1 * 6 = 10 is not g
-    ([4, 6], 2, [1, 1]),
-    # g = 0 with a matching sum: the zero ideal is no divisor
-    ([0, 0], 0, [0, 0]),
-], ids=["doubled-divisor", "wrong-bezout", "zero-divisor"])
-def test_gcd_certificate_rejects_each_forgery(v, g, c):
-    with pytest.raises(RuntimeError, match="gcd certificate"):
-        homology._check_gcd(v, g, c)
-
-
-def test_one_column_remainders_take_the_gcd_certificate(monkeypatch):
+def test_small_remainders_read_their_minors(monkeypatch):
     real = homology._certified_smith
     calls = []
 
@@ -484,24 +471,21 @@ def test_one_column_remainders_take_the_gcd_certificate(monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_forged_gcd_fails_the_one_column_remainder(monkeypatch):
-    real = homology._bezout
+@pytest.mark.parametrize("v", [
+    [5], [-5], [0, 3], [6, 4, -10], [0, 0, 7], [12, 18, 8],
+    [-7, 91, 35, 3 * 2 ** 70],
+    # taller than _MINOR_ROWS: only the one-column rule reads their minors
+    [12, -18, 30, 0, 42, 6 * 2 ** 65],
+    [2 ** 70 * (k + 2) for k in range(300)]])
+def test_one_column_remainders_read_the_gcd(monkeypatch, v):
+    def smith(A):
+        raise AssertionError("a one-column remainder reached the Smith form")
 
-    def doubled(v):
-        g, c = real(v)
-        return 2 * g, [2 * ci for ci in c]
-
-    monkeypatch.setattr(homology, "_bezout", doubled)
-    with pytest.raises(RuntimeError, match="gcd certificate"):
-        homology._certified_divisors([{0: 6, 1: 4}], 2)
-
-
-@pytest.mark.parametrize("v", [[5], [-5], [0, 3], [6, 4, -10], [0, 0, 7],
-                               [12, 18, 8], [-7, 91, 35, 3 * 2 ** 70]])
-def test_bezout_certifies_the_gcd(v):
-    g, c = homology._bezout(v)
-    homology._check_gcd(v, g, c)
-    assert g == math.gcd(*v)
+    monkeypatch.setattr(homology, "_certified_smith", smith)
+    column = [{i: a for i, a in enumerate(v) if a}]
+    row = [{0: a} if a else {} for a in v]
+    assert homology._certified_divisors(column, len(v)).divisors == \
+        homology._certified_divisors(row, 1).divisors == [math.gcd(*v)]
 
 
 def test_z6_trivial_degree_four_builds_no_dense_matrix(monkeypatch):
