@@ -111,10 +111,10 @@ def _exp_omega_build(config):
 
 def _exp_chain_suite(config):
     group = get_group(config["group"])
-    ring = ring_from_name(config.get("ring", "Z"))
-    rank = int(config.get("rank", 1))
-    radius = int(config.get("radius", 3))
-    count = int(config.get("chains", 100))
+    ring = ring_from_name(config["ring"])
+    rank = int(config["rank"])
+    radius = int(config["radius"])
+    count = int(config["chains"])
     seed = int(config["seed"])
     dd_fail = dual_fail = chi_fail = 0
     for i in range(count):
@@ -163,8 +163,8 @@ def _homotopy_failures(group, k, rhs, count, radius, seed, stride):
 
 def _exp_homotopy_suite(config):
     pairs = config.get("pairs", _CLOSE_PAIRS)
-    count = int(config.get("chains", 25))
-    radius = int(config.get("radius", 3))
+    count = int(config["chains"])
+    radius = int(config["radius"])
     seed = int(config["seed"])
     verdicts = []
     for pa, pb in pairs:
@@ -195,10 +195,10 @@ def _exp_homotopy_suite(config):
 
 def _exp_homology_finite(config):
     group = _finite_group(config["group"])
-    ring = config.get("ring", "Z")
-    module = config.get("module", "trivial")
+    ring = config["ring"]
+    module = config["module"]
     rank = int(config.get("rank", 1))
-    max_degree = int(config.get("max_degree", 2))
+    max_degree = int(config["max_degree"])
     table, nerve = _table_and_nerve(group, max_degree, ring, module, rank)
     # the coinvariants' Smith route is the table's certified degree-0 row,
     # and their orbits are counted on the module's nerve
@@ -215,9 +215,9 @@ def _exp_homology_finite(config):
 
 def _exp_window_boundary(config):
     group = get_group(config["group"])
-    ring = ring_from_name(config.get("ring", "Z"))
-    x_radius = int(config.get("x_radius", 1))
-    tuple_radius = int(config.get("tuple_radius", 1))
+    ring = ring_from_name(config["ring"])
+    x_radius = int(config["x_radius"])
+    tuple_radius = int(config["tuple_radius"])
     seed = int(config["seed"])
     c = random_chain(group, ring, 1, 2, max(x_radius - 1, 1), terms=3,
                      seed=seed)
@@ -264,9 +264,9 @@ def _exp_dynamics_roundtrip(config):
 
 def _exp_morita_check(config):
     from . import dynamics as dy
-    max_degree = int(config.get("max_degree", 2))
-    ga = _finite_group(config.get("group_a", "Z/4"))
-    gb = _finite_group(config.get("group_b", "Z/2"))
+    max_degree = int(config["max_degree"])
+    ga = _finite_group(config["group_a"])
+    gb = _finite_group(config["group_b"])
     # the nerve of the translation groupoid G⋉G is the group-ring
     # module's nerve (_module_nerve), so its table is the group-ring
     # table, read off the group's certified resolution where it has one
@@ -274,7 +274,7 @@ def _exp_morita_check(config):
     hb = homology_finite(gb, max_degree, module="group-ring")
     verdicts = [{"name": "translation-systems-same-homology",
                  "pass": ha == hb, "result": {"first": ha, "second": hb}}]
-    couple = get_scenario(config.get("scenario", "z4-z2-kakutani"))
+    couple = get_scenario(config["scenario"])
     if isinstance(couple, dy.Coupling):
         couple = dy.coupling_to_couple(couple)
     kak = dy.couple_to_kakutani(couple)

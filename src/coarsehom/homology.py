@@ -679,8 +679,8 @@ class Nerve:
 
     boundaries(), boundary() and points() give the unnormalized complex
     on every point (assemble_boundary_matrix, induced maps); the
-    coinvariants row reads its degree-1 walk (_walks(None)) through the
-    face rule.  smiths() reads the normalized complex on the
+    coinvariants row reads the faces of the degree-1 points straight off
+    back, and walks nothing.  smiths() reads the normalized complex on the
     nondegenerate points (Brown, GTM 87, I.5): every groupoid table, and
     the table of a group with no formula resolution.  A Resolution reads
     mul."""
@@ -1287,16 +1287,14 @@ def _component_count(n: int, joins) -> int:
 
 def _coinvariants_row(row: dict, nerve: Nerve, rank: int) -> dict:
     """The h0_coinvariants report from row, the degree-0 row of the
-    homology table, its orbits counted on the module's nerve."""
-    # components of the units joined by the faces of each degree-1 code
-    # (a column of d_1 with no entry joins a unit to itself), then one
-    # copy per coefficient index
-    walk = next(itertools.islice(nerve._walks(None), 1, None))
-    columns = _face_code_columns([code for code, _ in walk], 1,
-                                 range(len(nerve.units)), nerve._back,
-                                 nerve._mul, None, len(nerve._mul))
-    orbits = rank * _component_count(len(nerve.units),
-                                     (list(col) for col in columns))
+    homology table, its orbits counted on the action table of the
+    module's nerve."""
+    # components of the units joined by the faces x and g^-1.x of each
+    # degree-1 point (x, (g)), read off the action table, then one copy
+    # per coefficient index
+    orbits = rank * _component_count(
+        len(nerve.units), ([x, y] for back in nerve._back
+                           for x, y in enumerate(back) if y >= 0))
     return dict(row, orbit_count=orbits,
                 agrees=row["betti"] == orbits and not row["torsion"])
 
@@ -1306,10 +1304,10 @@ def h0_coinvariants(group: Group, ring_name: str = "Z",
     """H_0 as coinvariants, two ways: cokernel of the first boundary by
     Smith reduction (the degree-0 row of the homology table), against
     the orbit count of the group acting on the degree-0 basis, counted
-    as connected components under the faces of the degree-1 basis
-    elements.  Every column of d_1 is a difference of two basis elements
-    or zero, so H_0 is free on the components: reports both and whether
-    they agree."""
+    as connected components under the faces x and g^-1.x of the degree-1
+    basis elements (x, (g)), read off the action table.  Every column of
+    d_1 is a difference of two basis elements or zero, so H_0 is free on
+    the components: reports both and whether they agree."""
     table, nerve = _table_and_nerve(group, 0, ring_name, module, rank)
     return _coinvariants_row(table[0], nerve, rank)
 

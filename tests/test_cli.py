@@ -11,7 +11,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from coarsehom import cli
+from coarsehom import cli, gallery
 from coarsehom.cli import EXPERIMENTS, catalog, main, run_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -352,8 +352,10 @@ def test_run_experiment_api_shape():
 # -- ball enumerations per report ----------------------------------------------
 
 def _spheres_runs(monkeypatch):
-    """Record every enumeration as [group id, spheres consumed]."""
+    """Record every enumeration as [group id, spheres consumed], from
+    fresh gallery groups, whose ball memos are empty."""
     from coarsehom.groups import Group
+    gallery.get_group.cache_clear()
     runs = []
     real = Group._spheres
 
@@ -391,8 +393,8 @@ def test_chain_suite_enumerates_its_ball_once(monkeypatch):
 
 
 @pytest.mark.parametrize("config,count", [
-    # the two translation systems and the couple's two groups
-    ({"experiment": "morita-check"}, 4),
+    # Z/4 and Z/2, which the translation systems and the couple share
+    ({"experiment": "morita-check"}, 2),
     ({"experiment": "homology-finite", "group": "D3", "max_degree": 2}, 1),
     # G and H: the coupling checks read freeness off the two tables and
     # build no product group
@@ -404,7 +406,7 @@ def test_finite_group_reports_enumerate_each_group_once(monkeypatch, config,
     runs = _spheres_runs(monkeypatch)
     assert all(v["pass"] for v in run_experiment(config)["body"]["verdicts"])
     # elements() of a finite group is its whole ball, served from the
-    # memo, so each group instance enumerates once
+    # memo, so each gallery group enumerates once
     assert len(runs) == count
 
 

@@ -35,8 +35,8 @@ def test_every_map_name_resolves():
         assert isinstance(phi, CoarseMap)
         assert phi.name == name
         # the catalog names the map's own source and target
-        assert get_group(listed[name]["source"]) == phi.source
-        assert get_group(listed[name]["target"]) == phi.target
+        assert get_group(listed[name]["source"]) is phi.source
+        assert get_group(listed[name]["target"]) is phi.target
         # the rule is defined at the identity
         assert phi.target.is_element(phi(phi.source.identity()))
 

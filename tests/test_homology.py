@@ -14,7 +14,8 @@ from coarsehom.dynamics import action_groupoid, translation_action
 from coarsehom.errors import (InvalidElementError, NotACycleError,
                               ResourceLimitError)
 from coarsehom.gallery import get_group, get_map
-from coarsehom.groups import IntLattice, cyclic_group, trivial_group
+from coarsehom.groups import (IntLattice, cyclic_group, group_from_json,
+                              trivial_group)
 from coarsehom.homology import (_component_count, assemble_boundary_matrix,
                                 h0_coinvariants, homology_finite,
                                 induced_map_on_homology, is_boundary_window,
@@ -818,8 +819,9 @@ def test_degree_zero_window_under_the_cap_stays_within_its_columns(
     builds no ball, list or table longer than its column count: a
     degree-1 window merges no entries, so it needs no mul table and no
     ball(2 t_r).  A longer ball fails at once, before any table over it
-    is built."""
-    G = get_group(group)
+    is built.  The spy goes on a fresh group, not the shared gallery
+    instance."""
+    G = group_from_json(get_group(group).to_json())
     e, far = G.ball(0)[0], G.ball(tuple_radius)[-1]
     n_columns, real_ball = len(G.ball(tuple_radius)), G.ball
 

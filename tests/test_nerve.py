@@ -245,20 +245,19 @@ def test_homology_report_walks_one_nerve(monkeypatch):
     assert report["body"]["pass"]
     # the nondegenerate walks of degrees 0, 1, 2 (1, 7 and 49 of them)
     # extended once each to reach d_3, by the seven elements other than
-    # the identity; then the coinvariants row counts its components on
-    # the faces of every degree-1 code, so degree 0 is extended once
-    # more, by every element
-    assert sizes == [1, 7, 49, 1]
+    # the identity; the coinvariants row reads the action table and
+    # walks nothing
+    assert sizes == [1, 7, 49]
 
 
-def test_formula_report_walks_only_the_coinvariants_codes(monkeypatch):
+def test_formula_report_walks_no_nerve(monkeypatch):
     sizes = _count_steps(monkeypatch)
     report = run_experiment({"experiment": "homology-finite", "group": "Z/4",
                              "module": "trivial", "max_degree": 2})
     assert report["body"]["pass"]
-    # the table reads the periodic resolution of Z/4; the nerve extends
-    # its one degree-0 walk once, for the codes of the coinvariants row
-    assert sizes == [1]
+    # the table reads the periodic resolution of Z/4, and the
+    # coinvariants row the nerve's action table
+    assert sizes == []
 
 
 # -- rank k as k copies of the rank-1 complex ----------------------------------
